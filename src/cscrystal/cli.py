@@ -67,9 +67,12 @@ def _thread_count(args) -> int:
     env = os.environ.get("CS_CRYSTAL_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"CS_CRYSTAL_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"CS_CRYSTAL_THREADS must be >= 1, got {env!r}")
+        return threads
     return 1
 
 
@@ -119,8 +122,8 @@ def cmd_bzl(args) -> int:
             f"  statistics route: {stats_tri.inline()}\n"
         )
         return 3
-    g = g_coefficient(t)
-    c = c_coefficient(t)
+    g = g_coefficient(t, stats=stats_tri)
+    c = c_coefficient(t, stats=stats_tri)
     if args.format == "json":
         _emit_json(
             {
@@ -137,7 +140,7 @@ def cmd_bzl(args) -> int:
         _emit(f"path: {path_tri.inline()}")
         _emit(f"stats: {stats_tri.inline()}")
         _emit(f"G = {g}")
-        _emit(f"C = {c_factored_string(t)}  [{c}]")
+        _emit(f"C = {c_factored_string(t, stats=stats_tri)}  [{c}]")
         _emit(f"strict: {'yes' if is_strict(t) else 'no'}")
     return 0
 

@@ -6,6 +6,13 @@ box holding i+1 contributes '-'; adjacent "+-" pairs cancel until the
 surviving signs are all '-' followed by all '+'.  The lowering operator
 acts at the leftmost surviving '+', the raising operator at the
 rightmost surviving '-'.
+
+The rule is a pure word operation, so the operators, the enumeration
+and the walk in bzl all work on flat reading words: surviving_slots
+does the cancellation, and a changed word becomes a Tableau again
+through the per-shape reading order.  Changing the letter at a
+surviving slot keeps rows weakly increasing and columns strictly
+increasing, so those tableaux are built without re-validation.
 """
 
 from dataclasses import dataclass
@@ -15,21 +22,62 @@ from .rootsys import Shape
 from .tableaux import Tableau, content, make_tableau
 
 
-def reading_positions(t: Tableau) -> tuple[tuple[int, int], ...]:
-    """Box coordinates (row, col) in reading order."""
-    if not t.rows:
-        return ()
-    width = len(t.rows[0])
-    out = []
-    for col in range(width, 0, -1):
-        for row_idx, row in enumerate(t.rows, start=1):
-            if len(row) >= col:
-                out.append((row_idx, col))
-    return tuple(out)
+@lru_cache(maxsize=16)
+def _reading_order(lengths: tuple[int, ...]):
+    """(box of each word slot, word slots of each row) for the row lengths.
+
+    Boxes are 0-indexed (row, col); each row lists its slots left to
+    right.  An enumeration or a walk touches one shape, so a few entries
+    serve every hit; the bound keeps a process that walks many one-off
+    shapes from holding an order for each of them.
+    """
+    width = lengths[0] if lengths else 0
+    boxes = tuple(
+        (row, col)
+        for col in range(width - 1, -1, -1)
+        for row, n in enumerate(lengths)
+        if n > col
+    )
+    slot_of = {box: k for k, box in enumerate(boxes)}
+    rows = tuple(tuple(slot_of[(row, col)] for col in range(n)) for row, n in enumerate(lengths))
+    return boxes, rows
+
+
+def _order_of(t: Tableau):
+    return _reading_order(tuple(len(row) for row in t.rows))
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
-    return tuple(t.entry(i, j) for i, j in reading_positions(t))
+    rows = t.rows
+    return tuple(rows[row][col] for row, col in _order_of(t)[0])
+
+
+def tableau_from_word(t: Tableau, word) -> Tableau:
+    """The tableau of t's rank and shape whose reading word is `word`.
+
+    Not validated: callers pass t's own word, changed only at surviving
+    signature slots.
+    """
+    return Tableau(t.rank, tuple(tuple([word[k] for k in slots]) for slots in _order_of(t)[1]))
+
+
+def surviving_slots(word, i: int) -> tuple[list[int], list[int]]:
+    """Slots of the '-' signs (letter i+1) and '+' signs (letter i) of
+    word that survive cancellation, each list in reading order.
+
+    Stack scan; a '-' consumes the nearest unmatched '+' to its left.
+    """
+    minus, plus = [], []
+    j = i + 1
+    for slot, x in enumerate(word):
+        if x == i:
+            plus.append(slot)
+        elif x == j:
+            if plus:
+                plus.pop()
+            else:
+                minus.append(slot)
+    return minus, plus
 
 
 @dataclass(frozen=True)
@@ -78,78 +126,64 @@ class Signature:
         return "(" + ",".join(symbols) + ")"
 
 
-def _cancel(raw):
-    # Stack scan; a '-' consumes the nearest unmatched '+' to its left.
-    surviving_minus = []
-    plus_stack = []
-    for slot, sign in raw:
-        if sign == "+":
-            plus_stack.append(slot)
-        elif plus_stack:
-            plus_stack.pop()
-        else:
-            surviving_minus.append(slot)
-    return tuple((s, "-") for s in surviving_minus) + tuple((s, "+") for s in plus_stack)
-
-
 def i_signature(element, i: int) -> Signature:
-    """Signature of a reading word, an int sequence, or a TensorElement."""
+    """Signature of a reading word, an int sequence, or a TensorElement.
+
+    A tensor element becomes a word too: each factor spells its eps
+    surviving '-' as letters i+1, then its phi surviving '+' as letters
+    i, and owners[k] names the factor that letter k came from.
+    """
     if isinstance(element, TensorElement):
-        raw = []
+        signs, owners = [], []
         for idx, factor in enumerate(element.factors):
-            raw.extend((idx, "-") for _ in range(epsilon(factor, i)))
-            raw.extend((idx, "+") for _ in range(phi(factor, i)))
+            n_minus, n_plus = epsilon(factor, i), phi(factor, i)
+            signs += [i + 1] * n_minus + [i] * n_plus
+            owners += [idx] * (n_minus + n_plus)
         slots = len(element.factors)
     else:
-        word = tuple(element)
-        raw = []
-        for idx, x in enumerate(word):
-            if x == i + 1:
-                raw.append((idx, "-"))
-            elif x == i:
-                raw.append((idx, "+"))
-        slots = len(word)
-    raw = tuple(raw)
-    return Signature(slots=slots, raw=raw, surviving=_cancel(raw))
-
-
-def _replace_entry(t: Tableau, pos, new_value) -> Tableau:
-    i, j = pos
-    rows = [list(row) for row in t.rows]
-    rows[i - 1][j - 1] = new_value
-    return make_tableau(t.rank, rows)
+        signs = tuple(element)
+        owners = range(len(signs))
+        slots = len(signs)
+    raw = tuple(
+        (owners[k], "-" if x == i + 1 else "+") for k, x in enumerate(signs) if x == i or x == i + 1
+    )
+    minus, plus = surviving_slots(signs, i)
+    surviving = tuple((owners[k], "-") for k in minus) + tuple((owners[k], "+") for k in plus)
+    return Signature(slots=slots, raw=raw, surviving=surviving)
 
 
 def f_op(t: Tableau, i: int) -> Tableau | None:
     """Lowering operator: turn an i into i+1, or None when no '+' survives."""
     _check_letter(t.rank, i)
-    sig = i_signature(reading_word(t), i)
-    slot = sig.leftmost_plus()
-    if slot is None:
+    word = list(reading_word(t))
+    plus = surviving_slots(word, i)[1]
+    if not plus:
         return None
-    return _replace_entry(t, reading_positions(t)[slot], i + 1)
+    word[plus[0]] = i + 1
+    return tableau_from_word(t, word)
 
 
 def e_op(t: Tableau, i: int) -> Tableau | None:
     """Raising operator: turn an i+1 into i, or None when no '-' survives."""
     _check_letter(t.rank, i)
-    sig = i_signature(reading_word(t), i)
-    slot = sig.rightmost_minus()
-    if slot is None:
+    word = list(reading_word(t))
+    minus = surviving_slots(word, i)[0]
+    if not minus:
         return None
-    return _replace_entry(t, reading_positions(t)[slot], i)
+    word[minus[-1]] = i
+    return tableau_from_word(t, word)
 
 
 def epsilon(t: Tableau, i: int) -> int:
     """Largest k with e_op applicable k times (surviving '-' count)."""
     _check_letter(t.rank, i)
-    return i_signature(reading_word(t), i).eps
+    return len(surviving_slots(reading_word(t), i)[0])
 
 
 def phi(t: Tableau, i: int) -> int:
     """Largest k with f_op applicable k times (surviving '+' count)."""
     _check_letter(t.rank, i)
-    return i_signature(reading_word(t), i).phi
+    return len(surviving_slots(reading_word(t), i)[1])
 
 
 def _check_letter(rank, i):
@@ -175,18 +209,27 @@ def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
     tableaux of the shape.
     """
     start = highest_weight_tableau(shape, rank)
-    seen = {start.rows: start}
-    frontier = [start]
+    seen = {reading_word(start)}
+    frontier = list(seen)
     while frontier:
         nxt = []
-        for t in frontier:
+        for word in frontier:
             for i in range(1, rank + 1):
-                u = f_op(t, i)
-                if u is not None and u.rows not in seen:
-                    seen[u.rows] = u
-                    nxt.append(u)
+                plus = surviving_slots(word, i)[1]
+                if plus:
+                    k = plus[0]
+                    u = word[:k] + (i + 1,) + word[k + 1 :]
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
         frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda t: t.rows))
+    # Drain the word set while building tableaux, so the two are never
+    # held in full at the same time.
+    out = []
+    while seen:
+        out.append(tableau_from_word(start, seen.pop()))
+    out.sort(key=lambda t: t.rows)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

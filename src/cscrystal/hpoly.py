@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ._threads import parallel_map
 from .bzl import c_coefficient
 from .crystal import enumerate_crystal
-from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, rho
+from .rootsys import AlphaVector, GLWeight, alpha_to_gl, gl_to_alpha, partition_shape, rho
 from .tableaux import content
 from .tpoly import TPoly
 
@@ -33,12 +33,6 @@ class SpecPoint(enum.Enum):
 _T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
 
 
-def _partition_shape(lam: GLWeight) -> Shape:
-    if not lam.is_partition():
-        raise ValueError(f"{lam.coords} is not a partition")
-    return Shape(lam.coords)
-
-
 def h_direct(lam: GLWeight, mu: AlphaVector) -> TPoly:
     """Coefficient sum over shifted-crystal elements of weight lam+rho-mu.
 
@@ -47,7 +41,7 @@ def h_direct(lam: GLWeight, mu: AlphaVector) -> TPoly:
     """
     r = lam.rank
     target = lam + rho(r) - alpha_to_gl(mu, r)
-    shape = _partition_shape(lam + rho(r))
+    shape = partition_shape(lam + rho(r))
     total = TPoly.zero()
     for t in enumerate_crystal(shape, r):
         if content(t) == target:
@@ -63,8 +57,8 @@ def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
     """
     r = lam.rank
     target = lam + rho(r) - alpha_to_gl(mu, r)
-    lam_elements = enumerate_crystal(_partition_shape(lam), r)
-    rho_elements = enumerate_crystal(_partition_shape(rho(r)), r)
+    lam_elements = enumerate_crystal(partition_shape(lam), r)
+    rho_elements = enumerate_crystal(partition_shape(rho(r)), r)
     rho_scored = [(content(t), c_coefficient(t)) for t in rho_elements]
     total = TPoly.zero()
     for left in lam_elements:
@@ -173,7 +167,7 @@ def h_table(lam: GLWeight, threads: int = 1) -> HTable:
     """One row per distinct weight of the rho-shifted crystal."""
     r = lam.rank
     shifted = lam + rho(r)
-    shape = _partition_shape(shifted)
+    shape = partition_shape(shifted)
     elements = enumerate_crystal(shape, r)
 
     def term(t):
@@ -192,7 +186,7 @@ def specialize(h: TPoly, point: SpecPoint) -> int:
 def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
     """Number of lambda-crystal elements with entry-count vector nu."""
     count = 0
-    for t in enumerate_crystal(_partition_shape(lam), lam.rank):
+    for t in enumerate_crystal(partition_shape(lam), lam.rank):
         if content(t) == nu:
             count += 1
     return count
@@ -202,11 +196,11 @@ def tensor_weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
     """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution."""
     r = lam.rank
     lam_counts: dict = {}
-    for t in enumerate_crystal(_partition_shape(lam), r):
+    for t in enumerate_crystal(partition_shape(lam), r):
         w = content(t).coords
         lam_counts[w] = lam_counts.get(w, 0) + 1
     total = 0
-    for t in enumerate_crystal(_partition_shape(rho(r)), r):
+    for t in enumerate_crystal(partition_shape(rho(r)), r):
         remainder = nu - content(t)
         total += lam_counts.get(remainder.coords, 0)
     return total

@@ -82,6 +82,13 @@ class Shape:
         return GLWeight(self.parts)
 
 
+def partition_shape(lam: GLWeight) -> Shape:
+    """The Young diagram of a partition weight; ValueError otherwise."""
+    if not lam.is_partition():
+        raise ValueError(f"{lam.coords} is not a partition")
+    return Shape(lam.coords)
+
+
 @dataclass(frozen=True)
 class AlphaVector:
     """Nonnegative coordinates of a weight drop in the simple-root basis."""

@@ -51,6 +51,8 @@ class TPoly:
 
     def __add__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
@@ -60,16 +62,24 @@ class TPoly:
         return self + other
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __neg__(self):
         return TPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return TPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -128,6 +138,7 @@ class TPoly:
 
 
 def _coerce(x):
+    """x as a TPoly, or NotImplemented for a type TPoly does not mix with."""
     if isinstance(x, TPoly):
         return x
     if isinstance(x, (int, Fraction)):

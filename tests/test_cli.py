@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cscrystal
 from cscrystal.bzl import triangle_from_json
 from cscrystal.cli import main
 from cscrystal.hpoly import HTable, h_table
@@ -180,6 +182,12 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code2, _, err = run_cli(capsys, "verify", "--rank", "1", "--lambda", "1")
     assert code2 == 2
     assert "CS_CRYSTAL_THREADS" in err
+    for bad in ("0", "-1"):
+        monkeypatch.setenv("CS_CRYSTAL_THREADS", bad)
+        code3, out3, err3 = run_cli(capsys, "verify", "--rank", "1", "--lambda", "1")
+        assert code3 == 2
+        assert out3 == ""
+        assert "CS_CRYSTAL_THREADS" in err3
 
 
 def test_threads_flag_validation(capsys):
@@ -287,10 +295,14 @@ def test_graph_is_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same cscrystal as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cscrystal.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cscrystal", "enumerate", "--rank", "1", "--lambda", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("count: 2")

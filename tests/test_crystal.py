@@ -93,7 +93,7 @@ def test_enumeration_counts():
 
 
 def test_enumeration_matches_brute_force():
-    for parts in [(3, 2, 0), (2, 1, 0), (1, 0), (2, 2, 0), (4, 3, 2, 0)]:
+    for parts in [(3, 2, 0), (2, 1, 0), (1, 0), (2, 2, 0), (4, 3, 2, 0), (4, 3, 2, 1, 0)]:
         rank = len(parts) - 1
         ours = {t.rows for t in enumerate_crystal(Shape(parts), rank)}
         brute = set(oracles.brute_force_ssyt(parts, rank + 1))

@@ -29,6 +29,21 @@ def test_arithmetic():
     assert one_minus_t**0 == TPoly.one()
 
 
+def test_foreign_operands_raise_type_error():
+    p = TPoly((1,))
+    for other in ("x", 1.5, [1]):
+        for op in (
+            lambda: p + other,
+            lambda: other + p,
+            lambda: p - other,
+            lambda: other - p,
+            lambda: p * other,
+            lambda: other * p,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_degree_and_coefficient():
     p = TPoly((0, -1, 2, -1))
     assert p.degree() == 3

@@ -1,0 +1,67 @@
+"""Property tests of the word kernel at ranks 4 and 5.
+
+Tableaux are drawn from random strict shapes, past the ranks the
+exhaustive suite covers, and the kernel is held against its slow twins:
+the operator walk built from public e_op/phi calls, the statistics
+route, and full validation of every operator image.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from cscrystal.bzl import _walk, decorate_via_operators, decorate_via_stats
+from cscrystal.crystal import e_op, epsilon, f_op, phi
+from cscrystal.tableaux import make_tableau
+from operator_walk import operator_walk
+
+
+@st.composite
+def strict_shape_tableaux(draw):
+    """A semistandard tableau of a random strict shape at rank 4 or 5.
+
+    Row by row, each entry lies between its left neighbour (and one more
+    than the entry above) and the largest value that still leaves room
+    for the boxes below it in its column.
+    """
+    rank = draw(st.integers(4, 5))
+    gaps = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    parts = [sum(gaps[k:]) for k in range(rank)]
+    heights = [sum(1 for p in parts if p > col) for col in range(parts[0])]
+    rows = []
+    for i, length in enumerate(parts):
+        row = []
+        for col in range(length):
+            low = max(row[-1] if row else 1, rows[-1][col] + 1 if rows else 1)
+            high = rank + 1 - (heights[col] - 1 - i)
+            row.append(draw(st.integers(low, high)))
+        rows.append(row)
+    return make_tableau(rank, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_shape_tableaux())
+def test_kernel_walk_matches_operator_walk(t):
+    assert _walk(t) == operator_walk(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_shape_tableaux())
+def test_decoration_routes_agree_at_ranks_4_and_5(t):
+    assert decorate_via_operators(t).to_stats() == decorate_via_stats(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_shape_tableaux())
+def test_operator_images_are_valid_and_inverse(t):
+    # the word kernel builds images without validation; make_tableau
+    # must accept every one of them unchanged
+    for i in range(1, t.rank + 1):
+        down = f_op(t, i)
+        if down is not None:
+            assert make_tableau(t.rank, down.rows) == down
+            assert e_op(down, i) == t
+        up = e_op(t, i)
+        if up is not None:
+            assert make_tableau(t.rank, up.rows) == up
+            assert f_op(up, i) == t
+        assert (down is None) == (phi(t, i) == 0)
+        assert (up is None) == (epsilon(t, i) == 0)

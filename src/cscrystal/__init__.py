@@ -49,6 +49,7 @@ from .laurent import (
     cs_lhs,
     cs_rhs,
     deformed_product,
+    shifted_coefficients,
     verify_bn_form,
     verify_identity,
 )

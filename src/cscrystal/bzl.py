@@ -14,14 +14,15 @@ row i holds positions j = i..r.  They correspond under
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crystal import highest_weight_tableau, reading_word, surviving_slots, tableau_from_word
 
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
-from .rootsys import theta
-from .tableaux import Tableau, is_strict, stats_a, stats_b
+from .rootsys import Shape, theta
+from .tableaux import Tableau, _a_rows, _b_rows, _row_histograms
 from .tpoly import QLaurent, TPoly
 
 BZL_LAYOUT = "BZL"
@@ -56,12 +57,18 @@ def long_word(rank: int) -> LongWord:
     return LongWord(rank, _long_word_letters(rank))
 
 
-def _index_set(rank: int, layout: str):
+@lru_cache(maxsize=32)
+def _index_set(rank: int, layout: str) -> tuple[tuple[int, int], ...]:
     if layout == BZL_LAYOUT:
-        return [(i, j) for i in range(1, rank + 1) for j in range(1, i + 1)]
+        return tuple((i, j) for i in range(1, rank + 1) for j in range(1, i + 1))
     if layout == STATS_LAYOUT:
-        return [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+        return tuple((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
     raise ValueError(f"unknown layout {layout!r}")
+
+
+@lru_cache(maxsize=32)
+def _index_members(rank: int, layout: str) -> frozenset:
+    return frozenset(_index_set(rank, layout))
 
 
 def _row_lengths(rank: int, layout: str):
@@ -89,8 +96,8 @@ class DecoratedTriangle:
         expected = _row_lengths(self.rank, self.layout)
         if [len(row) for row in self.grid] != expected:
             raise ValueError(f"grid rows do not match {self.layout} layout for rank {self.rank}")
-        index = set(_index_set(self.rank, self.layout))
-        if not (set(self.circled) <= index and set(self.boxed) <= index):
+        index = _index_members(self.rank, self.layout)
+        if not (self.circled <= index and self.boxed <= index):
             raise ValueError("decoration marks outside the triangle")
 
     def entry(self, i: int, j: int) -> int:
@@ -177,7 +184,7 @@ class DecoratedTriangle:
 def triangle_from_json(obj: dict) -> DecoratedTriangle:
     rank, layout = obj["rank"], obj["layout"]
     cells = {(e["i"], e["j"]): e for e in obj["entries"]}
-    if set(cells) != set(_index_set(rank, layout)):
+    if set(cells) != _index_members(rank, layout):
         raise ValueError("triangle JSON does not cover the index set exactly")
     grid = []
     for i in range(1, rank + 1):
@@ -192,9 +199,15 @@ def triangle_from_json(obj: dict) -> DecoratedTriangle:
     )
 
 
-def _require_strict_shape(t: Tableau):
-    if not t.shape.is_strict():
-        raise ValueError(f"tableau shape {t.shape.parts} is not strictly decreasing")
+def _require_strict_shape(t: Tableau) -> Shape:
+    shape = t.shape
+    if not shape.is_strict():
+        raise ValueError(f"tableau shape {shape.parts} is not strictly decreasing")
+    return shape
+
+
+# theta per shape; a crystal's elements share one shape
+_theta = lru_cache(maxsize=64)(theta)
 
 
 def _walk(t: Tableau):
@@ -275,22 +288,33 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
 
     Entries are the color counts a_{i,j}; (i, j) is boxed when
     b_{i,j} >= theta_i + b_{i+1,j+1} and circled when a_{i,j} = a_{i-1,j},
-    with out-of-range reads equal to 0.
+    with out-of-range reads equal to 0.  Both statistics come from one
+    histogram of the rows.
     """
-    _require_strict_shape(t)
-    th = theta(t.shape)
-    a = stats_a(t)
-    b = stats_b(t)
-    index = _index_set(t.rank, STATS_LAYOUT)
-    boxed = frozenset(
-        (i, j) for i, j in index if b.get(i, j) >= th[i - 1] + b.get(i + 1, j + 1)
-    )
-    circled = frozenset((i, j) for i, j in index if a.get(i, j) == a.get(i - 1, j))
-    grid = tuple(
-        tuple(a.get(i, j) for j in range(i, t.rank + 1)) for i in range(1, t.rank + 1)
-    )
+    th = _theta(_require_strict_shape(t))
+    hist = _row_histograms(t)
+    a, b = _a_rows(hist), _b_rows(hist)
+    r = t.rank
+    circled, boxed = [], []
+    above = (0,) * (r + 1)  # a_{0,j} = 0
+    for i in range(1, r + 1):
+        # row i holds j = i..r; a_{i-1,j} sits one further along row i-1,
+        # and b_{i+1,j+1} at the same place in row i+1, 0 past its end
+        below = b[i] + (0,) if i < r else (0,)
+        for j, a_ij, a_up, b_ij, b_down in zip(
+            range(i, r + 1), a[i - 1], above[1:], b[i - 1], below
+        ):
+            if a_ij == a_up:
+                circled.append((i, j))
+            if b_ij >= th[i - 1] + b_down:
+                boxed.append((i, j))
+        above = a[i - 1]
     return DecoratedTriangle(
-        rank=t.rank, layout=STATS_LAYOUT, grid=grid, circled=circled, boxed=boxed
+        rank=r,
+        layout=STATS_LAYOUT,
+        grid=a,
+        circled=frozenset(circled),
+        boxed=frozenset(boxed),
     )
 
 
@@ -329,9 +353,15 @@ def c_counts(t: Tableau, *, stats: DecoratedTriangle | None = None) -> tuple[boo
     tests can check that equivalence rather than assume it.
     """
     tri = stats or decorate_via_stats(t)
-    box = len(tri.boxed)
-    non = sum(1 for pair, _ in tri.items() if pair not in tri.circled and pair not in tri.boxed)
-    return not tri.doubly_decorated(), box, non
+    size = tri.rank * (tri.rank + 1) // 2
+    non = size - len(tri.circled | tri.boxed)
+    return tri.circled.isdisjoint(tri.boxed), len(tri.boxed), non
+
+
+@lru_cache(maxsize=1024)
+def _c_product(box: int, non: int) -> TPoly:
+    """(-t)^box (1-t)^non; a shifted crystal meets few (box, non) pairs."""
+    return TPoly((0, -1)) ** box * TPoly((1, -1)) ** non
 
 
 def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPoly:
@@ -340,7 +370,7 @@ def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPol
     alive, box, non = c_counts(t, stats=stats)
     if not alive:
         return TPoly.zero()
-    return TPoly((0, -1)) ** box * TPoly((1, -1)) ** non
+    return _c_product(box, non)
 
 
 def c_factored_string(t: Tableau, *, stats: DecoratedTriangle | None = None) -> str:

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 from .bzl import (
     c_coefficient,
@@ -28,7 +29,7 @@ from .hpoly import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
-from .laurent import verify_bn_form, verify_identity
+from .laurent import shifted_coefficients, verify_bn_form, verify_identity
 from .rootsys import (
     GLWeight,
     Shape,
@@ -149,8 +150,9 @@ def cmd_verify(args) -> int:
     lam = _weight_from_args(args)
     threads = _thread_count(args)
     started = time.monotonic()
-    report = verify_identity(lam, threads=threads)
-    bn_ok = verify_bn_form(lam)
+    coefficients = shifted_coefficients(lam, threads)
+    report = verify_identity(lam, threads=threads, coefficients=coefficients)
+    bn_ok = verify_bn_form(lam, coefficients=coefficients)
     elapsed_ms = 1000 * (time.monotonic() - started)
     sys.stderr.write(f"elapsed: {elapsed_ms:.1f} ms\n")
     ok = report.equal and bn_ok
@@ -204,9 +206,10 @@ def cmd_hpoly(args) -> int:
     lam = _weight_from_args(args)
     table = h_table(lam, threads=_thread_count(args))
     point = SpecPoint(args.at) if args.at else None
+    rows = table.sorted_rows()
     checks = []
     if point is not None:
-        for mu, poly in table.sorted_rows():
+        for mu, poly in rows:
             got = specialize(poly, point)
             want = _oracle_value(lam, mu, point)
             checks.append((mu, got, want))
@@ -236,11 +239,10 @@ def cmd_hpoly(args) -> int:
             sys.stderr.write(f"{len(mismatched)} specialization mismatches\n")
     else:
         _emit(f"lambda: {lam.coords}  rank {args.rank}  rows: {len(table.rows)}")
-        for mu, poly in table.sorted_rows():
+        for k, (mu, poly) in enumerate(rows):
             line = f"mu={format_mu_text(mu)}: {poly}"
             if point is not None:
-                got = specialize(poly, point)
-                want = _oracle_value(lam, mu, point)
+                _, got, want = checks[k]
                 mark = "ok" if got == want else "FAIL"
                 line += f"  | at q={point.value}: {got}  {_ORACLE_LABEL[point]} {want}  {mark}"
             _emit(line)
@@ -315,10 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     if args.rank < 1:

@@ -197,22 +197,32 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     )
 
 
-def cs_rhs(lam: GLWeight, threads: int = 1) -> LaurentPoly:
-    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal."""
+def shifted_coefficients(lam: GLWeight, threads: int = 1) -> list:
+    """(element, c_coefficient) for every element of B(lam+rho), in crystal order.
+
+    verify computes this once and hands it to both cs_rhs and
+    verify_bn_form, so each element's statistics triangle is built once.
+    """
     r = lam.rank
-    shifted = lam + rho(r)
-    shape = partition_shape(shifted)
-    elements = enumerate_crystal(shape, r)
+    elements = enumerate_crystal(partition_shape(lam + rho(r)), r)
+    return list(zip(elements, parallel_map(c_coefficient, elements, threads)))
 
-    def term(t):
-        return content(t).coords, c_coefficient(t)
 
+def cs_rhs(lam: GLWeight, threads: int = 1, *, coefficients: list | None = None) -> LaurentPoly:
+    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
+
+    A caller that already holds shifted_coefficients(lam) passes it as
+    coefficients, here and in verify_identity and verify_bn_form.
+    """
+    if coefficients is None:
+        coefficients = shifted_coefficients(lam, threads)
     out = {}
-    for exp, coeff in parallel_map(term, elements, threads):
+    for t, coeff in coefficients:
         if coeff.is_zero():
             continue
+        exp = content(t).coords
         out[exp] = out.get(exp, TPoly.zero()) + coeff
-    return LaurentPoly(r, out)
+    return LaurentPoly(lam.rank, out)
 
 
 @dataclass(frozen=True)
@@ -223,10 +233,12 @@ class IdentityReport:
     first_mismatch: tuple | None  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(lam: GLWeight, threads: int = 1) -> IdentityReport:
+def verify_identity(
+    lam: GLWeight, threads: int = 1, *, coefficients: list | None = None
+) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly."""
     lhs = cs_lhs(lam)
-    rhs = cs_rhs(lam, threads=threads)
+    rhs = cs_rhs(lam, threads=threads, coefficients=coefficients)
     mismatch = None
     for exp in sorted(set(lhs.terms) | set(rhs.terms)):
         a, b = lhs.coefficient(exp), rhs.coefficient(exp)
@@ -241,7 +253,7 @@ def verify_identity(lam: GLWeight, threads: int = 1) -> IdentityReport:
     )
 
 
-def verify_bn_form(lam: GLWeight) -> bool:
+def verify_bn_form(lam: GLWeight, *, coefficients: list | None = None) -> bool:
     """Check the reversed-coordinate form built from the walk route.
 
     Per element the operator-side product times q^(-total step count)
@@ -251,13 +263,14 @@ def verify_bn_form(lam: GLWeight) -> bool:
     """
     r = lam.rank
     rho_r = rho(r)
-    shape = partition_shape(lam + rho_r)
+    if coefficients is None:
+        coefficients = shifted_coefficients(lam)
     lhs = character(lam) * positive_root_product(r)
     rhs = {}
-    for t in enumerate_crystal(shape, r):
+    for t, coeff in coefficients:
         tri = decorate_via_operators(t)
         bridged = g_from_triangle(tri).shift(-tri.total())
-        if bridged != c_coefficient(t).to_qlaurent():
+        if bridged != coeff.to_qlaurent():
             return False
         if bridged.is_zero():
             continue

@@ -6,6 +6,8 @@ and columns are 1-indexed throughout.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .rootsys import GLWeight, Shape
 
@@ -151,24 +153,56 @@ def content(t: Tableau) -> GLWeight:
     return GLWeight(tuple(counts))
 
 
+def _row_histograms(t: Tableau) -> list[list[int]]:
+    """Color counts per row: hist[i-1][k] boxes of row i hold k.
+
+    One list of length rank+2 (colors 0..rank+1) for each row 1..rank,
+    built in one pass over the rows; rows past rank never enter a
+    statistic, and rows absent from the tableau count nothing.
+    """
+    width = t.rank + 2
+    hist = []
+    for row in t.rows[: t.rank]:
+        counts = [0] * width
+        for x in row:
+            counts[x] += 1
+        hist.append(counts)
+    hist.extend([0] * width for _ in range(t.rank - len(hist)))
+    return hist
+
+
+def _a_rows(hist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows of stats_a: the histograms summed down the rows.
+
+    Row i holds a_{i,j} for j = i..rank, the count of j+1 in rows 1..i.
+    """
+    rows, running = [], [0] * (len(hist) + 2)
+    for i, counts in enumerate(hist, start=1):
+        running = list(map(add, running, counts))
+        rows.append(tuple(running[i + 1 :]))
+    return tuple(rows)
+
+
+def _b_rows(hist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows of stats_b: each row's histogram summed from the top color down.
+
+    Row i holds b_{i,j} for j = i..rank, the count of entries >= j+1.
+    """
+    rank = len(hist)
+    return tuple(
+        tuple(accumulate(counts[rank + 1 : i : -1]))[::-1]
+        for i, counts in enumerate(hist, start=1)
+    )
+
+
 def stats_a(t: Tableau) -> TriangularArray:
     """Entry (i, j): number of boxes holding j+1 within rows 1..i."""
-
-    def count(i, j):
-        return sum(row.count(j + 1) for row in t.rows[:i])
-
-    return TriangularArray.from_function(t.rank, count)
+    return TriangularArray(t.rank, _a_rows(_row_histograms(t)))
 
 
 def stats_b(t: Tableau) -> TriangularArray:
     """Entry (i, j): number of boxes in row i holding at least j+1."""
-
-    def count(i, j):
-        if i > len(t.rows):
-            return 0
-        return sum(1 for x in t.rows[i - 1] if x >= j + 1)
-
-    return TriangularArray.from_function(t.rank, count)
+    return TriangularArray(t.rank, _b_rows(_row_histograms(t)))
 
 
 def _truncation_count(t: Tableau, k: int, i: int) -> int:

@@ -1,0 +1,58 @@
+"""The statistics route of bzl, spelled entry by entry.
+
+This is the slow, obvious twin of the one-histogram kernel behind
+tableaux.stats_a/stats_b and bzl.decorate_via_stats: every triangle
+entry rescans the rows, and every mark reads its neighbours through
+TriangularArray.get with out-of-range reads equal to 0.  It works on a
+rank and bare row tuples, so it shares no code with the kernel beyond
+TriangularArray.  Tests compare the two entry for entry.
+"""
+
+from cscrystal.tableaux import TriangularArray
+
+
+def twin_stats_a(rank, rows):
+    """Entry (i, j): number of boxes holding j+1 within rows 1..i."""
+
+    def count(i, j):
+        return sum(row.count(j + 1) for row in rows[:i])
+
+    return TriangularArray.from_function(rank, count)
+
+
+def twin_stats_b(rank, rows):
+    """Entry (i, j): number of boxes in row i holding at least j+1."""
+
+    def count(i, j):
+        if i > len(rows):
+            return 0
+        return sum(1 for x in rows[i - 1] if x >= j + 1)
+
+    return TriangularArray.from_function(rank, count)
+
+
+def twin_decoration(rank, rows):
+    """(grid, circled, boxed) of the statistics route, STATS layout.
+
+    (i, j) is boxed when b_{i,j} >= theta_i + b_{i+1,j+1} and circled
+    when a_{i,j} = a_{i-1,j}; theta_i is the gap between the lengths of
+    rows i and i+1.
+    """
+    lengths = [len(row) for row in rows] + [0] * (rank + 1 - len(rows))
+    theta = [lengths[i] - lengths[i + 1] for i in range(rank)]
+    a = twin_stats_a(rank, rows)
+    b = twin_stats_b(rank, rows)
+    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    boxed = frozenset(
+        (i, j) for i, j in index if b.get(i, j) >= theta[i - 1] + b.get(i + 1, j + 1)
+    )
+    circled = frozenset((i, j) for i, j in index if a.get(i, j) == a.get(i - 1, j))
+    return a.grid, circled, boxed
+
+
+def twin_counts(rank, rows):
+    """(no doubly marked entry, boxed count, unmarked count), entry by entry."""
+    _, circled, boxed = twin_decoration(rank, rows)
+    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    non = sum(1 for pair in index if pair not in circled and pair not in boxed)
+    return not (circled & boxed), len(boxed), non

@@ -294,15 +294,55 @@ def test_graph_is_deterministic(capsys):
     assert out1.count("->") == expected == 18
 
 
-def test_module_entry_point():
-    # the child imports the same cscrystal as this process, installed or not
+def _package_path():
+    # a child process imports the same cscrystal as this one, installed or not
     src = os.path.dirname(os.path.dirname(cscrystal.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cscrystal", "enumerate", "--rank", "1", "--lambda", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _package_path()},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("count: 2")
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # one process: a bzl call, a usage error, then a verify, against
+    # fresh processes making each call alone
+    calls = [
+        ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"],
+        ["verify", "--rank", "2", "--bogus"],
+        ["verify", "--rank", "2", "--lambda", "1,1"],
+    ]
+    import cscrystal.cli as cli_module
+
+    built = []
+    real = cli_module.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    cli_module._parser.cache_clear()
+    in_process = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        in_process.append((code, out.encode("utf-8")))
+    assert len(built) == 1
+    cli_module._parser.cache_clear()  # leave no parser built from the wrapper
+
+    env = {**os.environ, "PYTHONPATH": _package_path(), "PYTHONIOENCODING": "utf-8"}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cscrystal", *argv], capture_output=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [0, 2, 0]
+    assert in_process == fresh

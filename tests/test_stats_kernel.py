@@ -1,0 +1,73 @@
+"""The one-histogram statistics kernel against its entry-by-entry twin.
+
+Property tests at ranks 4 and 5 draw tableaux of random strict shapes
+(the generator of test_word_kernel) and compare the kernel's triangle,
+marks, counts and memoized coefficients with tests/stats_twin.py.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+from cscrystal import bzl
+from cscrystal.bzl import c_coefficient, c_counts, decorate_via_stats
+from cscrystal.cli import main
+from cscrystal.crystal import enumerate_crystal
+from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
+from cscrystal.tableaux import stats_a, stats_b
+from cscrystal.tpoly import TPoly
+from stats_twin import twin_counts, twin_decoration, twin_stats_a, twin_stats_b
+from test_word_kernel import strict_shape_tableaux
+
+
+@settings(max_examples=80, deadline=None)
+@given(strict_shape_tableaux())
+def test_kernel_decoration_matches_twin(t):
+    grid, circled, boxed = twin_decoration(t.rank, t.rows)
+    tri = decorate_via_stats(t)
+    assert tri.grid == grid
+    assert tri.circled == circled
+    assert tri.boxed == boxed
+    assert stats_a(t) == twin_stats_a(t.rank, t.rows)
+    assert stats_b(t) == twin_stats_b(t.rank, t.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strict_shape_tableaux())
+def test_kernel_counts_match_twin(t):
+    assert c_counts(t) == twin_counts(t.rank, t.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strict_shape_tableaux())
+def test_memoized_coefficient_equals_product(t):
+    alive, box, non = twin_counts(t.rank, t.rows)
+    want = TPoly((0, -1)) ** box * TPoly((1, -1)) ** non if alive else TPoly.zero()
+    assert c_coefficient(t) == want
+    assert c_coefficient(t) == want  # a second call reads the memo
+
+
+@pytest.mark.parametrize(
+    "parts", [(1, 1, 1, 1), (3, 1, 1, 0), (2, 2, 1, 0), (3, 2, 1, 0), (4, 4, 0, 0)]
+)
+def test_stats_match_twin_on_every_tableau(parts):
+    # non-strict shapes too, and a column of rank+1 boxes whose last
+    # row never enters a statistic
+    for t in enumerate_crystal(Shape(parts), 3):
+        assert stats_a(t) == twin_stats_a(3, t.rows)
+        assert stats_b(t) == twin_stats_b(3, t.rows)
+
+
+def test_verify_builds_one_triangle_per_element(capsys, monkeypatch):
+    calls = []
+    real = bzl.decorate_via_stats
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(bzl, "decorate_via_stats", counted)
+    assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
+    lam = lambda_from_fundamental((1, 0, 0), 3)
+    elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)
+    assert len(calls) == len(elements)
+    assert set(calls) == set(elements)

@@ -15,6 +15,7 @@ row i holds positions j = i..r.  They correspond under
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .crystal import highest_weight_tableau, reading_word, surviving_slots, tableau_from_word
 
@@ -206,8 +207,9 @@ def _require_strict_shape(t: Tableau) -> Shape:
     return shape
 
 
-# theta per shape; a crystal's elements share one shape
+# theta and the top element per shape; a crystal's elements share one shape
 _theta = lru_cache(maxsize=64)(theta)
+_top = lru_cache(maxsize=16)(highest_weight_tableau)
 
 
 def _walk(t: Tableau):
@@ -237,6 +239,18 @@ def _walk(t: Tableau):
     return entries, boxed, tableau_from_word(t, word)
 
 
+def _walk_to_top(t: Tableau):
+    """_walk on a tableau of strict shape, checked to end at the top.
+
+    Returns the step counts and the boxed positions.
+    """
+    shape = _require_strict_shape(t)
+    entries, boxed, top = _walk(t)
+    if top != _top(shape, t.rank):
+        raise RuntimeError("walk did not finish at the highest-weight tableau")
+    return entries, boxed
+
+
 def _bzl_grid(rank, entries):
     return tuple(
         tuple(entries[(i, j)] for j in range(1, i + 1)) for i in range(1, rank + 1)
@@ -245,10 +259,7 @@ def _bzl_grid(rank, entries):
 
 def bzl_path(t: Tableau) -> DecoratedTriangle:
     """Step-count triangle of the walk, PATH layout, no marks."""
-    _require_strict_shape(t)
-    entries, _, top = _walk(t)
-    if top != highest_weight_tableau(t.shape, t.rank):
-        raise RuntimeError("walk did not finish at the highest-weight tableau")
+    entries, _ = _walk_to_top(t)
     return DecoratedTriangle(
         rank=t.rank,
         layout=BZL_LAYOUT,
@@ -266,10 +277,7 @@ def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
     when its entry equals the entry at (i, j+1), reading 0 past the row
     end.
     """
-    _require_strict_shape(t)
-    entries, boxed, top = _walk(t)
-    if top != highest_weight_tableau(t.shape, t.rank):
-        raise RuntimeError("walk did not finish at the highest-weight tableau")
+    entries, boxed = _walk_to_top(t)
     circled = set()
     for (i, j), a in entries.items():
         if a == entries.get((i, j + 1), 0):
@@ -318,22 +326,32 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
     )
 
 
+def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:
+    """(no doubly marked entry, boxed count, unmarked count) of a triangle."""
+    size = tri.rank * (tri.rank + 1) // 2
+    non = size - len(tri.circled | tri.boxed)
+    return tri.circled.isdisjoint(tri.boxed), len(tri.boxed), non
+
+
+@lru_cache(maxsize=64)
+def _q_minus_one_power(n: int) -> tuple[tuple[int, int], ...]:
+    """(q-1)^n as (power, coefficient) pairs."""
+    return tuple((k, comb(n, k) * (-1) ** (n - k)) for k in range(n + 1))
+
+
 def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
     """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
-    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
-    result = QLaurent.one()
-    for (i, j), a in tri.items():
-        circ, box = tri.flags(i, j)
-        if circ and box:
-            return QLaurent.zero()
-        if circ:
-            factor = QLaurent.q_power(a)
-        elif box:
-            factor = QLaurent.q_power(a - 1, -1)
-        else:
-            factor = QLaurent({a: 1, a - 1: -1})
-        result = result * factor
-    return result
+    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product.
+
+    The product depends only on the marks' counts and the entry total:
+    (-1)^box q^(total - box - unmarked) (q-1)^unmarked.
+    """
+    alive, box, non = _mark_counts(tri)
+    if not alive:
+        return QLaurent.zero()
+    shift = sum(map(sum, tri.grid)) - box - non
+    sign = -1 if box % 2 else 1
+    return QLaurent({shift + k: sign * c for k, c in _q_minus_one_power(non)})
 
 
 def g_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> QLaurent:
@@ -352,10 +370,7 @@ def c_counts(t: Tableau, *, stats: DecoratedTriangle | None = None) -> tuple[boo
     crystal we enumerate (the strictness lemma); both are exposed so the
     tests can check that equivalence rather than assume it.
     """
-    tri = stats or decorate_via_stats(t)
-    size = tri.rank * (tri.rank + 1) // 2
-    non = size - len(tri.circled | tri.boxed)
-    return tri.circled.isdisjoint(tri.boxed), len(tri.boxed), non
+    return _mark_counts(stats or decorate_via_stats(t))
 
 
 @lru_cache(maxsize=1024)

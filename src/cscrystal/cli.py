@@ -23,7 +23,7 @@ from .bzl import (
 from .crystal import enumerate_crystal, f_op
 from .hpoly import (
     SpecPoint,
-    format_mu_text,
+    format_mu,
     h_table,
     specialize,
     tensor_weight_multiplicity,
@@ -240,7 +240,7 @@ def cmd_hpoly(args) -> int:
     else:
         _emit(f"lambda: {lam.coords}  rank {args.rank}  rows: {len(table.rows)}")
         for k, (mu, poly) in enumerate(rows):
-            line = f"mu={format_mu_text(mu)}: {poly}"
+            line = f"mu={format_mu(mu, 'a')}: {poly}"
             if point is not None:
                 _, got, want = checks[k]
                 mark = "ok" if got == want else "FAIL"

@@ -8,16 +8,21 @@ only scoring the rho factor, which gives an internal cross-check.
 
 Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
 of the irreducible, a weight multiplicity of a tensor product, and a
-signed indicator of the shifted Weyl orbit.
+signed indicator of the shifted Weyl orbit.  The first two have
+independent oracles here, read from one weight histogram of B(lambda)
+and one convolution of it with B(rho), each built once per lambda; the
+orbit sign lives in rootsys.  No oracle looks at B(lambda+rho) or at any
+coefficient.
 """
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._threads import parallel_map
 from .bzl import c_coefficient
 from .crystal import enumerate_crystal
-from .rootsys import AlphaVector, GLWeight, alpha_to_gl, gl_to_alpha, partition_shape, rho
+from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
 from .tableaux import content
 from .tpoly import TPoly
 
@@ -105,7 +110,7 @@ class HTable:
     def to_latex(self) -> str:
         """Two column-pair tabular, rows split into halves."""
         pairs = [
-            (format_mu_latex(mu), poly.format("q")) for mu, poly in self.sorted_rows()
+            (format_mu(mu, "\\alpha_"), poly.format("q")) for mu, poly in self.sorted_rows()
         ]
         half = (len(pairs) + 1) // 2
         lines = [
@@ -139,7 +144,9 @@ class HTable:
         return cls(lam=GLWeight(tuple(obj["lambda"])), rank=obj["rank"], rows=rows)
 
 
-def format_mu_latex(mu: AlphaVector) -> str:
+def format_mu(mu: AlphaVector, root: str) -> str:
+    """sum c_i alpha_i with alpha_i written root + i: 'a1+2a2' for root 'a',
+    '\\alpha_1+2\\alpha_2' for root '\\alpha_'; the zero drop is '0'."""
     if mu.degree() == 0:
         return "0"
     pieces = []
@@ -147,19 +154,7 @@ def format_mu_latex(mu: AlphaVector) -> str:
         if c == 0:
             continue
         head = "" if c == 1 else str(c)
-        pieces.append(f"{head}\\alpha_{i}")
-    return "+".join(pieces)
-
-
-def format_mu_text(mu: AlphaVector) -> str:
-    if mu.degree() == 0:
-        return "0"
-    pieces = []
-    for i, c in enumerate(mu.c, start=1):
-        if c == 0:
-            continue
-        head = "" if c == 1 else str(c)
-        pieces.append(f"{head}a{i}")
+        pieces.append(f"{head}{root}{i}")
     return "+".join(pieces)
 
 
@@ -183,24 +178,50 @@ def specialize(h: TPoly, point: SpecPoint) -> int:
     return h.eval(_T_VALUE[point])
 
 
+# Each table is built per (shape, rank) and looked up once per H-table
+# row; a process asks about few weights at a time, so a few entries do.
+# The cached dicts are shared, so callers only read them.
+@lru_cache(maxsize=8)
+def _content_histogram(shape: Shape, rank: int) -> dict:
+    """Content coordinates -> number of crystal elements with that content."""
+    counts: dict = {}
+    for t in enumerate_crystal(shape, rank):
+        w = content(t).coords
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=8)
+def _tensor_histogram(shape: Shape, rank: int) -> dict:
+    """Weight coordinates -> multiplicity in B(shape) x B(rho): the
+    convolution of the two content histograms."""
+    left = _content_histogram(shape, rank)
+    right = _content_histogram(partition_shape(rho(rank)), rank)
+    counts: dict = {}
+    for a, m in left.items():
+        for b, n in right.items():
+            w = tuple(x + y for x, y in zip(a, b))
+            counts[w] = counts.get(w, 0) + m * n
+    return counts
+
+
 def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Number of lambda-crystal elements with entry-count vector nu."""
-    count = 0
-    for t in enumerate_crystal(partition_shape(lam), lam.rank):
-        if content(t) == nu:
-            count += 1
-    return count
+    """Number of lambda-crystal elements with entry-count vector nu.
+
+    A lookup in the content histogram of B(lambda); a nu of another rank
+    matches no element and gives 0.
+    """
+    return _content_histogram(partition_shape(lam), lam.rank).get(nu.coords, 0)
 
 
 def tensor_weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution."""
+    """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution.
+
+    A lookup in the convolution of the B(lambda) and B(rho) content
+    histograms; a nu of another rank raises ValueError.
+    """
     r = lam.rank
-    lam_counts: dict = {}
-    for t in enumerate_crystal(partition_shape(lam), r):
-        w = content(t).coords
-        lam_counts[w] = lam_counts.get(w, 0) + 1
-    total = 0
-    for t in enumerate_crystal(partition_shape(rho(r)), r):
-        remainder = nu - content(t)
-        total += lam_counts.get(remainder.coords, 0)
-    return total
+    counts = _tensor_histogram(partition_shape(lam), r)
+    if len(nu.coords) != r + 1:
+        raise ValueError("rank mismatch between weights")
+    return counts.get(nu.coords, 0)

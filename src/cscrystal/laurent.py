@@ -157,30 +157,15 @@ def character(lam: GLWeight) -> LaurentPoly:
     return LaurentPoly(lam.rank, out)
 
 
-def deformed_product(rank: int) -> LaurentPoly:
-    """prod over i<j of (1 - t z_j / z_i)."""
+def deformed_product(rank: int, reverse: bool = False) -> LaurentPoly:
+    """prod over i<j of (1 - t z_j / z_i); with reverse, of (1 - t z_i / z_j)."""
+    up, down = (1, -1) if reverse else (-1, 1)
     result = LaurentPoly.one(rank)
     for i in range(rank + 1):
         for j in range(i + 1, rank + 1):
             exp = [0] * (rank + 1)
-            exp[i] = -1
-            exp[j] = 1
-            factor = LaurentPoly(
-                rank,
-                {(0,) * (rank + 1): TPoly.one(), tuple(exp): TPoly((0, -1))},
-            )
-            result = result * factor
-    return result
-
-
-def positive_root_product(rank: int) -> LaurentPoly:
-    """prod over i<j of (1 - t z_i / z_j), the reversed-direction twin."""
-    result = LaurentPoly.one(rank)
-    for i in range(rank + 1):
-        for j in range(i + 1, rank + 1):
-            exp = [0] * (rank + 1)
-            exp[i] = 1
-            exp[j] = -1
+            exp[i] = up
+            exp[j] = down
             factor = LaurentPoly(
                 rank,
                 {(0,) * (rank + 1): TPoly.one(), tuple(exp): TPoly((0, -1))},
@@ -265,7 +250,7 @@ def verify_bn_form(lam: GLWeight, *, coefficients: list | None = None) -> bool:
     rho_r = rho(r)
     if coefficients is None:
         coefficients = shifted_coefficients(lam)
-    lhs = character(lam) * positive_root_product(r)
+    lhs = character(lam) * deformed_product(r, reverse=True)
     rhs = {}
     for t, coeff in coefficients:
         tri = decorate_via_operators(t)

@@ -3,11 +3,12 @@
 Weights are integer vectors of length r+1 (rank r).  The simple root
 alpha_i is e_i - e_{i+1}, rho is (r, r-1, ..., 1, 0), and the i-th
 fundamental weight is e_1 + ... + e_i.  Permutations act by permuting
-coordinates; the dot action shifts by rho on both sides.
+coordinates; the dot action shifts by rho on both sides.  The sign of a
+dot orbit is read off by matching coordinates, not by a search over the
+Weyl group.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
 
 @dataclass(frozen=True)
@@ -209,12 +210,18 @@ def dot_action(perm: tuple[int, ...], lam: GLWeight) -> GLWeight:
 def dot_orbit_sign(lam: GLWeight, mu: AlphaVector) -> int:
     """Sign of the permutation w with w . lam == lam - mu, else 0.
 
-    All (r+1)! permutations are scanned in lexicographic order and the
-    first match wins; intended for small rank only.
+    w . lam == lam - mu says that position w(k) of lam + rho - mu holds
+    the k-th coordinate of lam + rho, so w exists exactly when the two
+    vectors are rearrangements of each other.  With repeated coordinates
+    several w qualify; slot k takes the smallest unused position holding
+    its coordinate, which builds the lexicographically first of them.
     """
     r = lam.rank
-    target = lam - alpha_to_gl(mu, r)
-    for perm in permutations(range(1, r + 2)):
-        if dot_action(perm, lam) == target:
-            return perm_sign(perm)
-    return 0
+    shifted = (lam + rho(r)).coords
+    target = (lam + rho(r) - alpha_to_gl(mu, r)).coords
+    if sorted(shifted) != sorted(target):
+        return 0
+    positions: dict = {}
+    for p, x in enumerate(target, start=1):
+        positions.setdefault(x, []).append(p)
+    return perm_sign(tuple(positions[x].pop(0) for x in shifted))

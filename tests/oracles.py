@@ -1,13 +1,23 @@
 """Independent brute-force oracles used to pin expected values.
 
-Nothing in here touches the package under test.  Counts and weight
-multiplicities are produced by direct enumeration of fillings, and
-dimensions by the classical product formula, so the two routes can be
-played against each other and against the library.
+The brute-force part touches nothing of the package under test.  Counts
+and weight multiplicities are produced by direct enumeration of
+fillings, and dimensions by the classical product formula, so the two
+routes can be played against each other and against the library.
+
+The last part keeps scanning versions of the package's specialization
+oracles as slow twins of its table-driven ones: a scan of B(lambda) per
+weight, a scan of B(rho) per tensor weight, and a scan of all (r+1)!
+permutations per orbit sign.  They use the package's crystals and
+weight arithmetic, but none of its oracle tables.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
+
+from cscrystal.crystal import enumerate_crystal
+from cscrystal.rootsys import alpha_to_gl, dot_action, partition_shape, perm_sign, rho
+from cscrystal.tableaux import content
 
 
 def weakly_increasing_rows(length, max_entry, floor_row):
@@ -66,3 +76,43 @@ def brute_force_weight_multiplicity(parts, max_entry, target):
         if tuple(counts) == tuple(target):
             hits += 1
     return hits
+
+
+# --- slow twins of the specialization oracles --------------------------------
+
+
+def scan_weight_multiplicity(lam, nu):
+    """Number of lambda-crystal elements with entry-count vector nu."""
+    count = 0
+    for t in enumerate_crystal(partition_shape(lam), lam.rank):
+        if content(t) == nu:
+            count += 1
+    return count
+
+
+def scan_tensor_weight_multiplicity(lam, nu):
+    """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution."""
+    r = lam.rank
+    lam_counts: dict = {}
+    for t in enumerate_crystal(partition_shape(lam), r):
+        w = content(t).coords
+        lam_counts[w] = lam_counts.get(w, 0) + 1
+    total = 0
+    for t in enumerate_crystal(partition_shape(rho(r)), r):
+        remainder = nu - content(t)
+        total += lam_counts.get(remainder.coords, 0)
+    return total
+
+
+def scan_dot_orbit_sign(lam, mu):
+    """Sign of the permutation w with w . lam == lam - mu, else 0.
+
+    All (r+1)! permutations are scanned in lexicographic order and the
+    first match wins; intended for small rank only.
+    """
+    r = lam.rank
+    target = lam - alpha_to_gl(mu, r)
+    for perm in permutations(range(1, r + 2)):
+        if dot_action(perm, lam) == target:
+            return perm_sign(perm)
+    return 0

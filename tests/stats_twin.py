@@ -5,10 +5,13 @@ tableaux.stats_a/stats_b and bzl.decorate_via_stats: every triangle
 entry rescans the rows, and every mark reads its neighbours through
 TriangularArray.get with out-of-range reads equal to 0.  It works on a
 rank and bare row tuples, so it shares no code with the kernel beyond
-TriangularArray.  Tests compare the two entry for entry.
+TriangularArray.  Tests compare the two entry for entry.  The decoration
+product G is kept here too, one factor per entry, as the twin of
+bzl.g_from_triangle, which reads it from the mark counts.
 """
 
 from cscrystal.tableaux import TriangularArray
+from cscrystal.tpoly import QLaurent
 
 
 def twin_stats_a(rank, rows):
@@ -56,3 +59,21 @@ def twin_counts(rank, rows):
     index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
     non = sum(1 for pair in index if pair not in circled and pair not in boxed)
     return not (circled & boxed), len(boxed), non
+
+
+def twin_g_from_triangle(tri):
+    """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
+    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
+    result = QLaurent.one()
+    for (i, j), a in tri.items():
+        circ, box = tri.flags(i, j)
+        if circ and box:
+            return QLaurent.zero()
+        if circ:
+            factor = QLaurent.q_power(a)
+        elif box:
+            factor = QLaurent.q_power(a - 1, -1)
+        else:
+            factor = QLaurent({a: 1, a - 1: -1})
+        result = result * factor
+    return result

@@ -26,3 +26,11 @@ def test_trace_hooks_resolve():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_exposes_oracles_by_name():
+    # child.py counts one oracle call per H-table row at these names
+    from cscrystal import cli
+
+    for name in ("weight_multiplicity", "tensor_weight_multiplicity", "dot_orbit_sign"):
+        assert callable(getattr(cli, name))

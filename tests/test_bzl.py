@@ -67,6 +67,27 @@ def test_bzl_path_requires_strict_shape():
         bzl_path(column)
 
 
+def test_top_check_runs_for_every_element(monkeypatch):
+    from cscrystal import bzl
+    from cscrystal.crystal import enumerate_crystal
+
+    shape = Shape((3, 2, 0))
+    top = highest_weight_tableau(shape, 2)
+    decorate_via_operators(top)  # the shape's top is now cached
+    real = bzl._walk
+
+    def stops_short(t):
+        entries, boxed, _ = real(t)
+        return entries, boxed, t
+
+    monkeypatch.setattr(bzl, "_walk", stops_short)
+    low = next(t for t in enumerate_crystal(shape, 2) if t != top)
+    with pytest.raises(RuntimeError):
+        decorate_via_operators(low)
+    with pytest.raises(RuntimeError):
+        bzl_path(low)
+
+
 def test_path_total_equals_simple_root_drop():
     for lam in suite_weights():
         if lam.rank > 2:

@@ -8,8 +8,7 @@ from cscrystal.crystal import TensorElement, enumerate_crystal
 from cscrystal.hpoly import (
     HTable,
     SpecPoint,
-    format_mu_latex,
-    format_mu_text,
+    format_mu,
     h_direct,
     h_table,
     h_tensor,
@@ -184,12 +183,12 @@ def test_weight_multiplicity_conservation_at_zero():
 
 
 def test_mu_formatting():
-    assert format_mu_text(AlphaVector((0, 0))) == "0"
-    assert format_mu_text(AlphaVector((1, 2))) == "a1+2a2"
-    assert format_mu_text(AlphaVector((0, 3))) == "3a2"
-    assert format_mu_latex(AlphaVector((0, 0))) == "0"
-    assert format_mu_latex(AlphaVector((1, 2))) == "\\alpha_1+2\\alpha_2"
-    assert format_mu_latex(AlphaVector((2, 0))) == "2\\alpha_1"
+    assert format_mu(AlphaVector((0, 0)), "a") == "0"
+    assert format_mu(AlphaVector((1, 2)), "a") == "a1+2a2"
+    assert format_mu(AlphaVector((0, 3)), "a") == "3a2"
+    assert format_mu(AlphaVector((0, 0)), "\\alpha_") == "0"
+    assert format_mu(AlphaVector((1, 2)), "\\alpha_") == "\\alpha_1+2\\alpha_2"
+    assert format_mu(AlphaVector((2, 0)), "\\alpha_") == "2\\alpha_1"
 
 
 def test_table_sorted_rows_order():

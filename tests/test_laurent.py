@@ -10,7 +10,6 @@ from cscrystal.laurent import (
     cs_lhs,
     cs_rhs,
     deformed_product,
-    positive_root_product,
     verify_bn_form,
     verify_identity,
 )
@@ -72,7 +71,7 @@ def test_deformed_product():
 
 
 def test_positive_root_product_mirrors_deformed():
-    fwd = positive_root_product(2)
+    fwd = deformed_product(2, reverse=True)
     bwd = deformed_product(2)
     mirrored = LaurentPoly(
         2, {tuple(reversed(e)): c for e, c in bwd.terms.items()}

@@ -1,0 +1,180 @@
+"""The table-driven specialization oracles against their scanning twins.
+
+hpoly reads the q = inf and q = -1 oracles from one content histogram of
+B(lambda) and one convolution with B(rho); rootsys builds the q = 1
+orbit sign by matching coordinates.  tests/oracles.py keeps the
+per-row scans, and these tests hold each oracle to its twin at ranks
+1-4, on every row of several H-tables, and on non-dominant weights whose
+lambda + rho repeats a coordinate.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from cscrystal import cli, hpoly
+from cscrystal.crystal import enumerate_crystal
+from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
+from cscrystal.rootsys import (
+    AlphaVector,
+    GLWeight,
+    alpha_to_gl,
+    dot_action,
+    dot_orbit_sign,
+    gl_to_alpha,
+    lambda_from_fundamental,
+    partition_shape,
+    rho,
+)
+from cscrystal.tableaux import content
+
+# The largest part per rank keeps every B(lambda) small.
+_MAX_PART = {1: 4, 2: 3, 3: 2, 4: 1}
+
+
+@st.composite
+def partitions(draw):
+    """A partition weight at rank 1-4."""
+    rank = draw(st.integers(1, 4))
+    parts = draw(
+        st.lists(st.integers(0, _MAX_PART[rank]), min_size=rank + 1, max_size=rank + 1)
+    )
+    return GLWeight(tuple(sorted(parts, reverse=True)))
+
+
+@st.composite
+def partition_and_weight(draw):
+    """(lambda, nu): nu is the content of an element of B(lambda) or of a
+    pair in B(lambda) x B(rho), or a nearby vector that may hit nothing."""
+    lam = draw(partitions())
+    r = lam.rank
+    left = draw(st.sampled_from(enumerate_crystal(partition_shape(lam), r)))
+    nu = content(left)
+    if draw(st.booleans()):
+        right = draw(st.sampled_from(enumerate_crystal(partition_shape(rho(r)), r)))
+        nu = nu + content(right)
+    if draw(st.booleans()):
+        shift = draw(st.lists(st.integers(-1, 1), min_size=r + 1, max_size=r + 1))
+        nu = nu + GLWeight(tuple(shift))
+    return lam, nu
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_and_weight())
+def test_weight_multiplicity_matches_scan(case):
+    lam, nu = case
+    assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_and_weight())
+def test_tensor_weight_multiplicity_matches_scan(case):
+    lam, nu = case
+    assert tensor_weight_multiplicity(lam, nu) == (
+        oracles.scan_tensor_weight_multiplicity(lam, nu)
+    )
+
+
+@st.composite
+def shifted_weights(draw):
+    """lambda at rank 1-4 with lambda + rho drawn from a small range, so
+    that non-dominant weights with repeated coordinates are common."""
+    rank = draw(st.integers(1, 4))
+    shifted = draw(st.lists(st.integers(-1, 3), min_size=rank + 1, max_size=rank + 1))
+    return GLWeight(tuple(shifted)) - rho(rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_weights(), st.data())
+def test_dot_orbit_sign_matches_scan(lam, data):
+    r = lam.rank
+    mu = AlphaVector(
+        tuple(data.draw(st.lists(st.integers(0, r + 1), min_size=r, max_size=r)))
+    )
+    assert dot_orbit_sign(lam, mu) == oracles.scan_dot_orbit_sign(lam, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_weights(), st.data())
+def test_dot_orbit_sign_matches_scan_on_the_orbit(lam, data):
+    # mu taken from a dot image of lambda, so the sign is nonzero
+    # whenever the drop has nonnegative simple-root coordinates
+    r = lam.rank
+    perm = tuple(data.draw(st.permutations(range(1, r + 2))))
+    try:
+        mu = gl_to_alpha(lam - dot_action(perm, lam))
+    except ValueError:
+        return
+    sign = dot_orbit_sign(lam, mu)
+    assert sign != 0
+    assert sign == oracles.scan_dot_orbit_sign(lam, mu)
+
+
+def test_dot_orbit_sign_takes_first_match_on_repeated_coordinates():
+    # lambda + rho = (1, 1, 0) and lambda + rho - mu = (1, 0, 1): both
+    # (1, 3, 2) (odd) and (3, 1, 2) (even) match; the scan meets the
+    # odd one first
+    lam = GLWeight((1, 1, 0)) - rho(2)
+    mu = gl_to_alpha(GLWeight((0, 1, -1)))
+    assert dot_orbit_sign(lam, mu) == -1
+    assert oracles.scan_dot_orbit_sign(lam, mu) == -1
+
+
+TABLE_WEIGHTS = [
+    lambda_from_fundamental((1, 0, 1), 3),
+    lambda_from_fundamental((2, 1, 0), 3),
+    lambda_from_fundamental((0, 0, 0, 0), 4),
+]
+
+
+@pytest.mark.parametrize("lam", TABLE_WEIGHTS, ids=lambda lam: str(lam.coords))
+def test_every_table_row_matches_scans(lam):
+    r = lam.rank
+    for mu in h_table(lam).rows:
+        drop = alpha_to_gl(mu, r)
+        nu = lam - drop
+        assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
+        nu = lam + rho(r) - drop
+        assert tensor_weight_multiplicity(lam, nu) == (
+            oracles.scan_tensor_weight_multiplicity(lam, nu)
+        )
+        assert dot_orbit_sign(lam, mu) == oracles.scan_dot_orbit_sign(lam, mu)
+
+
+def test_wrong_rank_weight():
+    lam = GLWeight((1, 1, 0))
+    nu = GLWeight((1, 1, 1, 0))
+    with pytest.raises(ValueError):
+        tensor_weight_multiplicity(lam, nu)
+    with pytest.raises(ValueError):
+        oracles.scan_tensor_weight_multiplicity(lam, nu)
+    # B(lambda) has no element of another rank's content
+    assert weight_multiplicity(lam, nu) == 0
+    assert oracles.scan_weight_multiplicity(lam, nu) == 0
+
+
+@pytest.mark.parametrize("at", ["inf", "-1"])
+def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
+    calls = Counter()
+    real = hpoly.enumerate_crystal
+
+    def counted(shape, rank):
+        calls[shape.parts] += 1
+        return real(shape, rank)
+
+    monkeypatch.setattr(hpoly, "enumerate_crystal", counted)
+    hpoly._content_histogram.cache_clear()
+    hpoly._tensor_histogram.cache_clear()
+    try:
+        assert cli.main(["hpoly", "--rank", "3", "--lambda", "1,0,1", "--at", at]) == 0
+    finally:
+        hpoly._content_histogram.cache_clear()
+        hpoly._tensor_histogram.cache_clear()
+    lam = lambda_from_fundamental((1, 0, 1), 3)
+    expect = {(lam + rho(3)).coords: 1, lam.coords: 1}
+    if at == "-1":
+        expect[rho(3).coords] = 1
+    assert dict(calls) == expect
+    assert "FAIL" not in capsys.readouterr().out

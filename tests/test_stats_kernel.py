@@ -2,20 +2,38 @@
 
 Property tests at ranks 4 and 5 draw tableaux of random strict shapes
 (the generator of test_word_kernel) and compare the kernel's triangle,
-marks, counts and memoized coefficients with tests/stats_twin.py.
+marks, counts and memoized coefficients with tests/stats_twin.py.  G,
+read from the mark counts, is held against the entry-by-entry product on
+arbitrarily marked triangles and on operator-route triangles.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cscrystal import bzl
-from cscrystal.bzl import c_coefficient, c_counts, decorate_via_stats
+from cscrystal.bzl import (
+    BZL_LAYOUT,
+    STATS_LAYOUT,
+    DecoratedTriangle,
+    _index_set,
+    c_coefficient,
+    c_counts,
+    decorate_via_operators,
+    decorate_via_stats,
+    g_from_triangle,
+)
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
 from cscrystal.tableaux import stats_a, stats_b
 from cscrystal.tpoly import TPoly
-from stats_twin import twin_counts, twin_decoration, twin_stats_a, twin_stats_b
+from stats_twin import (
+    twin_counts,
+    twin_decoration,
+    twin_g_from_triangle,
+    twin_stats_a,
+    twin_stats_b,
+)
 from test_word_kernel import strict_shape_tableaux
 
 
@@ -44,6 +62,42 @@ def test_memoized_coefficient_equals_product(t):
     want = TPoly((0, -1)) ** box * TPoly((1, -1)) ** non if alive else TPoly.zero()
     assert c_coefficient(t) == want
     assert c_coefficient(t) == want  # a second call reads the memo
+
+
+@st.composite
+def marked_triangles(draw):
+    """A triangle of entries 0..3 at rank 1..4 with arbitrary marks,
+    doubly marked entries included."""
+    rank = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from([BZL_LAYOUT, STATS_LAYOUT]))
+    index = _index_set(rank, layout)
+    entries = {pair: draw(st.integers(0, 3)) for pair in index}
+    marks = st.sets(st.sampled_from(index))
+    grid = []
+    for i in range(1, rank + 1):
+        js = range(1, i + 1) if layout == BZL_LAYOUT else range(i, rank + 1)
+        grid.append(tuple(entries[(i, j)] for j in js))
+    return DecoratedTriangle(
+        rank=rank,
+        layout=layout,
+        grid=tuple(grid),
+        circled=frozenset(draw(marks)),
+        boxed=frozenset(draw(marks)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_triangles())
+def test_g_from_counts_matches_entrywise_product(tri):
+    assert g_from_triangle(tri) == twin_g_from_triangle(tri)
+    assert str(g_from_triangle(tri)) == str(twin_g_from_triangle(tri))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_shape_tableaux())
+def test_g_of_operator_triangle_matches_entrywise_product(t):
+    tri = decorate_via_operators(t)
+    assert g_from_triangle(tri) == twin_g_from_triangle(tri)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ integer arithmetic.
 """
 
 from .bzl import (
-    DecoratedTriangle,
     LongWord,
     bzl_path,
     c_coefficient,
@@ -17,7 +16,6 @@ from .bzl import (
     g_coefficient,
     long_word,
     path_entry_sum,
-    triangle_from_json,
 )
 from .crystal import (
     TensorElement,
@@ -35,7 +33,6 @@ from .crystal import (
 from .hpoly import (
     HTable,
     SpecPoint,
-    h_direct,
     h_table,
     h_tensor,
     specialize,
@@ -67,9 +64,9 @@ from .rootsys import (
     theta,
 )
 from .tableaux import (
+    DecoratedTriangle,
     Segment,
     Tableau,
-    TriangularArray,
     content,
     is_strict,
     make_tableau,
@@ -78,6 +75,7 @@ from .tableaux import (
     stats_a,
     stats_b,
     tableau_from_json,
+    triangle_from_json,
 )
 from .tpoly import QLaurent, TPoly
 

@@ -7,10 +7,11 @@ statistics on the tableau alone, and both carry circle and box marks:
 one rule set derived from the walk, one from the statistics.  The
 marked triangle determines the coefficient attached to the tableau.
 
-Triangles come in two coordinate systems.  PATH layout row i holds
-positions j = 1..i (entry (i, j) belongs to letter i-j+1); STATS layout
-row i holds positions j = i..r.  They correspond under
-(i, j) <-> (i-j+1, i).
+Both routes fill one tableaux.DecoratedTriangle at the same cells: the
+walk records the step count of letter i in block j at (i, j), where the
+statistics route puts a_{i,j}, so the two triangles must be equal.  The
+PATH layout, one row per block, is a way of printing that triangle
+(tableaux.BZL_LAYOUT), not a second coordinate system.
 """
 
 from dataclasses import dataclass
@@ -23,11 +24,8 @@ from .crystal import highest_weight_tableau, reading_word, surviving_slots, tabl
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
 from .rootsys import Shape, theta
-from .tableaux import Tableau, _a_rows, _b_rows, _row_histograms
+from .tableaux import DecoratedTriangle, Tableau, _a_rows, _b_rows, _row_histograms
 from .tpoly import QLaurent, TPoly
-
-BZL_LAYOUT = "BZL"
-STATS_LAYOUT = "STATS"
 
 
 @dataclass(frozen=True)
@@ -58,148 +56,6 @@ def long_word(rank: int) -> LongWord:
     return LongWord(rank, _long_word_letters(rank))
 
 
-@lru_cache(maxsize=32)
-def _index_set(rank: int, layout: str) -> tuple[tuple[int, int], ...]:
-    if layout == BZL_LAYOUT:
-        return tuple((i, j) for i in range(1, rank + 1) for j in range(1, i + 1))
-    if layout == STATS_LAYOUT:
-        return tuple((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-@lru_cache(maxsize=32)
-def _index_members(rank: int, layout: str) -> frozenset:
-    return frozenset(_index_set(rank, layout))
-
-
-def _row_lengths(rank: int, layout: str):
-    if layout == BZL_LAYOUT:
-        return [i for i in range(1, rank + 1)]
-    return [rank - i + 1 for i in range(1, rank + 1)]
-
-
-@dataclass(frozen=True)
-class DecoratedTriangle:
-    """Triangle of nonnegative entries with circle and box marks.
-
-    grid[i-1] lists row i in the active layout; circled and boxed hold
-    (i, j) index pairs.  Reads outside the index set return 0, matching
-    the boundary conventions of both decoration rules.
-    """
-
-    rank: int
-    layout: str
-    grid: tuple[tuple[int, ...], ...]
-    circled: frozenset
-    boxed: frozenset
-
-    def __post_init__(self):
-        expected = _row_lengths(self.rank, self.layout)
-        if [len(row) for row in self.grid] != expected:
-            raise ValueError(f"grid rows do not match {self.layout} layout for rank {self.rank}")
-        index = _index_members(self.rank, self.layout)
-        if not (self.circled <= index and self.boxed <= index):
-            raise ValueError("decoration marks outside the triangle")
-
-    def entry(self, i: int, j: int) -> int:
-        if self.layout == BZL_LAYOUT:
-            if 1 <= j <= i <= self.rank:
-                return self.grid[i - 1][j - 1]
-        else:
-            if 1 <= i <= j <= self.rank:
-                return self.grid[i - 1][j - i]
-        return 0
-
-    def items(self):
-        for i, j in _index_set(self.rank, self.layout):
-            yield (i, j), self.entry(i, j)
-
-    def total(self) -> int:
-        return sum(a for _, a in self.items())
-
-    def flags(self, i: int, j: int) -> tuple[bool, bool]:
-        return ((i, j) in self.circled, (i, j) in self.boxed)
-
-    def doubly_decorated(self) -> list[tuple[int, int]]:
-        return sorted(self.circled & self.boxed)
-
-    def to_stats(self) -> "DecoratedTriangle":
-        if self.layout == STATS_LAYOUT:
-            return self
-        return self._convert(STATS_LAYOUT, lambda u, v: (v, v - u + 1))
-
-    def to_bzl(self) -> "DecoratedTriangle":
-        if self.layout == BZL_LAYOUT:
-            return self
-        return self._convert(BZL_LAYOUT, lambda i, j: (i - j + 1, i))
-
-    def _convert(self, layout, source_of):
-        mapping = {pair: source_of(*pair) for pair in _index_set(self.rank, layout)}
-        grid = []
-        for i in range(1, self.rank + 1):
-            js = range(1, i + 1) if layout == BZL_LAYOUT else range(i, self.rank + 1)
-            grid.append(tuple(self.entry(*mapping[(i, j)]) for j in js))
-        inverse = {src: dst for dst, src in mapping.items()}
-        return DecoratedTriangle(
-            rank=self.rank,
-            layout=layout,
-            grid=tuple(grid),
-            circled=frozenset(inverse[p] for p in self.circled),
-            boxed=frozenset(inverse[p] for p in self.boxed),
-        )
-
-    def inline(self, markers: bool = True) -> str:
-        """Rows joined by '; ', e.g. '(2; 2□, 0◯)'."""
-        rows = []
-        for i in range(1, self.rank + 1):
-            cells = []
-            js = range(1, i + 1) if self.layout == BZL_LAYOUT else range(i, self.rank + 1)
-            for j in js:
-                cell = str(self.entry(i, j))
-                if markers:
-                    if (i, j) in self.circled:
-                        cell += "◯"
-                    if (i, j) in self.boxed:
-                        cell += "□"
-                cells.append(cell)
-            rows.append(", ".join(cells))
-        return "(" + "; ".join(rows) + ")"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "layout": self.layout,
-            "entries": [
-                {
-                    "i": i,
-                    "j": j,
-                    "a": self.entry(i, j),
-                    "circled": (i, j) in self.circled,
-                    "boxed": (i, j) in self.boxed,
-                }
-                for i, j in _index_set(self.rank, self.layout)
-            ],
-        }
-
-
-def triangle_from_json(obj: dict) -> DecoratedTriangle:
-    rank, layout = obj["rank"], obj["layout"]
-    cells = {(e["i"], e["j"]): e for e in obj["entries"]}
-    if set(cells) != _index_members(rank, layout):
-        raise ValueError("triangle JSON does not cover the index set exactly")
-    grid = []
-    for i in range(1, rank + 1):
-        js = range(1, i + 1) if layout == BZL_LAYOUT else range(i, rank + 1)
-        grid.append(tuple(cells[(i, j)]["a"] for j in js))
-    return DecoratedTriangle(
-        rank=rank,
-        layout=layout,
-        grid=tuple(grid),
-        circled=frozenset(p for p, e in cells.items() if e["circled"]),
-        boxed=frozenset(p for p, e in cells.items() if e["boxed"]),
-    )
-
-
 def _require_strict_shape(t: Tableau) -> Shape:
     shape = t.shape
     if not shape.is_strict():
@@ -217,25 +73,24 @@ def _walk(t: Tableau):
 
     Works on one mutable reading word: each raising step rescans the
     signature of the stage's letter and changes the rightmost surviving
-    '-'.  Returns the step counts per (block, position), the positions
-    where the lowering operator was dead before the block step, and the
-    final element.
+    '-'.  Returns the step counts per (letter, block), the (letter,
+    block) stages where the lowering operator was dead before the stage,
+    and the final element.
     """
     word = list(reading_word(t))
     entries = {}
     boxed = set()
     for block in range(1, t.rank + 1):
-        for pos in range(1, block + 1):
-            letter = block - pos + 1
+        for letter in range(block, 0, -1):
             minus, plus = surviving_slots(word, letter)
             if not plus:
-                boxed.add((block, pos))
+                boxed.add((letter, block))
             count = 0
             while minus:
                 word[minus[-1]] = letter
                 count += 1
                 minus = surviving_slots(word, letter)[0]
-            entries[(block, pos)] = count
+            entries[(letter, block)] = count
     return entries, boxed, tableau_from_word(t, word)
 
 
@@ -251,44 +106,31 @@ def _walk_to_top(t: Tableau):
     return entries, boxed
 
 
-def _bzl_grid(rank, entries):
+def _grid(rank, entries):
     return tuple(
-        tuple(entries[(i, j)] for j in range(1, i + 1)) for i in range(1, rank + 1)
+        tuple(entries[(i, j)] for j in range(i, rank + 1)) for i in range(1, rank + 1)
     )
 
 
 def bzl_path(t: Tableau) -> DecoratedTriangle:
-    """Step-count triangle of the walk, PATH layout, no marks."""
+    """Step-count triangle of the walk, no marks."""
     entries, _ = _walk_to_top(t)
-    return DecoratedTriangle(
-        rank=t.rank,
-        layout=BZL_LAYOUT,
-        grid=_bzl_grid(t.rank, entries),
-        circled=frozenset(),
-        boxed=frozenset(),
-    )
+    return DecoratedTriangle(t.rank, _grid(t.rank, entries))
 
 
 def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
     """Walk-based marks: box where lowering dies, circle on equal neighbors.
 
-    A position (i, j) is boxed when the lowering operator for its letter
-    kills the element reached just before that stage.  It is circled
-    when its entry equals the entry at (i, j+1), reading 0 past the row
-    end.
+    Cell (i, j) holds the step count of letter i in block j.  It is
+    boxed when the lowering operator for letter i kills the element
+    reached just before that stage, and circled when its count equals
+    the count of letter i-1 in the same block, reading 0 for letter 0.
     """
     entries, boxed = _walk_to_top(t)
-    circled = set()
-    for (i, j), a in entries.items():
-        if a == entries.get((i, j + 1), 0):
-            circled.add((i, j))
-    return DecoratedTriangle(
-        rank=t.rank,
-        layout=BZL_LAYOUT,
-        grid=_bzl_grid(t.rank, entries),
-        circled=frozenset(circled),
-        boxed=frozenset(boxed),
+    circled = frozenset(
+        (i, j) for (i, j), a in entries.items() if a == entries.get((i - 1, j), 0)
     )
+    return DecoratedTriangle(t.rank, _grid(t.rank, entries), circled, frozenset(boxed))
 
 
 def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
@@ -317,13 +159,7 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
             if b_ij >= th[i - 1] + b_down:
                 boxed.append((i, j))
         above = a[i - 1]
-    return DecoratedTriangle(
-        rank=r,
-        layout=STATS_LAYOUT,
-        grid=a,
-        circled=frozenset(circled),
-        boxed=frozenset(boxed),
-    )
+    return DecoratedTriangle(r, a, frozenset(circled), frozenset(boxed))
 
 
 def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:
@@ -349,7 +185,7 @@ def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
     alive, box, non = _mark_counts(tri)
     if not alive:
         return QLaurent.zero()
-    shift = sum(map(sum, tri.grid)) - box - non
+    shift = tri.total() - box - non
     sign = -1 if box % 2 else 1
     return QLaurent({shift + k: sign * c for k, c in _q_minus_one_power(non)})
 

@@ -8,7 +8,6 @@ stdout is a pure function of the arguments; timings go to stderr.
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import lru_cache
@@ -38,7 +37,7 @@ from .rootsys import (
     lambda_from_fundamental,
     rho,
 )
-from .tableaux import content, is_strict, parse_tableau
+from .tableaux import BZL_LAYOUT, content, is_strict, parse_tableau
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -56,25 +55,8 @@ def _weight_from_args(args) -> GLWeight:
         parts = parts + (0,) * (args.rank + 1 - len(parts))
         shape = Shape(parts)  # validates weakly decreasing, nonnegative
         return shape.to_weight()
-    if args.lam is None:
-        raise ValueError("one of --lambda or --partition is required")
     coeffs = _parse_ints(args.lam, "--lambda")
     return lambda_from_fundamental(coeffs, args.rank)
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CS_CRYSTAL_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"CS_CRYSTAL_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"CS_CRYSTAL_THREADS must be >= 1, got {env!r}")
-        return threads
-    return 1
 
 
 def _emit(text: str):
@@ -116,10 +98,10 @@ def cmd_bzl(args) -> int:
     t = parse_tableau(args.rank, args.tableau)
     path_tri = decorate_via_operators(t)
     stats_tri = decorate_via_stats(t)
-    if path_tri.to_stats() != stats_tri:
+    if path_tri != stats_tri:
         sys.stderr.write(
             "internal invariant breach: operator and statistics decorations disagree\n"
-            f"  operator route: {path_tri.to_stats().inline()}\n"
+            f"  operator route: {path_tri.inline()}\n"
             f"  statistics route: {stats_tri.inline()}\n"
         )
         return 3
@@ -129,7 +111,7 @@ def cmd_bzl(args) -> int:
         _emit_json(
             {
                 "tableau": t.to_json_dict(),
-                "path": path_tri.to_json_dict(),
+                "path": path_tri.to_json_dict(BZL_LAYOUT),
                 "stats": stats_tri.to_json_dict(),
                 "g": g.to_json(),
                 "c_coeffs": list(c.coeffs),
@@ -138,7 +120,7 @@ def cmd_bzl(args) -> int:
         )
     else:
         _emit(f"tableau: {t.to_text()}")
-        _emit(f"path: {path_tri.inline()}")
+        _emit(f"path: {path_tri.inline(BZL_LAYOUT)}")
         _emit(f"stats: {stats_tri.inline()}")
         _emit(f"G = {g}")
         _emit(f"C = {c_factored_string(t, stats=stats_tri)}  [{c}]")
@@ -148,10 +130,9 @@ def cmd_bzl(args) -> int:
 
 def cmd_verify(args) -> int:
     lam = _weight_from_args(args)
-    threads = _thread_count(args)
     started = time.monotonic()
-    coefficients = shifted_coefficients(lam, threads)
-    report = verify_identity(lam, threads=threads, coefficients=coefficients)
+    coefficients = shifted_coefficients(lam)
+    report = verify_identity(lam, coefficients=coefficients)
     bn_ok = verify_bn_form(lam, coefficients=coefficients)
     elapsed_ms = 1000 * (time.monotonic() - started)
     sys.stderr.write(f"elapsed: {elapsed_ms:.1f} ms\n")
@@ -204,7 +185,7 @@ def _oracle_value(lam: GLWeight, mu, point: SpecPoint) -> int:
 
 def cmd_hpoly(args) -> int:
     lam = _weight_from_args(args)
-    table = h_table(lam, threads=_thread_count(args))
+    table = h_table(lam)
     point = SpecPoint(args.at) if args.at else None
     rows = table.sorted_rows()
     checks = []
@@ -280,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, weight=True):
         p.add_argument("--rank", type=int, required=True, help="rank r >= 1")
         if weight:
-            p.add_argument("--lambda", dest="lam", help="fundamental coefficients c1,...,cr")
-            p.add_argument("--partition", help="GL partition l1,l2,... (at most r+1 parts)")
+            given = p.add_mutually_exclusive_group(required=True)
+            given.add_argument("--lambda", dest="lam", help="fundamental coefficients c1,...,cr")
+            given.add_argument("--partition", help="GL partition l1,l2,... (at most r+1 parts)")
 
     p = sub.add_parser("enumerate", help="list a crystal")
     add_common(p)
@@ -298,14 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the character identity for one lambda")
     add_common(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hpoly", help="deformed weight-multiplicity table")
     add_common(p)
     p.add_argument("--format", choices=["text", "json", "csv", "latex"], default="text")
     p.add_argument("--at", choices=["inf", "-1", "1"], help="specialize and cross-check")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_hpoly)
 
     p = sub.add_parser("graph", help="crystal graph as DOT")
@@ -330,9 +310,6 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     if args.rank < 1:
         sys.stderr.write("error: --rank must be >= 1\n")
-        return 2
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
         return 2
     try:
         return args.func(args)

@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._threads import parallel_map
 from .bzl import c_coefficient
 from .crystal import enumerate_crystal
 from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
@@ -38,24 +37,8 @@ class SpecPoint(enum.Enum):
 _T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
 
 
-def h_direct(lam: GLWeight, mu: AlphaVector) -> TPoly:
-    """Coefficient sum over shifted-crystal elements of weight lam+rho-mu.
-
-    A mu outside the weight support of the shifted crystal contributes
-    nothing and yields the zero polynomial.
-    """
-    r = lam.rank
-    target = lam + rho(r) - alpha_to_gl(mu, r)
-    shape = partition_shape(lam + rho(r))
-    total = TPoly.zero()
-    for t in enumerate_crystal(shape, r):
-        if content(t) == target:
-            total = total + c_coefficient(t)
-    return total
-
-
 def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
-    """Same polynomial assembled from pairs in B(lam) x B(rho).
+    """The H-table polynomial of mu, assembled from pairs in B(lam) x B(rho).
 
     Only the rho-side factor is scored; the lam-side factor just
     steers which pairs land on the target weight.
@@ -158,19 +141,14 @@ def format_mu(mu: AlphaVector, root: str) -> str:
     return "+".join(pieces)
 
 
-def h_table(lam: GLWeight, threads: int = 1) -> HTable:
+def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal."""
     r = lam.rank
     shifted = lam + rho(r)
-    shape = partition_shape(shifted)
-    elements = enumerate_crystal(shape, r)
-
-    def term(t):
-        return gl_to_alpha(shifted - content(t)), c_coefficient(t)
-
     rows: dict = {}
-    for mu, coeff in parallel_map(term, elements, threads):
-        rows[mu] = rows.get(mu, TPoly.zero()) + coeff
+    for t in enumerate_crystal(partition_shape(shifted), r):
+        mu = gl_to_alpha(shifted - content(t))
+        rows[mu] = rows.get(mu, TPoly.zero()) + c_coefficient(t)
     return HTable(lam=lam, rank=r, rows=rows)
 
 

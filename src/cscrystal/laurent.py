@@ -9,7 +9,6 @@ monomials.  No floating point, no division.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._threads import parallel_map
 from .bzl import c_coefficient, decorate_via_operators, g_from_triangle
 
 # verify_bn_form takes the path total from its one walk and no longer
@@ -182,7 +181,7 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     )
 
 
-def shifted_coefficients(lam: GLWeight, threads: int = 1) -> list:
+def shifted_coefficients(lam: GLWeight) -> list:
     """(element, c_coefficient) for every element of B(lam+rho), in crystal order.
 
     verify computes this once and hands it to both cs_rhs and
@@ -190,17 +189,17 @@ def shifted_coefficients(lam: GLWeight, threads: int = 1) -> list:
     """
     r = lam.rank
     elements = enumerate_crystal(partition_shape(lam + rho(r)), r)
-    return list(zip(elements, parallel_map(c_coefficient, elements, threads)))
+    return [(t, c_coefficient(t)) for t in elements]
 
 
-def cs_rhs(lam: GLWeight, threads: int = 1, *, coefficients: list | None = None) -> LaurentPoly:
+def cs_rhs(lam: GLWeight, *, coefficients: list | None = None) -> LaurentPoly:
     """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
 
     A caller that already holds shifted_coefficients(lam) passes it as
     coefficients, here and in verify_identity and verify_bn_form.
     """
     if coefficients is None:
-        coefficients = shifted_coefficients(lam, threads)
+        coefficients = shifted_coefficients(lam)
     out = {}
     for t, coeff in coefficients:
         if coeff.is_zero():
@@ -218,12 +217,10 @@ class IdentityReport:
     first_mismatch: tuple | None  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(
-    lam: GLWeight, threads: int = 1, *, coefficients: list | None = None
-) -> IdentityReport:
+def verify_identity(lam: GLWeight, *, coefficients: list | None = None) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly."""
     lhs = cs_lhs(lam)
-    rhs = cs_rhs(lam, threads=threads, coefficients=coefficients)
+    rhs = cs_rhs(lam, coefficients=coefficients)
     mismatch = None
     for exp in sorted(set(lhs.terms) | set(rhs.terms)):
         a, b = lhs.coefficient(exp), rhs.coefficient(exp)

@@ -1,11 +1,19 @@
-"""Semistandard Young tableaux and the statistics read off them.
+"""Semistandard Young tableaux, the statistics read off them, and the
+triangle type that holds those statistics.
 
 A tableau of rank r has entries in 1..r+1, weakly increasing rows,
 strictly increasing columns, and weakly decreasing row lengths.  Rows
 and columns are 1-indexed throughout.
+
+DecoratedTriangle is the one triangle type of the package: stats_a,
+stats_b and both decoration routes of bzl return it.  It stores entry
+(i, j), 1 <= i <= j <= rank, in one coordinate system; the STATS and
+BZL (PATH) layouts are two ways of printing it, defined by one table
+from printed label to stored cell.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 
@@ -94,44 +102,113 @@ def tableau_from_json(obj) -> Tableau:
     return make_tableau(obj["rank"], obj["rows"])
 
 
-@dataclass(frozen=True)
-class TriangularArray:
-    """Integers indexed by pairs (i, j) with 1 <= i <= j <= rank.
+STATS_LAYOUT = "STATS"
+BZL_LAYOUT = "BZL"
 
-    Out-of-range reads come back as 0, which is how the boundary
-    conventions a_{0,j} = 0, b_{i,r+1} = 0 and b_{r+1,j} = 0 enter the
-    decoration rules.
+
+@lru_cache(maxsize=32)
+def _print_cells(rank: int, layout: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """(label, cell) pairs of a print layout, in print order.
+
+    STATS prints cell (i, j) under its own label, row i holding j = i..rank.
+    BZL, the PATH layout, prints one row per block i = 1..rank with
+    positions j = 1..i; label (i, j) shows cell (i-j+1, i), the step count
+    of letter i-j+1 in block i.
+    """
+    if layout == STATS_LAYOUT:
+        return tuple(((i, j), (i, j)) for i in range(1, rank + 1) for j in range(i, rank + 1))
+    if layout == BZL_LAYOUT:
+        return tuple(((i, j), (i - j + 1, i)) for i in range(1, rank + 1) for j in range(1, i + 1))
+    raise ValueError(f"unknown layout {layout!r}")
+
+
+@dataclass(frozen=True)
+class DecoratedTriangle:
+    """Integers at (i, j), 1 <= i <= j <= rank, with circle and box marks.
+
+    grid[i-1][j-i] holds entry (i, j); circled and boxed hold (i, j)
+    pairs.  Reads outside the triangle return 0, which is how the
+    boundary conventions a_{0,j} = 0, b_{i,r+1} = 0 and b_{r+1,j} = 0
+    enter the decoration rules.
     """
 
     rank: int
-    grid: tuple[tuple[int, ...], ...]  # grid[i-1][j-i] holds entry (i, j)
+    grid: tuple[tuple[int, ...], ...]
+    circled: frozenset = frozenset()
+    boxed: frozenset = frozenset()
 
     def __post_init__(self):
-        if len(self.grid) != self.rank:
-            raise ValueError("triangular array needs one tuple per row 1..rank")
-        for i, row in enumerate(self.grid, start=1):
-            if len(row) != self.rank - i + 1:
-                raise ValueError(f"row {i} must have {self.rank - i + 1} entries")
+        if [len(row) for row in self.grid] != list(range(self.rank, 0, -1)):
+            raise ValueError(f"a rank-{self.rank} triangle needs rows of {self.rank}..1 entries")
+        if not all(1 <= i <= j <= self.rank for i, j in self.circled | self.boxed):
+            raise ValueError("decoration marks outside the triangle")
 
-    def get(self, i: int, j: int) -> int:
+    def entry(self, i: int, j: int) -> int:
         if 1 <= i <= j <= self.rank:
             return self.grid[i - 1][j - i]
         return 0
 
     def items(self):
-        for i in range(1, self.rank + 1):
-            for j in range(i, self.rank + 1):
-                yield (i, j), self.grid[i - 1][j - i]
+        for i, row in enumerate(self.grid, start=1):
+            for j, a in enumerate(row, start=i):
+                yield (i, j), a
 
-    @classmethod
-    def from_function(cls, rank, fn):
-        return cls(
-            rank,
-            tuple(
-                tuple(fn(i, j) for j in range(i, rank + 1))
-                for i in range(1, rank + 1)
-            ),
-        )
+    def total(self) -> int:
+        return sum(map(sum, self.grid))
+
+    def flags(self, i: int, j: int) -> tuple[bool, bool]:
+        return ((i, j) in self.circled, (i, j) in self.boxed)
+
+    def doubly_decorated(self) -> list[tuple[int, int]]:
+        return sorted(self.circled & self.boxed)
+
+    def inline(self, layout: str = STATS_LAYOUT, markers: bool = True) -> str:
+        """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
+        '(2; 2□, 0◯)' for the same triangle in BZL."""
+        rows: dict = {}
+        for (i, _), cell in _print_cells(self.rank, layout):
+            text = str(self.entry(*cell))
+            if markers:
+                if cell in self.circled:
+                    text += "◯"
+                if cell in self.boxed:
+                    text += "□"
+            rows.setdefault(i, []).append(text)
+        return "(" + "; ".join(", ".join(row) for row in rows.values()) + ")"
+
+    def to_json_dict(self, layout: str = STATS_LAYOUT) -> dict:
+        return {
+            "rank": self.rank,
+            "layout": layout,
+            "entries": [
+                {
+                    "i": i,
+                    "j": j,
+                    "a": self.entry(*cell),
+                    "circled": cell in self.circled,
+                    "boxed": cell in self.boxed,
+                }
+                for (i, j), cell in _print_cells(self.rank, layout)
+            ],
+        }
+
+
+def triangle_from_json(obj: dict) -> DecoratedTriangle:
+    """Inverse of DecoratedTriangle.to_json_dict, in either layout."""
+    rank = obj["rank"]
+    cell_of = dict(_print_cells(rank, obj["layout"]))
+    labelled = {(e["i"], e["j"]): e for e in obj["entries"]}
+    if labelled.keys() != cell_of.keys():
+        raise ValueError("triangle JSON does not cover the index set exactly")
+    cells = {cell_of[label]: e for label, e in labelled.items()}
+    return DecoratedTriangle(
+        rank=rank,
+        grid=tuple(
+            tuple(cells[(i, j)]["a"] for j in range(i, rank + 1)) for i in range(1, rank + 1)
+        ),
+        circled=frozenset(c for c, e in cells.items() if e["circled"]),
+        boxed=frozenset(c for c, e in cells.items() if e["boxed"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -195,14 +272,14 @@ def _b_rows(hist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def stats_a(t: Tableau) -> TriangularArray:
+def stats_a(t: Tableau) -> DecoratedTriangle:
     """Entry (i, j): number of boxes holding j+1 within rows 1..i."""
-    return TriangularArray(t.rank, _a_rows(_row_histograms(t)))
+    return DecoratedTriangle(t.rank, _a_rows(_row_histograms(t)))
 
 
-def stats_b(t: Tableau) -> TriangularArray:
+def stats_b(t: Tableau) -> DecoratedTriangle:
     """Entry (i, j): number of boxes in row i holding at least j+1."""
-    return TriangularArray(t.rank, _b_rows(_row_histograms(t)))
+    return DecoratedTriangle(t.rank, _b_rows(_row_histograms(t)))
 
 
 def _truncation_count(t: Tableau, k: int, i: int) -> int:

@@ -10,20 +10,19 @@ from cscrystal.crystal import e_op, phi
 
 
 def operator_walk(t):
-    """(step counts per (block, position), boxed positions, top element)."""
+    """(step counts per (letter, block), boxed (letter, block) stages, top element)."""
     cur = t
     entries = {}
     boxed = set()
     for block in range(1, t.rank + 1):
-        for pos in range(1, block + 1):
-            letter = block - pos + 1
+        for letter in range(block, 0, -1):
             if phi(cur, letter) == 0:
-                boxed.add((block, pos))
+                boxed.add((letter, block))
             count = 0
             nxt = e_op(cur, letter)
             while nxt is not None:
                 cur = nxt
                 count += 1
                 nxt = e_op(cur, letter)
-            entries[(block, pos)] = count
+            entries[(letter, block)] = count
     return entries, boxed, cur

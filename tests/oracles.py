@@ -5,19 +5,21 @@ and weight multiplicities are produced by direct enumeration of
 fillings, and dimensions by the classical product formula, so the two
 routes can be played against each other and against the library.
 
-The last part keeps scanning versions of the package's specialization
-oracles as slow twins of its table-driven ones: a scan of B(lambda) per
-weight, a scan of B(rho) per tensor weight, and a scan of all (r+1)!
-permutations per orbit sign.  They use the package's crystals and
-weight arithmetic, but none of its oracle tables.
+The last part keeps scanning versions of table-driven package code as
+slow twins: a scan of B(lambda+rho) per H-table row, a scan of B(lambda)
+per weight, a scan of B(rho) per tensor weight, and a scan of all (r+1)!
+permutations per orbit sign.  They use the package's crystals, weight
+arithmetic and coefficients, but none of its tables.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
+from cscrystal.bzl import c_coefficient
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import alpha_to_gl, dot_action, partition_shape, perm_sign, rho
 from cscrystal.tableaux import content
+from cscrystal.tpoly import TPoly
 
 
 def weakly_increasing_rows(length, max_entry, floor_row):
@@ -78,7 +80,23 @@ def brute_force_weight_multiplicity(parts, max_entry, target):
     return hits
 
 
-# --- slow twins of the specialization oracles --------------------------------
+# --- slow twins of the H-table and the specialization oracles ---------------
+
+
+def h_direct(lam, mu):
+    """Coefficient sum over shifted-crystal elements of weight lam+rho-mu.
+
+    The twin of one hpoly.h_table row, at O(|B(lam+rho)|) per mu.  A mu
+    outside the weight support of the shifted crystal contributes
+    nothing and yields the zero polynomial.
+    """
+    r = lam.rank
+    target = lam + rho(r) - alpha_to_gl(mu, r)
+    total = TPoly.zero()
+    for t in enumerate_crystal(partition_shape(lam + rho(r)), r):
+        if content(t) == target:
+            total = total + c_coefficient(t)
+    return total
 
 
 def scan_weight_multiplicity(lam, nu):

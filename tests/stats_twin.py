@@ -3,15 +3,23 @@
 This is the slow, obvious twin of the one-histogram kernel behind
 tableaux.stats_a/stats_b and bzl.decorate_via_stats: every triangle
 entry rescans the rows, and every mark reads its neighbours through
-TriangularArray.get with out-of-range reads equal to 0.  It works on a
-rank and bare row tuples, so it shares no code with the kernel beyond
-TriangularArray.  Tests compare the two entry for entry.  The decoration
+DecoratedTriangle.entry with out-of-range reads equal to 0.  It works on
+a rank and bare row tuples, so it shares no code with the kernel beyond
+DecoratedTriangle.  Tests compare the two entry for entry.  The decoration
 product G is kept here too, one factor per entry, as the twin of
 bzl.g_from_triangle, which reads it from the mark counts.
 """
 
-from cscrystal.tableaux import TriangularArray
+from cscrystal.tableaux import DecoratedTriangle
 from cscrystal.tpoly import QLaurent
+
+
+def _triangle(rank, count):
+    """The unmarked triangle with entry count(i, j) at each 1 <= i <= j <= rank."""
+    grid = tuple(
+        tuple(count(i, j) for j in range(i, rank + 1)) for i in range(1, rank + 1)
+    )
+    return DecoratedTriangle(rank, grid)
 
 
 def twin_stats_a(rank, rows):
@@ -20,7 +28,7 @@ def twin_stats_a(rank, rows):
     def count(i, j):
         return sum(row.count(j + 1) for row in rows[:i])
 
-    return TriangularArray.from_function(rank, count)
+    return _triangle(rank, count)
 
 
 def twin_stats_b(rank, rows):
@@ -31,7 +39,7 @@ def twin_stats_b(rank, rows):
             return 0
         return sum(1 for x in rows[i - 1] if x >= j + 1)
 
-    return TriangularArray.from_function(rank, count)
+    return _triangle(rank, count)
 
 
 def twin_decoration(rank, rows):
@@ -47,9 +55,9 @@ def twin_decoration(rank, rows):
     b = twin_stats_b(rank, rows)
     index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
     boxed = frozenset(
-        (i, j) for i, j in index if b.get(i, j) >= theta[i - 1] + b.get(i + 1, j + 1)
+        (i, j) for i, j in index if b.entry(i, j) >= theta[i - 1] + b.entry(i + 1, j + 1)
     )
-    circled = frozenset((i, j) for i, j in index if a.get(i, j) == a.get(i - 1, j))
+    circled = frozenset((i, j) for i, j in index if a.entry(i, j) == a.entry(i - 1, j))
     return a.grid, circled, boxed
 
 

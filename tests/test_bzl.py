@@ -1,12 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import shifted_elements, suite_weights
 from cscrystal.bzl import (
-    BZL_LAYOUT,
-    STATS_LAYOUT,
-    DecoratedTriangle,
     bzl_path,
     c_coefficient,
     c_counts,
@@ -17,12 +15,21 @@ from cscrystal.bzl import (
     g_from_triangle,
     long_word,
     path_entry_sum,
-    triangle_from_json,
 )
 from cscrystal.crystal import highest_weight_tableau
 from cscrystal.rootsys import Shape, gl_to_alpha, rho
-from cscrystal.tableaux import content, is_strict, make_tableau, stats_a
+from cscrystal.tableaux import (
+    BZL_LAYOUT,
+    STATS_LAYOUT,
+    DecoratedTriangle,
+    content,
+    is_strict,
+    make_tableau,
+    stats_a,
+    triangle_from_json,
+)
 from cscrystal.tpoly import QLaurent, TPoly
+from test_word_kernel import strict_shape_tableaux
 
 
 def test_long_word():
@@ -46,13 +53,13 @@ B6 = [[2, 3], [3]]
 def test_bzl_path_values():
     t1 = make_tableau(2, B1)
     tri = bzl_path(t1)
-    assert tri.layout == BZL_LAYOUT
-    assert tri.grid == ((2,), (2, 0))
+    assert tri.inline(BZL_LAYOUT) == "(2; 2, 0)"
+    assert tri.grid == ((2, 0), (2,))
     assert tri.total() == 4
     t2 = make_tableau(2, B2)
-    assert bzl_path(t2).grid == ((1,), (2, 1))
+    assert bzl_path(t2).inline(BZL_LAYOUT) == "(1; 2, 1)"
     t5 = make_tableau(2, B5)
-    assert bzl_path(t5).grid == ((2,), (1, 0))
+    assert bzl_path(t5).inline(BZL_LAYOUT) == "(2; 1, 0)"
 
 
 def test_bzl_path_of_highest_weight_is_zero():
@@ -99,23 +106,23 @@ def test_path_total_equals_simple_root_drop():
 
 
 def test_operator_route_decorations():
+    # cell (i, j) holds the steps of letter i in block j
     tri = decorate_via_operators(make_tableau(2, B1))
-    assert tri.layout == BZL_LAYOUT
-    assert tri.grid == ((2,), (2, 0))
-    assert tri.boxed == frozenset({(2, 1)})
-    assert tri.circled == frozenset({(2, 2)})
-    assert tri.inline() == "(2; 2□, 0◯)"
-    assert tri.inline(markers=False) == "(2; 2, 0)"
+    assert tri.grid == ((2, 0), (2,))
+    assert tri.boxed == frozenset({(2, 2)})
+    assert tri.circled == frozenset({(1, 2)})
+    assert tri.inline(BZL_LAYOUT) == "(2; 2□, 0◯)"
+    assert tri.inline(BZL_LAYOUT, markers=False) == "(2; 2, 0)"
+    assert tri.inline() == "(2, 0◯; 2□)"
 
     tri2 = decorate_via_operators(make_tableau(2, B2))
-    assert tri2.boxed == frozenset({(1, 1), (2, 2)})
+    assert tri2.boxed == frozenset({(1, 1), (1, 2)})
     assert tri2.circled == frozenset()
-    assert tri2.inline() == "(1□; 2, 1□)"
+    assert tri2.inline(BZL_LAYOUT) == "(1□; 2, 1□)"
 
 
 def test_stats_route_decorations():
     tri = decorate_via_stats(make_tableau(2, B1))
-    assert tri.layout == STATS_LAYOUT
     assert tri.grid == ((2, 0), (2,))
     assert tri.boxed == frozenset({(2, 2)})
     assert tri.circled == frozenset({(1, 2)})
@@ -123,26 +130,30 @@ def test_stats_route_decorations():
 
 
 def test_layout_conversion_is_inverse():
+    # a print layout only relabels cells: PATH label (i, j) shows cell
+    # (i-j+1, i), and reading either layout back gives the triangle
     for rows in (B1, B2, B5, B6):
         ops = decorate_via_operators(make_tableau(2, rows))
-        assert ops.to_stats().to_bzl() == ops
-        assert ops.to_bzl() is ops or ops.to_bzl() == ops
+        for layout in (BZL_LAYOUT, STATS_LAYOUT):
+            assert triangle_from_json(ops.to_json_dict(layout)) == ops
+        path = ops.to_json_dict(BZL_LAYOUT)["entries"]
+        assert [(e["i"], e["j"]) for e in path] == [(1, 1), (2, 1), (2, 2)]
+        for e in path:
+            cell = (e["i"] - e["j"] + 1, e["i"])
+            assert (e["a"], (e["circled"], e["boxed"])) == (ops.entry(*cell), ops.flags(*cell))
 
 
 def test_decoration_routes_agree_on_examples():
     for rows in (B1, B2, B4, B5, B6):
         t = make_tableau(2, rows)
-        assert decorate_via_operators(t).to_stats() == decorate_via_stats(t)
+        assert decorate_via_operators(t) == decorate_via_stats(t)
 
 
 def test_decoration_routes_agree_on_crystals():
     for parts in [(2, 1, 0), (3, 2, 0)]:
         rank = len(parts) - 1
         for t in shifted_elements_for_shape(parts, rank):
-            ops = decorate_via_operators(t)
-            stat = decorate_via_stats(t)
-            assert ops.to_stats() == stat
-            assert stat.to_bzl() == ops
+            assert decorate_via_operators(t) == decorate_via_stats(t)
 
 
 def shifted_elements_for_shape(parts, rank):
@@ -155,11 +166,8 @@ def test_path_entries_match_stats_by_layout_bijection():
     for parts in [(2, 1, 0), (3, 2, 0)]:
         rank = len(parts) - 1
         for t in shifted_elements_for_shape(parts, rank):
-            tri = bzl_path(t)
-            a = stats_a(t)
-            for i in range(1, rank + 1):
-                for j in range(1, i + 1):
-                    assert tri.entry(i, j) == a.get(i - j + 1, i)
+            # the steps of letter i in block j are a_{i,j}
+            assert bzl_path(t) == stats_a(t)
 
 
 def test_doubly_decorated_witness():
@@ -182,7 +190,6 @@ def test_g_from_triangle_four_cases():
     # one entry of each kind: plain 2, boxed 1, circled 3, boxed zero
     tri = DecoratedTriangle(
         rank=2,
-        layout=STATS_LAYOUT,
         grid=((2, 3), (1,)),
         circled=frozenset({(1, 2)}),
         boxed=frozenset({(2, 2)}),
@@ -196,7 +203,6 @@ def test_g_from_triangle_four_cases():
     assert g_from_triangle(tri) == expect
     both = DecoratedTriangle(
         rank=2,
-        layout=STATS_LAYOUT,
         grid=((2, 3), (1,)),
         circled=frozenset({(2, 2)}),
         boxed=frozenset({(2, 2)}),
@@ -235,6 +241,13 @@ def test_bridge_g_q_shift_equals_c():
             assert bridged == c_coefficient(t).to_qlaurent()
 
 
+@settings(max_examples=100, deadline=None)
+@given(strict_shape_tableaux())
+def test_bridge_g_q_shift_equals_c_at_ranks_4_and_5(t):
+    bridged = g_coefficient(t).shift(-bzl_path(t).total())
+    assert bridged == c_coefficient(t).to_qlaurent()
+
+
 def test_strictness_lemma_on_suite():
     for lam in suite_weights():
         if lam.rank > 2:
@@ -247,6 +260,13 @@ def test_strictness_lemma_on_suite():
             else:
                 assert doubled != []
                 assert c_coefficient(t) == TPoly.zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(strict_shape_tableaux())
+def test_strictness_lemma_at_ranks_4_and_5(t):
+    no_double = decorate_via_stats(t).doubly_decorated() == []
+    assert is_strict(t) == no_double == (not c_coefficient(t).is_zero())
 
 
 def _violating_row_pairs(t):
@@ -290,20 +310,25 @@ def test_lone_dominant_entry_keeps_nonzero_coefficient():
     assert tri.doubly_decorated() == []
     assert tri.boxed == frozenset()
     assert c_coefficient(t) == TPoly((1, -1))
-    assert bzl_path(t).grid == ((0,), (1, 1))
+    assert bzl_path(t).inline(BZL_LAYOUT) == "(0; 1, 1)"
     assert g_coefficient(t).shift(-2) == c_coefficient(t).to_qlaurent()
 
 
 def test_triangle_json_roundtrip():
-    tri = decorate_via_operators(make_tableau(2, B1))
-    blob = json.dumps(tri.to_json_dict())
-    assert triangle_from_json(json.loads(blob)) == tri
-    stat = decorate_via_stats(make_tableau(2, B4))
-    assert triangle_from_json(json.loads(json.dumps(stat.to_json_dict()))) == stat
+    for tri in (
+        decorate_via_operators(make_tableau(2, B1)),
+        decorate_via_stats(make_tableau(2, B4)),
+    ):
+        for layout in (BZL_LAYOUT, STATS_LAYOUT):
+            blob = json.dumps(tri.to_json_dict(layout))
+            assert json.loads(blob)["layout"] == layout
+            assert triangle_from_json(json.loads(blob)) == tri
 
 
 def test_triangle_entry_out_of_range_reads_zero():
     tri = bzl_path(make_tableau(2, B1))
-    assert tri.entry(1, 2) == 0
-    assert tri.entry(3, 1) == 0
-    assert tri.entry(0, 0) == 0
+    assert tri.entry(2, 2) == 2
+    assert tri.entry(2, 1) == 0
+    assert tri.entry(1, 3) == 0
+    assert tri.entry(3, 3) == 0
+    assert tri.entry(0, 1) == 0

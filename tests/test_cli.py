@@ -6,11 +6,10 @@ import sys
 import pytest
 
 import cscrystal
-from cscrystal.bzl import triangle_from_json
 from cscrystal.cli import main
 from cscrystal.hpoly import HTable, h_table
 from cscrystal.rootsys import lambda_from_fundamental
-from cscrystal.tableaux import tableau_from_json
+from cscrystal.tableaux import tableau_from_json, triangle_from_json
 from frozen import H_TABLE_OMEGA2
 
 
@@ -77,6 +76,15 @@ def test_missing_weight_rejected(capsys):
     assert "lambda" in err or "partition" in err
 
 
+def test_lambda_and_partition_together_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--rank", "2", "--lambda", "1,0", "--partition", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--partition" in err and "--lambda" in err
+
+
 def test_unknown_flag(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--rank", "2", "--bogus")
     assert code == 2
@@ -111,9 +119,11 @@ def test_bzl_json_roundtrip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload["path"]["layout"] == "BZL"
+    assert payload["stats"]["layout"] == "STATS"
     path = triangle_from_json(payload["path"])
     stats = triangle_from_json(payload["stats"])
-    assert path.to_stats() == stats
+    assert path == stats
     assert payload["g"] == [[2, 1], [1, -1]]
     assert payload["c_coeffs"] == [0, 0, 1, -1]
 
@@ -136,7 +146,7 @@ def test_bzl_internal_breach_exit_code(capsys, monkeypatch):
     def tampered(t):
         tri = real(t)
         flipped = frozenset({(1, 1)} ^ tri.circled)
-        return type(tri)(tri.rank, tri.layout, tri.grid, flipped, tri.boxed)
+        return type(tri)(tri.rank, tri.grid, flipped, tri.boxed)
 
     monkeypatch.setattr(cli_module, "decorate_via_stats", tampered)
     code, _, err = run_cli(capsys, "bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3")
@@ -164,37 +174,15 @@ def test_verify_json(capsys):
     assert payload["lhs_terms"] == payload["rhs_terms"]
 
 
-def test_verify_threads_do_not_change_bytes(capsys):
-    _, out1, _ = run_cli(
-        capsys, "verify", "--rank", "2", "--lambda", "1,1", "--threads", "1"
-    )
-    _, out2, _ = run_cli(
-        capsys, "verify", "--rank", "2", "--lambda", "1,1", "--threads", "3"
-    )
-    assert out1 == out2
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CS_CRYSTAL_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--rank", "1", "--lambda", "1")
-    assert code == 0
-    monkeypatch.setenv("CS_CRYSTAL_THREADS", "zebra")
-    code2, _, err = run_cli(capsys, "verify", "--rank", "1", "--lambda", "1")
-    assert code2 == 2
-    assert "CS_CRYSTAL_THREADS" in err
-    for bad in ("0", "-1"):
-        monkeypatch.setenv("CS_CRYSTAL_THREADS", bad)
-        code3, out3, err3 = run_cli(capsys, "verify", "--rank", "1", "--lambda", "1")
-        assert code3 == 2
-        assert out3 == ""
-        assert "CS_CRYSTAL_THREADS" in err3
-
-
 def test_threads_flag_validation(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--rank", "1", "--lambda", "1", "--threads", "0"
-    )
-    assert code == 2
+    # there is no thread pool: --threads is an unknown flag
+    for command in ("verify", "hpoly"):
+        code, out, err = run_cli(
+            capsys, command, "--rank", "1", "--lambda", "1", "--threads", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
 
 def test_hpoly_text_matches_frozen_table(capsys):

@@ -12,10 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from cscrystal import bzl
 from cscrystal.bzl import (
-    BZL_LAYOUT,
-    STATS_LAYOUT,
-    DecoratedTriangle,
-    _index_set,
     c_coefficient,
     c_counts,
     decorate_via_operators,
@@ -25,7 +21,7 @@ from cscrystal.bzl import (
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
-from cscrystal.tableaux import stats_a, stats_b
+from cscrystal.tableaux import DecoratedTriangle, stats_a, stats_b
 from cscrystal.tpoly import TPoly
 from stats_twin import (
     twin_counts,
@@ -69,18 +65,14 @@ def marked_triangles(draw):
     """A triangle of entries 0..3 at rank 1..4 with arbitrary marks,
     doubly marked entries included."""
     rank = draw(st.integers(1, 4))
-    layout = draw(st.sampled_from([BZL_LAYOUT, STATS_LAYOUT]))
-    index = _index_set(rank, layout)
-    entries = {pair: draw(st.integers(0, 3)) for pair in index}
+    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    grid = tuple(
+        tuple(draw(st.integers(0, 3)) for _ in range(i, rank + 1)) for i in range(1, rank + 1)
+    )
     marks = st.sets(st.sampled_from(index))
-    grid = []
-    for i in range(1, rank + 1):
-        js = range(1, i + 1) if layout == BZL_LAYOUT else range(i, rank + 1)
-        grid.append(tuple(entries[(i, j)] for j in js))
     return DecoratedTriangle(
         rank=rank,
-        layout=layout,
-        grid=tuple(grid),
+        grid=grid,
         circled=frozenset(draw(marks)),
         boxed=frozenset(draw(marks)),
     )

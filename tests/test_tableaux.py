@@ -5,8 +5,9 @@ import pytest
 import oracles
 from cscrystal.rootsys import GLWeight, Shape
 from cscrystal.tableaux import (
+    BZL_LAYOUT,
+    DecoratedTriangle,
     Segment,
-    TriangularArray,
     content,
     first_strictness_violation,
     is_strict,
@@ -87,9 +88,9 @@ def test_stats_grids():
     b = stats_b(b2)
     assert b.grid == ((3, 1, 0), (2, 0), (1,))
     # out-of-range reads are zero
-    assert a.get(0, 1) == 0
-    assert a.get(1, 4) == 0
-    assert a.get(2, 1) == 0
+    assert a.entry(0, 1) == 0
+    assert a.entry(1, 4) == 0
+    assert a.entry(2, 1) == 0
 
 
 def test_stats_small_examples():
@@ -100,10 +101,13 @@ def test_stats_small_examples():
 
 
 def test_triangular_array_shape():
-    tri = TriangularArray.from_function(3, lambda i, j: 10 * i + j)
-    assert tri.get(1, 3) == 13
-    assert tri.get(3, 3) == 33
-    assert tri.get(2, 1) == 0
+    tri = DecoratedTriangle(3, ((11, 12, 13), (22, 23), (33,)))
+    assert tri.entry(1, 3) == 13
+    assert tri.entry(3, 3) == 33
+    assert tri.entry(2, 1) == 0
+    assert tri.circled == tri.boxed == frozenset()
+    assert tri.inline() == "(11, 12, 13; 22, 23; 33)"
+    assert tri.inline(BZL_LAYOUT) == "(11; 22, 12; 33, 23, 13)"
     assert list(tri.items()) == [
         ((1, 1), 11),
         ((1, 2), 12),
@@ -113,7 +117,11 @@ def test_triangular_array_shape():
         ((3, 3), 33),
     ]
     with pytest.raises(ValueError):
-        TriangularArray(2, ((1, 2), (3, 4)))
+        DecoratedTriangle(2, ((1, 2), (3, 4)))
+    with pytest.raises(ValueError):
+        DecoratedTriangle(2, ((1, 2), (3,)), circled=frozenset({(2, 1)}))
+    with pytest.raises(ValueError):
+        tri.inline("PATH")
 
 
 def test_strictness():

@@ -8,9 +8,9 @@ route, and full validation of every operator image.
 
 from hypothesis import given, settings, strategies as st
 
-from cscrystal.bzl import _walk, decorate_via_operators, decorate_via_stats
+from cscrystal.bzl import _walk, bzl_path, decorate_via_operators, decorate_via_stats
 from cscrystal.crystal import e_op, epsilon, f_op, phi
-from cscrystal.tableaux import make_tableau
+from cscrystal.tableaux import make_tableau, stats_a
 from operator_walk import operator_walk
 
 
@@ -46,7 +46,8 @@ def test_kernel_walk_matches_operator_walk(t):
 @settings(max_examples=60, deadline=None)
 @given(strict_shape_tableaux())
 def test_decoration_routes_agree_at_ranks_4_and_5(t):
-    assert decorate_via_operators(t).to_stats() == decorate_via_stats(t)
+    assert decorate_via_operators(t) == decorate_via_stats(t)
+    assert bzl_path(t) == stats_a(t)
 
 
 @settings(max_examples=60, deadline=None)

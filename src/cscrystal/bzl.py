@@ -56,10 +56,10 @@ def long_word(rank: int) -> LongWord:
     return LongWord(rank, _long_word_letters(rank))
 
 
-def _require_strict_shape(t: Tableau) -> Shape:
-    shape = t.shape
-    if not shape.is_strict():
-        raise ValueError(f"tableau shape {shape.parts} is not strictly decreasing")
+def _require_strict(shape: Shape, what: str) -> Shape:
+    defect = shape.strictness_defect()
+    if defect is not None:
+        raise ValueError(f"{what} {defect}")
     return shape
 
 
@@ -99,7 +99,7 @@ def _walk_to_top(t: Tableau):
 
     Returns the step counts and the boxed positions.
     """
-    shape = _require_strict_shape(t)
+    shape = _require_strict(t.shape, "tableau shape")
     entries, boxed, top = _walk(t)
     if top != _top(shape, t.rank):
         raise RuntimeError("walk did not finish at the highest-weight tableau")
@@ -141,7 +141,7 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
     with out-of-range reads equal to 0.  Both statistics come from one
     histogram of the rows.
     """
-    th = _theta(_require_strict_shape(t))
+    th = _theta(_require_strict(t.shape, "tableau shape"))
     hist = _row_histograms(t)
     a, b = _a_rows(hist), _b_rows(hist)
     r = t.rank
@@ -160,6 +160,55 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
                 boxed.append((i, j))
         above = a[i - 1]
     return DecoratedTriangle(r, a, frozenset(circled), frozenset(boxed))
+
+
+def _row_marks(rank: int, i: int, gap: int, row: tuple, below: tuple) -> tuple[int, int, int]:
+    """(circled, boxed, both) counts of triangle row i, from rows i and i+1.
+
+    (i, j) is circled when row i holds no j+1, since a_{i,j} - a_{i-1,j}
+    counts them, and boxed when b_{i,j}, the entries of row i above j,
+    reach gap = theta_i plus b_{i+1,j+1}, the entries of row i+1 above
+    j+1 (0 for the last row).
+    """
+    circled = boxed = both = 0
+    for j in range(i, rank + 1):
+        circ = j + 1 not in row
+        box = sum(x > j for x in row) >= gap + sum(x > j + 1 for x in below)
+        circled += circ
+        boxed += box
+        both += circ and box
+    return circled, boxed, both
+
+
+def crystal_mark_counts(shape: Shape, rank: int, elements):
+    """Yield (t, alive, boxed count, unmarked count) for each element.
+
+    The whole-crystal twin of _mark_counts(decorate_via_stats(t)).  Row
+    i of a triangle is marked from rows i and i+1 of the tableau and
+    theta_i alone (_row_marks), so every element, all of the given
+    shape, is scored as a sum over its adjacent row pairs.  Strictness
+    and theta are checked once per crystal, and each distinct (i, row i,
+    row i+1) is marked once, in a memo that lives as long as the call.
+    A strict shape has exactly rank nonempty rows.
+    """
+    if shape.rank != rank:
+        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
+    th = _theta(_require_strict(shape, "crystal shape"))
+    size = rank * (rank + 1) // 2
+    last = rank - 1
+    memo = {}
+    for t in elements:
+        rows = t.rows
+        circled = boxed = both = 0
+        for i in range(rank):
+            key = (i, rows[i], rows[i + 1] if i < last else ())
+            marks = memo.get(key)
+            if marks is None:
+                marks = memo[key] = _row_marks(rank, i + 1, th[i], *key[1:])
+            circled += marks[0]
+            boxed += marks[1]
+            both += marks[2]
+        yield t, not both, boxed, size - circled - boxed + both
 
 
 def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:

@@ -199,7 +199,7 @@ def highest_weight_tableau(shape: Shape, rank: int) -> Tableau:
     return make_tableau(rank, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
     """Every tableau reachable from the highest-weight element.
 

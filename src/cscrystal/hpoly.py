@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bzl import c_coefficient
+from .bzl import _c_product, c_coefficient, crystal_mark_counts
 from .crystal import enumerate_crystal
 from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
 from .tableaux import content
@@ -142,13 +142,29 @@ def format_mu(mu: AlphaVector, root: str) -> str:
 
 
 def h_table(lam: GLWeight) -> HTable:
-    """One row per distinct weight of the rho-shifted crystal."""
+    """One row per distinct weight of the rho-shifted crystal.
+
+    One pass of bzl.crystal_mark_counts over B(lam+rho) sorts the
+    elements into groups by (content, boxed count, unmarked count); each
+    row is then built once, as the sum of n (-t)^box (1-t)^unmarked over
+    its groups of n elements.  Rows keep the order their weights are
+    first met in, and a weight whose elements all have C = 0 gets a zero
+    row.
+    """
     r = lam.rank
     shifted = lam + rho(r)
-    rows: dict = {}
-    for t in enumerate_crystal(partition_shape(shifted), r):
-        mu = gl_to_alpha(shifted - content(t))
-        rows[mu] = rows.get(mu, TPoly.zero()) + c_coefficient(t)
+    shape = partition_shape(shifted)
+    groups: dict = {}  # content coords -> {(box, unmarked): n}
+    for t, alive, box, non in crystal_mark_counts(shape, r, enumerate_crystal(shape, r)):
+        counts = groups.setdefault(content(t).coords, {})
+        if alive:
+            counts[box, non] = counts.get((box, non), 0) + 1
+    rows = {
+        gl_to_alpha(shifted - GLWeight(coords)): sum(
+            (_c_product(box, non) * n for (box, non), n in counts.items()), TPoly.zero()
+        )
+        for coords, counts in groups.items()
+    }
     return HTable(lam=lam, rank=r, rows=rows)
 
 

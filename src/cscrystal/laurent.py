@@ -9,12 +9,14 @@ monomials.  No floating point, no division.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bzl import c_coefficient, decorate_via_operators, g_from_triangle
+from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle
 
-# verify_bn_form takes the path total from its one walk and no longer
-# calls bzl_path; the name stays importable from this module because
-# perfbench/child.py traces it here.
-from .bzl import bzl_path  # noqa: F401
+# No function here calls bzl_path or c_coefficient: verify_bn_form
+# takes the path total from its one walk, and shifted_coefficients
+# scores the whole crystal in one kernel pass.  Both names stay
+# importable from this module because perfbench/child.py traces them
+# here.
+from .bzl import bzl_path, c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal
 from .rootsys import GLWeight, partition_shape, rho
 from .tableaux import content
@@ -184,12 +186,19 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
 def shifted_coefficients(lam: GLWeight) -> list:
     """(element, c_coefficient) for every element of B(lam+rho), in crystal order.
 
-    verify computes this once and hands it to both cs_rhs and
-    verify_bn_form, so each element's statistics triangle is built once.
+    Scored in one pass of bzl.crystal_mark_counts, which marks each
+    distinct pair of adjacent rows once: an element's coefficient is
+    (-t)^box (1-t)^unmarked from its mark counts, or zero when an entry
+    is both circled and boxed.  No statistics triangle is built.  verify
+    computes this once and hands it to both cs_rhs and verify_bn_form.
     """
     r = lam.rank
-    elements = enumerate_crystal(partition_shape(lam + rho(r)), r)
-    return [(t, c_coefficient(t)) for t in elements]
+    shape = partition_shape(lam + rho(r))
+    zero = TPoly.zero()
+    return [
+        (t, _c_product(box, non) if alive else zero)
+        for t, alive, box, non in crystal_mark_counts(shape, r, enumerate_crystal(shape, r))
+    ]
 
 
 def cs_rhs(lam: GLWeight, *, coefficients: list | None = None) -> LaurentPoly:

@@ -74,10 +74,20 @@ class Shape:
 
     def is_strict(self) -> bool:
         """Strictly decreasing through part r, with the last part zero."""
-        r = self.rank
-        return self.parts[r] == 0 and all(
-            self.parts[i] > self.parts[i + 1] for i in range(r)
-        )
+        return self.strictness_defect() is None
+
+    def strictness_defect(self) -> str | None:
+        """Which rule of is_strict the shape breaks, or None when strict.
+
+        The message names the parts, so an error built on it says why a
+        shape like (4, 2, 1), strictly decreasing but ending in 1, fails.
+        """
+        p = self.parts
+        if any(a <= b for a, b in zip(p, p[1:])):
+            return f"{p} is not strictly decreasing"
+        if p[-1] != 0:
+            return f"{p} has last part {p[-1]}, and a strict shape needs last part 0"
+        return None
 
     def to_weight(self) -> GLWeight:
         return GLWeight(self.parts)
@@ -147,8 +157,9 @@ def theta(shape: Shape) -> tuple[int, ...]:
 
     Only defined for strict shapes, where every gap is >= 1.
     """
-    if not shape.is_strict():
-        raise ValueError(f"theta needs a strictly decreasing shape, got {shape.parts}")
+    defect = shape.strictness_defect()
+    if defect is not None:
+        raise ValueError(f"theta needs a strict shape: {defect}")
     return tuple(shape.parts[i] - shape.parts[i + 1] for i in range(shape.rank))
 
 

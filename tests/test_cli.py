@@ -139,6 +139,17 @@ def test_bzl_rejects_nonstrict_shape(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["hpoly", "verify"])
+def test_shifted_shape_with_nonzero_last_part_rejected(capsys, command):
+    # lambda + rho = (4, 2, 1) decreases strictly, but a strict shape
+    # must also end in 0, and the message has to say which rule failed
+    code, out, err = run_cli(capsys, command, "--rank", "2", "--partition", "2,1,1")
+    assert code == 2
+    assert out == ""
+    assert "(4, 2, 1) has last part 1" in err
+    assert "not strictly decreasing" not in err
+
+
 def test_bzl_internal_breach_exit_code(capsys, monkeypatch):
     import cscrystal.cli as cli_module
     from cscrystal.bzl import decorate_via_stats as real

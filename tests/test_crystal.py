@@ -108,6 +108,18 @@ def test_enumeration_weyl_dimension():
         )
 
 
+def test_enumeration_cache_is_bounded():
+    bound = enumerate_crystal.cache_info().maxsize
+    assert bound == 16
+    shapes = [Shape((a, b, 0)) for a in range(1, 7) for b in range(a + 1)]
+    assert len(shapes) > bound
+    for shape in shapes:
+        enumerate_crystal(shape, 2)
+    assert enumerate_crystal.cache_info().currsize <= bound
+    enumerate_crystal.cache_clear()
+    assert enumerate_crystal.cache_info().currsize == 0
+
+
 def test_crystal_axioms_on_suite():
     # f and e are mutually inverse partial maps and shift the weight by
     # a simple root; phi - eps equals the weight pairing.

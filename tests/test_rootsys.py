@@ -72,8 +72,10 @@ def test_theta():
     assert theta(Shape((6, 3, 1, 0))) == (3, 2, 1)
     assert theta(Shape((3, 2, 0))) == (1, 2)
     assert theta(Shape((1, 0))) == (1,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly decreasing"):
         theta(Shape((3, 3, 0)))
+    with pytest.raises(ValueError, match=r"\(3, 2, 1\) has last part 1"):
+        theta(Shape((3, 2, 1)))
 
 
 def test_alpha_gl_conversion():

@@ -1,19 +1,26 @@
-"""The one-histogram statistics kernel against its entry-by-entry twin.
+"""The statistics kernels against their entry-by-entry twins.
 
-Property tests at ranks 4 and 5 draw tableaux of random strict shapes
-(the generator of test_word_kernel) and compare the kernel's triangle,
-marks, counts and memoized coefficients with tests/stats_twin.py.  G,
-read from the mark counts, is held against the entry-by-entry product on
+Property tests at ranks 4 and 5 draw tableaux of random shapes (the
+generators of test_word_kernel) and compare the one-histogram kernel's
+triangle, marks, counts and memoized coefficients with
+tests/stats_twin.py.  The whole-crystal row-pair kernel,
+bzl.crystal_mark_counts, is held against the mark counts of
+decorate_via_stats on whole crystals and on rank-5 samples.  G, read
+from the mark counts, is held against the entry-by-entry product on
 arbitrarily marked triangles and on operator-route triangles.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscrystal import bzl
+from cscrystal import bzl, laurent
 from cscrystal.bzl import (
+    _mark_counts,
     c_coefficient,
     c_counts,
+    crystal_mark_counts,
     decorate_via_operators,
     decorate_via_stats,
     g_from_triangle,
@@ -30,7 +37,7 @@ from stats_twin import (
     twin_stats_a,
     twin_stats_b,
 )
-from test_word_kernel import strict_shape_tableaux
+from test_word_kernel import any_shape_tableaux, fill_shape, strict_shape_tableaux
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,17 +110,100 @@ def test_stats_match_twin_on_every_tableau(parts):
         assert stats_b(t) == twin_stats_b(3, t.rows)
 
 
-def test_verify_builds_one_triangle_per_element(capsys, monkeypatch):
-    calls = []
-    real = bzl.decorate_via_stats
+@settings(max_examples=80, deadline=None)
+@given(any_shape_tableaux())
+def test_stats_match_twin_on_any_shape(t):
+    assert stats_a(t) == twin_stats_a(t.rank, t.rows)
+    assert stats_b(t) == twin_stats_b(t.rank, t.rows)
 
-    def counted(t):
-        calls.append(t)
-        return real(t)
 
-    monkeypatch.setattr(bzl, "decorate_via_stats", counted)
+def _kernel_crystals():
+    """B(lam+rho) for every lam at ranks 1..3 with fundamental
+    coefficients <= 2, and rank 4 at omega_1, omega_4 and (1,1,0,0)."""
+    weights = [
+        lambda_from_fundamental(coeffs, rank)
+        for rank in (1, 2, 3)
+        for coeffs in product(range(3), repeat=rank)
+    ]
+    weights += [
+        lambda_from_fundamental(coeffs, 4)
+        for coeffs in [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0)]
+    ]
+    for lam in weights:
+        shape = partition_shape(lam + rho(lam.rank))
+        yield shape, lam.rank, enumerate_crystal(shape, lam.rank)
+
+
+def test_kernel_counts_match_triangle_on_crystals():
+    for shape, rank, elements in _kernel_crystals():
+        scored = list(crystal_mark_counts(shape, rank, elements))
+        assert [t for t, *_ in scored] == list(elements)
+        for t, *counts in scored:
+            assert tuple(counts) == _mark_counts(decorate_via_stats(t))
+
+
+@st.composite
+def rank5_samples(draw):
+    """A strict rank-5 shape and a few tableaux of it, so the kernel's
+    row-pair memo is shared between elements."""
+    gaps = draw(st.lists(st.integers(1, 2), min_size=5, max_size=5))
+    parts = [sum(gaps[k:]) for k in range(5)]
+    count = draw(st.integers(1, 6))
+    return Shape(tuple(parts) + (0,)), [fill_shape(draw, 5, parts) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank5_samples())
+def test_kernel_counts_match_triangle_at_rank_5(sample):
+    shape, elements = sample
+    for t, *counts in crystal_mark_counts(shape, 5, elements):
+        assert tuple(counts) == _mark_counts(decorate_via_stats(t))
+
+
+def _assert_circles_read_row(t):
+    tri = decorate_via_stats(t)
+    for (i, j), _ in tri.items():
+        assert ((i, j) in tri.circled) == (j + 1 not in t.rows[i - 1])
+
+
+def test_circled_iff_row_holds_no_successor(suite):
+    # a_{i,j} - a_{i-1,j} counts the j+1's in row i, so (i, j) is
+    # circled exactly when row i holds no j+1
+    for lam in suite:
+        shape = partition_shape(lam + rho(lam.rank))
+        for t in enumerate_crystal(shape, lam.rank):
+            _assert_circles_read_row(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_shape_tableaux())
+def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
+    _assert_circles_read_row(t)
+
+
+def test_kernel_rejects_shape_with_nonzero_last_part():
+    with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
+        list(crystal_mark_counts(Shape((4, 2, 1)), 2, []))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        list(crystal_mark_counts(Shape((3, 3, 0)), 2, []))
+
+
+def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
+    passes, stats_calls = [], []
+    real_kernel, real_stats = laurent.crystal_mark_counts, bzl.decorate_via_stats
+
+    def counted_kernel(shape, rank, elements):
+        passes.append(list(elements))
+        return real_kernel(shape, rank, passes[-1])
+
+    def counted_stats(t):
+        stats_calls.append(t)
+        return real_stats(t)
+
+    monkeypatch.setattr(laurent, "crystal_mark_counts", counted_kernel)
+    monkeypatch.setattr(bzl, "decorate_via_stats", counted_stats)
     assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
     lam = lambda_from_fundamental((1, 0, 0), 3)
     elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)
-    assert len(calls) == len(elements)
-    assert set(calls) == set(elements)
+    assert passes == [list(elements)]
+    assert stats_calls == []

@@ -14,18 +14,14 @@ from cscrystal.tableaux import make_tableau, stats_a
 from operator_walk import operator_walk
 
 
-@st.composite
-def strict_shape_tableaux(draw):
-    """A semistandard tableau of a random strict shape at rank 4 or 5.
+def fill_shape(draw, rank, parts):
+    """A semistandard tableau of shape parts with entries in 1..rank+1.
 
     Row by row, each entry lies between its left neighbour (and one more
     than the entry above) and the largest value that still leaves room
     for the boxes below it in its column.
     """
-    rank = draw(st.integers(4, 5))
-    gaps = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
-    parts = [sum(gaps[k:]) for k in range(rank)]
-    heights = [sum(1 for p in parts if p > col) for col in range(parts[0])]
+    heights = [sum(1 for p in parts if p > col) for col in range(max(parts, default=0))]
     rows = []
     for i, length in enumerate(parts):
         row = []
@@ -35,6 +31,27 @@ def strict_shape_tableaux(draw):
             row.append(draw(st.integers(low, high)))
         rows.append(row)
     return make_tableau(rank, rows)
+
+
+@st.composite
+def strict_shape_tableaux(draw):
+    """A semistandard tableau of a random strict shape at rank 4 or 5."""
+    rank = draw(st.integers(4, 5))
+    gaps = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    parts = [sum(gaps[k:]) for k in range(rank)]
+    return fill_shape(draw, rank, parts)
+
+
+@st.composite
+def any_shape_tableaux(draw):
+    """A semistandard tableau of a random shape at rank 4 or 5.
+
+    Most shapes drawn repeat a part or end in a nonzero part, so they
+    are not strict; a full column of rank+1 boxes is allowed.
+    """
+    rank = draw(st.integers(4, 5))
+    parts = draw(st.lists(st.integers(0, 4), min_size=rank + 1, max_size=rank + 1))
+    return fill_shape(draw, rank, sorted(parts, reverse=True))
 
 
 @settings(max_examples=60, deadline=None)

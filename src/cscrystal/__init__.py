@@ -8,27 +8,21 @@ integer arithmetic.
 """
 
 from .bzl import (
-    LongWord,
     bzl_path,
     c_coefficient,
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    long_word,
     path_entry_sum,
 )
 from .crystal import (
-    TensorElement,
     e_op,
     enumerate_crystal,
     epsilon,
     f_op,
     highest_weight_tableau,
-    i_signature,
     phi,
     reading_word,
-    tensor_e_op,
-    tensor_f_op,
 )
 from .hpoly import (
     HTable,
@@ -65,13 +59,11 @@ from .rootsys import (
 )
 from .tableaux import (
     DecoratedTriangle,
-    Segment,
     Tableau,
     content,
     is_strict,
     make_tableau,
     parse_tableau,
-    segments,
     stats_a,
     stats_b,
     tableau_from_json,

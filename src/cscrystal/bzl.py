@@ -14,7 +14,6 @@ PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -26,34 +25,6 @@ from .crystal import e_op, phi  # noqa: F401
 from .rootsys import Shape, theta
 from .tableaux import DecoratedTriangle, Tableau, _a_rows, _b_rows, _row_histograms
 from .tpoly import QLaurent, TPoly
-
-
-@dataclass(frozen=True)
-class LongWord:
-    """The fixed reduced word, blocks (1), (2,1), ..., (r,...,1)."""
-
-    rank: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.letters != _long_word_letters(self.rank):
-            raise ValueError("letters must follow the fixed block schedule")
-
-    def __len__(self):
-        return len(self.letters)
-
-
-def _long_word_letters(rank: int) -> tuple[int, ...]:
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    out = []
-    for block in range(1, rank + 1):
-        out.extend(range(block, 0, -1))
-    return tuple(out)
-
-
-def long_word(rank: int) -> LongWord:
-    return LongWord(rank, _long_word_letters(rank))
 
 
 def _require_strict(shape: Shape, what: str) -> Shape:

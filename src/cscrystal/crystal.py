@@ -15,11 +15,10 @@ surviving slot keeps rows weakly increasing and columns strictly
 increasing, so those tableaux are built without re-validation.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsys import Shape
-from .tableaux import Tableau, content, make_tableau
+from .tableaux import Tableau, make_tableau
 
 
 @lru_cache(maxsize=16)
@@ -78,78 +77,6 @@ def surviving_slots(word, i: int) -> tuple[list[int], list[int]]:
             else:
                 minus.append(slot)
     return minus, plus
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Signed slots of a word (or tensor factor list) for one letter i.
-
-    raw holds (slot, sign) pairs in reading order before cancellation,
-    surviving the ones left after it.  Slots are 0-indexed.
-    """
-
-    slots: int
-    raw: tuple[tuple[int, str], ...]
-    surviving: tuple[tuple[int, str], ...]
-
-    @property
-    def eps(self) -> int:
-        return sum(1 for _, s in self.surviving if s == "-")
-
-    @property
-    def phi(self) -> int:
-        return sum(1 for _, s in self.surviving if s == "+")
-
-    def leftmost_plus(self) -> int | None:
-        for slot, s in self.surviving:
-            if s == "+":
-                return slot
-        return None
-
-    def rightmost_minus(self) -> int | None:
-        best = None
-        for slot, s in self.surviving:
-            if s == "-":
-                best = slot
-        return best
-
-    def render_raw(self) -> str:
-        return self._render(self.raw)
-
-    def render_reduced(self) -> str:
-        return self._render(self.surviving)
-
-    def _render(self, pairs) -> str:
-        symbols = ["·"] * self.slots
-        for slot, s in pairs:
-            symbols[slot] = s
-        return "(" + ",".join(symbols) + ")"
-
-
-def i_signature(element, i: int) -> Signature:
-    """Signature of a reading word, an int sequence, or a TensorElement.
-
-    A tensor element becomes a word too: each factor spells its eps
-    surviving '-' as letters i+1, then its phi surviving '+' as letters
-    i, and owners[k] names the factor that letter k came from.
-    """
-    if isinstance(element, TensorElement):
-        signs, owners = [], []
-        for idx, factor in enumerate(element.factors):
-            n_minus, n_plus = epsilon(factor, i), phi(factor, i)
-            signs += [i + 1] * n_minus + [i] * n_plus
-            owners += [idx] * (n_minus + n_plus)
-        slots = len(element.factors)
-    else:
-        signs = tuple(element)
-        owners = range(len(signs))
-        slots = len(signs)
-    raw = tuple(
-        (owners[k], "-" if x == i + 1 else "+") for k, x in enumerate(signs) if x == i or x == i + 1
-    )
-    minus, plus = surviving_slots(signs, i)
-    surviving = tuple((owners[k], "-") for k in minus) + tuple((owners[k], "+") for k in plus)
-    return Signature(slots=slots, raw=raw, surviving=surviving)
 
 
 def f_op(t: Tableau, i: int) -> Tableau | None:
@@ -230,50 +157,3 @@ def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
         out.append(tableau_from_word(start, seen.pop()))
     out.sort(key=lambda t: t.rows)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """Ordered list of tableau factors; operators act on one factor."""
-
-    factors: tuple[Tableau, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("tensor element needs at least one factor")
-        ranks = {t.rank for t in self.factors}
-        if len(ranks) != 1:
-            raise ValueError("tensor factors must share one rank")
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].rank
-
-    def weight(self):
-        total = content(self.factors[0])
-        for factor in self.factors[1:]:
-            total = total + content(factor)
-        return total
-
-
-def _tensor_apply(elem: TensorElement, i: int, factor_op, pick):
-    sig = i_signature(elem, i)
-    idx = pick(sig)
-    if idx is None:
-        return None
-    moved = factor_op(elem.factors[idx], i)
-    if moved is None:
-        raise RuntimeError("signature promised a move the factor refused")
-    factors = list(elem.factors)
-    factors[idx] = moved
-    return TensorElement(tuple(factors))
-
-
-def tensor_f_op(elem: TensorElement, i: int) -> TensorElement | None:
-    """Lower the factor owning the leftmost surviving '+'."""
-    return _tensor_apply(elem, i, f_op, Signature.leftmost_plus)
-
-
-def tensor_e_op(elem: TensorElement, i: int) -> TensorElement | None:
-    """Raise the factor owning the rightmost surviving '-'."""
-    return _tensor_apply(elem, i, e_op, Signature.rightmost_minus)

@@ -72,15 +72,9 @@ class HTable:
             for mu in sorted(self.rows, key=lambda m: (m.degree(), m.c))
         ]
 
-    def supports(self, mu: AlphaVector) -> bool:
-        return mu in self.rows
-
-    def max_t_degree(self) -> int:
-        return max(p.degree() for p in self.rows.values())
-
     def to_csv(self) -> str:
         """Columns c_1..c_r, then t-coefficients padded to a common degree."""
-        width = self.max_t_degree() + 1
+        width = max(p.degree() for p in self.rows.values()) + 1
         header = [f"c{i}" for i in range(1, self.rank + 1)] + [
             f"t{k}" for k in range(width)
         ]

@@ -7,7 +7,6 @@ monomials.  No floating point, no division.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle
 
@@ -95,9 +94,6 @@ class LaurentPoly:
                     out[e] = prod
         return LaurentPoly(self.rank, out)
 
-    def scale(self, coeff: TPoly) -> "LaurentPoly":
-        return LaurentPoly(self.rank, {e: c * coeff for e, c in self.terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.rank == other.rank and self.terms == other.terms
@@ -105,37 +101,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self.rank, frozenset(self.terms.items())))
-
-    def eval_t(self, value) -> "LaurentPoly":
-        """Substitute a number for t; constant coefficients remain."""
-        return LaurentPoly(
-            self.rank, {e: TPoly.constant(c.eval(value)) for e, c in self.terms.items()}
-        )
-
-    def eval_z(self, values) -> TPoly:
-        """Substitute nonzero numbers for every z_i; exact via Fractions."""
-        values = [Fraction(v) for v in values]
-        if len(values) != self.rank + 1:
-            raise ValueError(f"need {self.rank + 1} values")
-        if any(v == 0 for v in values):
-            raise ValueError("z values must be nonzero (negative exponents occur)")
-        acc = TPoly.zero()
-        for exp, coeff in self.terms.items():
-            scalar = Fraction(1)
-            for v, e in zip(values, exp):
-                scalar *= v**e
-            acc = acc + coeff * scalar
-        return acc
-
-    def to_json(self) -> list:
-        return [
-            {"exp": list(exp), "coeff": list(coeff.coeffs)}
-            for exp, coeff in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, rank: int, data: list) -> "LaurentPoly":
-        return cls(rank, {tuple(item["exp"]): TPoly(tuple(item["coeff"])) for item in data})
 
     def __str__(self):
         if not self.terms:

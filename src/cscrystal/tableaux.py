@@ -56,7 +56,13 @@ class Tableau:
 
 
 def make_tableau(rank: int, rows) -> Tableau:
-    """Validate and build a Tableau; raises ValueError on any defect."""
+    """Validate and build a Tableau; raises ValueError on any defect.
+
+    Booleans are refused as the rank and as entries, although bool is a
+    subclass of int: a JSON true would otherwise pass as 1.
+    """
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"rank {rank!r} is not an integer")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     rows = tuple(tuple(row) for row in rows if len(row) > 0)
@@ -64,7 +70,9 @@ def make_tableau(rank: int, rows) -> Tableau:
         raise ValueError(f"too many rows ({len(rows)}) for rank {rank}")
     for i, row in enumerate(rows, start=1):
         for x in row:
-            if not isinstance(x, int) or not 1 <= x <= rank + 1:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"entry {x!r} in row {i} is not an integer")
+            if not 1 <= x <= rank + 1:
                 raise ValueError(f"entry {x} in row {i} outside 1..{rank + 1}")
         if any(a > b for a, b in zip(row, row[1:])):
             raise ValueError(f"row {i} is not weakly increasing: {row}")
@@ -211,16 +219,6 @@ def triangle_from_json(obj: dict) -> DecoratedTriangle:
     )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Maximal run of equal entries k in one row, with k > row index."""
-
-    row: int
-    color: int
-    start: int  # 1-indexed column of the run's first box
-    length: int
-
-
 def content(t: Tableau) -> GLWeight:
     """Entry-count vector: coordinate k is the number of boxes holding k."""
     counts = [0] * (t.rank + 1)
@@ -315,24 +313,3 @@ def first_strictness_violation(t: Tableau) -> int | None:
                 if best is None or i < best:
                     best = i
     return best
-
-
-def segments(t: Tableau) -> list[Segment]:
-    """All maximal constant runs with color above the row index.
-
-    Runs of k in row i count only when i+1 <= k <= rank+1; the leading
-    run of i-entries in row i is never a segment.  Ordered by (row,
-    start column).
-    """
-    out = []
-    for i, row in enumerate(t.rows, start=1):
-        j = 0
-        while j < len(row):
-            k = row[j]
-            run = 1
-            while j + run < len(row) and row[j + run] == k:
-                run += 1
-            if i + 1 <= k <= t.rank + 1:
-                out.append(Segment(row=i, color=k, start=j + 1, length=run))
-            j += run
-    return out

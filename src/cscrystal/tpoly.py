@@ -35,10 +35,6 @@ class TPoly:
         return cls((1,))
 
     @classmethod
-    def t(cls):
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c):
         return cls((c,))
 

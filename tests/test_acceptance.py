@@ -20,7 +20,15 @@ from cscrystal.bzl import (
     path_entry_sum,
 )
 from cscrystal.cli import main
-from cscrystal.crystal import e_op, enumerate_crystal, f_op, i_signature, reading_word
+from cscrystal.crystal import (
+    e_op,
+    enumerate_crystal,
+    epsilon,
+    f_op,
+    phi,
+    reading_word,
+    surviving_slots,
+)
 from cscrystal.hpoly import (
     SpecPoint,
     h_table,
@@ -173,9 +181,8 @@ def test_08_operator_fixture():
     with verdict(8, "rank-4 signature fixture: scan, null raise, exact lower"):
         t = make_tableau(4, [[1, 3, 3], [3, 4], [5]])
         assert reading_word(t) == (3, 3, 4, 1, 3, 5)
-        sig = i_signature(reading_word(t), 3)
-        assert sig.render_raw() == "(+,+,-,·,+,·)"
-        assert sig.render_reduced() == "(+,·,·,·,+,·)"
+        assert surviving_slots(reading_word(t), 3) == ([], [0, 4])
+        assert epsilon(t, 3) == 0 and phi(t, 3) == 2
         assert e_op(t, 3) is None
         assert f_op(t, 3) == make_tableau(4, [[1, 3, 4], [3, 4], [5]])
 

@@ -13,7 +13,6 @@ from cscrystal.bzl import (
     decorate_via_stats,
     g_coefficient,
     g_from_triangle,
-    long_word,
     path_entry_sum,
 )
 from cscrystal.crystal import highest_weight_tableau
@@ -30,17 +29,6 @@ from cscrystal.tableaux import (
 )
 from cscrystal.tpoly import QLaurent, TPoly
 from test_word_kernel import strict_shape_tableaux
-
-
-def test_long_word():
-    assert long_word(1).letters == (1,)
-    assert long_word(2).letters == (1, 2, 1)
-    assert long_word(3).letters == (1, 2, 1, 3, 2, 1)
-    assert len(long_word(4)) == 10
-    from cscrystal.bzl import LongWord
-
-    with pytest.raises(ValueError):
-        LongWord(2, (2, 1, 2))
 
 
 B1 = [[1, 2, 2], [3, 3]]

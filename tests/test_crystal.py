@@ -4,17 +4,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import shifted_elements, suite_weights
 from cscrystal.crystal import (
-    TensorElement,
     e_op,
     enumerate_crystal,
     epsilon,
     f_op,
     highest_weight_tableau,
-    i_signature,
     phi,
     reading_word,
-    tensor_e_op,
-    tensor_f_op,
+    surviving_slots,
 )
 from cscrystal.rootsys import GLWeight, Shape, simple_root
 from cscrystal.tableaux import content, make_tableau
@@ -34,21 +31,15 @@ def test_signature_fixture():
     t = make_tableau(4, [[1, 3, 3], [3, 4], [5]])
     word = reading_word(t)
     assert word == (3, 3, 4, 1, 3, 5)
-    sig = i_signature(word, 3)
-    assert sig.render_raw() == "(+,+,-,·,+,·)"
-    assert sig.render_reduced() == "(+,·,·,·,+,·)"
-    assert sig.eps == 0 and sig.phi == 2
+    assert surviving_slots(word, 3) == ([], [0, 4])
+    assert epsilon(t, 3) == 0 and phi(t, 3) == 2
     assert e_op(t, 3) is None
     assert f_op(t, 3) == make_tableau(4, [[1, 3, 4], [3, 4], [5]])
 
 
 def test_signature_word_direct():
-    sig = i_signature((4, 3, 4, 1, 3, 5), 3)
-    assert sig.render_raw() == "(-,+,-,·,+,·)"
-    assert sig.render_reduced() == "(-,·,·,·,+,·)"
-    assert sig.eps == 1 and sig.phi == 1
-    assert sig.leftmost_plus() == 4
-    assert sig.rightmost_minus() == 0
+    # signs (-,+,-,·,+,·): the '+' at slot 1 cancels the '-' at slot 2
+    assert surviving_slots((4, 3, 4, 1, 3, 5), 3) == ([0], [4])
 
 
 def test_operators_on_single_boxes():
@@ -197,52 +188,6 @@ def test_cancellation_matches_repeated_rescan(word, i):
                 del reduced[k : k + 2]
                 changed = True
                 break
-    sig = i_signature(word, i)
-    assert sig.raw == tuple(signs)
-    assert sig.surviving == tuple(reduced)
+    minus, plus = surviving_slots(word, i)
+    assert [(k, "-") for k in minus] + [(k, "+") for k in plus] == reduced
 
-
-def test_tensor_signature_matches_word():
-    # the reading word's signature is the tensor signature of its boxes
-    for t in enumerate_crystal(Shape((3, 2, 0)), 2):
-        word = reading_word(t)
-        boxes = TensorElement(tuple(make_tableau(2, [[x]]) for x in word))
-        for i in (1, 2):
-            assert i_signature(boxes, i).surviving == i_signature(word, i).surviving
-
-
-def test_tensor_operators():
-    left = make_tableau(2, [[2], [3]])
-    right = make_tableau(2, [[1, 2], [3]])
-    pair = TensorElement((left, right))
-    moved = tensor_f_op(pair, 1)
-    assert moved == TensorElement((left, make_tableau(2, [[2, 2], [3]])))
-    assert tensor_e_op(moved, 1) == pair
-    assert pair.weight() == GLWeight((1, 2, 2))
-    assert moved.weight() == GLWeight((0, 3, 2))
-
-
-def test_tensor_single_factor_reduces_to_plain_op():
-    for t in enumerate_crystal(Shape((2, 1, 0)), 2):
-        for i in (1, 2):
-            got = tensor_f_op(TensorElement((t,)), i)
-            plain = f_op(t, i)
-            if plain is None:
-                assert got is None
-            else:
-                assert got == TensorElement((plain,))
-
-
-def test_tensor_inverse_property():
-    crystal_left = enumerate_crystal(Shape((1, 1, 0)), 2)
-    crystal_right = enumerate_crystal(Shape((2, 1, 0)), 2)
-    for a in crystal_left:
-        for b in crystal_right:
-            pair = TensorElement((a, b))
-            for i in (1, 2):
-                down = tensor_f_op(pair, i)
-                if down is not None:
-                    assert tensor_e_op(down, i) == pair
-                up = tensor_e_op(pair, i)
-                if up is not None:
-                    assert tensor_f_op(up, i) == pair

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from conftest import suite_weights
-from cscrystal.crystal import TensorElement, enumerate_crystal
+from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import (
     HTable,
     SpecPoint,
@@ -25,7 +25,7 @@ from cscrystal.rootsys import (
     lambda_from_fundamental,
     rho,
 )
-from cscrystal.tableaux import content, make_tableau
+from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
 from oracles import h_direct
@@ -94,10 +94,8 @@ def test_table_rows_have_nonzero_polynomials():
         if lam.rank > 2:
             continue
         table = h_table(lam)
-        for mu, poly in table.rows.items():
+        for poly in table.rows.values():
             assert poly != TPoly.zero()
-            assert table.supports(mu)
-        assert not table.supports(AlphaVector((9, 9)[: lam.rank]))
 
 
 def test_specializations_match_oracles_for_omega2():
@@ -223,4 +221,6 @@ def test_h_direct_rejects_rank_mismatch():
 
 
 def test_max_t_degree():
-    assert h_table(OMEGA2).max_t_degree() == 3
+    # to_csv pads every row to the largest t-degree, 3 for omega_2
+    header = h_table(OMEGA2).to_csv().splitlines()[0]
+    assert header.split(",")[-1] == "t3"

@@ -2,18 +2,15 @@ import json
 
 import pytest
 
-import oracles
 from cscrystal.rootsys import GLWeight, Shape
 from cscrystal.tableaux import (
     BZL_LAYOUT,
     DecoratedTriangle,
-    Segment,
     content,
     first_strictness_violation,
     is_strict,
     make_tableau,
     parse_tableau,
-    segments,
     stats_a,
     stats_b,
     tableau_from_json,
@@ -71,6 +68,11 @@ def test_json_roundtrip():
         tableau_from_json({"rank": 2})
     with pytest.raises(ValueError):
         tableau_from_json({"rank": 2, "rows": [[1]], "extra": 1})
+    # bool is an int subclass, so JSON true would otherwise read as 1
+    with pytest.raises(ValueError):
+        tableau_from_json({"rank": 2, "rows": [[True, 2]]})
+    with pytest.raises(ValueError):
+        tableau_from_json({"rank": True, "rows": [[1]]})
 
 
 def test_content():
@@ -140,39 +142,3 @@ def test_strictness():
     # equal truncation counts deeper in the tableau are caught
     pinched = make_tableau(2, [[1, 1], [2, 2]])
     assert first_strictness_violation(pinched) == 1
-
-
-def test_segments_example():
-    b = make_tableau(3, [[1, 1, 2, 3, 4], [2, 3, 3], [4]])
-    assert segments(b) == [
-        Segment(1, 2, 3, 1),
-        Segment(1, 3, 4, 1),
-        Segment(1, 4, 5, 1),
-        Segment(2, 3, 2, 2),
-        Segment(3, 4, 1, 1),
-    ]
-
-
-def test_segments_small():
-    b1 = make_tableau(2, [[1, 2, 2], [3, 3]])
-    assert segments(b1) == [Segment(1, 2, 2, 2), Segment(2, 3, 1, 2)]
-    assert segments(make_tableau(2, [])) == []
-
-
-def test_segment_bookkeeping_against_oracle():
-    # colors exceed the row index, and segment lengths plus the leading
-    # run of row-index entries account for every box
-    for rows in oracles.brute_force_ssyt((3, 2, 0), 3):
-        t = make_tableau(2, [list(r) for r in rows])
-        segs = segments(t)
-        covered = 0
-        for seg in segs:
-            assert seg.color > seg.row
-            assert seg.color <= t.rank + 1
-            for c in range(seg.start, seg.start + seg.length):
-                assert t.entry(seg.row, c) == seg.color
-            covered += seg.length
-        leading = 0
-        for i, row in enumerate(t.rows, start=1):
-            leading += sum(1 for x in row if x == i)
-        assert covered + leading == t.size()

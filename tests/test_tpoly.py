@@ -13,7 +13,6 @@ def test_construction_and_trim():
     assert TPoly(()) == TPoly.zero()
     assert TPoly((0, 0)) == TPoly.zero()
     assert TPoly.one() == TPoly((1,))
-    assert TPoly.t() == TPoly((0, 1))
     assert TPoly.constant(5) == TPoly((5,))
 
 

@@ -40,7 +40,6 @@ from .laurent import (
     cs_lhs,
     cs_rhs,
     deformed_product,
-    shifted_coefficients,
     verify_bn_form,
     verify_identity,
 )

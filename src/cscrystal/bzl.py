@@ -12,8 +12,13 @@ walk records the step count of letter i in block j at (i, j), where the
 statistics route puts a_{i,j}, so the two triangles must be equal.  The
 PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
+
+One rule, _row_marks, marks triangle row i from tableau rows i and
+i+1, in decorate_via_stats and in crystal_mark_counts; weight_sums
+sums C by weight over the scores of the latter.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
@@ -23,7 +28,7 @@ from .crystal import highest_weight_tableau, reading_word, surviving_slots, tabl
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
 from .rootsys import Shape, theta
-from .tableaux import DecoratedTriangle, Tableau, _a_rows, _b_rows, _row_histograms
+from .tableaux import DecoratedTriangle, Tableau, _a_rows, _content_coords, _row_histograms
 from .tpoly import QLaurent, TPoly
 
 
@@ -42,11 +47,11 @@ _top = lru_cache(maxsize=16)(highest_weight_tableau)
 def _walk(t: Tableau):
     """Raise t to the top along the letter schedule.
 
-    Works on one mutable reading word: each raising step rescans the
-    signature of the stage's letter and changes the rightmost surviving
-    '-'.  Returns the step counts per (letter, block), the (letter,
-    block) stages where the lowering operator was dead before the stage,
-    and the final element.
+    Works on one mutable reading word.  A stage changes every surviving
+    '-' of its letter to the letter, which is e_i applied until it dies:
+    raising the rightmost surviving '-' leaves the others surviving.
+    Returns the step counts and the stages where lowering was dead, both
+    per (letter, block), and the final element.
     """
     word = list(reading_word(t))
     entries = {}
@@ -56,12 +61,9 @@ def _walk(t: Tableau):
             minus, plus = surviving_slots(word, letter)
             if not plus:
                 boxed.add((letter, block))
-            count = 0
-            while minus:
-                word[minus[-1]] = letter
-                count += 1
-                minus = surviving_slots(word, letter)[0]
-            entries[(letter, block)] = count
+            for k in minus:
+                word[k] = letter
+            entries[(letter, block)] = len(minus)
     return entries, boxed, tableau_from_word(t, word)
 
 
@@ -107,48 +109,35 @@ def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
 def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
     """Statistic-based marks, no crystal walking.
 
-    Entries are the color counts a_{i,j}; (i, j) is boxed when
-    b_{i,j} >= theta_i + b_{i+1,j+1} and circled when a_{i,j} = a_{i-1,j},
-    with out-of-range reads equal to 0.  Both statistics come from one
-    histogram of the rows.
+    Entries are the color counts a_{i,j}, from one row histogram; the
+    marks of row i come from tableau rows i and i+1 (_row_marks).
     """
-    th = _theta(_require_strict(t.shape, "tableau shape"))
-    hist = _row_histograms(t)
-    a, b = _a_rows(hist), _b_rows(hist)
     r = t.rank
+    th = _theta(_require_strict(t.shape, "tableau shape"))
+    rows = t.rows + ((),)  # a strict shape has exactly r nonempty rows
     circled, boxed = [], []
-    above = (0,) * (r + 1)  # a_{0,j} = 0
     for i in range(1, r + 1):
-        # row i holds j = i..r; a_{i-1,j} sits one further along row i-1,
-        # and b_{i+1,j+1} at the same place in row i+1, 0 past its end
-        below = b[i] + (0,) if i < r else (0,)
-        for j, a_ij, a_up, b_ij, b_down in zip(
-            range(i, r + 1), a[i - 1], above[1:], b[i - 1], below
-        ):
-            if a_ij == a_up:
-                circled.append((i, j))
-            if b_ij >= th[i - 1] + b_down:
-                boxed.append((i, j))
-        above = a[i - 1]
-    return DecoratedTriangle(r, a, frozenset(circled), frozenset(boxed))
+        circ, box = _row_marks(r, i, th[i - 1], rows[i - 1], rows[i])
+        circled += [(i, j) for j in circ]
+        boxed += [(i, j) for j in box]
+    return DecoratedTriangle(r, _a_rows(_row_histograms(t)), frozenset(circled), frozenset(boxed))
 
 
-def _row_marks(rank: int, i: int, gap: int, row: tuple, below: tuple) -> tuple[int, int, int]:
-    """(circled, boxed, both) counts of triangle row i, from rows i and i+1.
+def _row_marks(rank: int, i: int, gap: int, row: tuple, below: tuple):
+    """Circled and boxed columns j of triangle row i, from tableau rows i, i+1.
 
-    (i, j) is circled when row i holds no j+1, since a_{i,j} - a_{i-1,j}
-    counts them, and boxed when b_{i,j}, the entries of row i above j,
-    reach gap = theta_i plus b_{i+1,j+1}, the entries of row i+1 above
-    j+1 (0 for the last row).
+    (i, j) is circled when a_{i,j} = a_{i-1,j}: row i holds no j+1.  It
+    is boxed when b_{i,j} >= theta_i + b_{i+1,j+1}, where b_{i,j} counts
+    the entries of row i above j and below is empty for the last row.
+    Rows are sorted, so each such count is one bisection.
     """
-    circled = boxed = both = 0
+    circled, boxed = [], []
     for j in range(i, rank + 1):
-        circ = j + 1 not in row
-        box = sum(x > j for x in row) >= gap + sum(x > j + 1 for x in below)
-        circled += circ
-        boxed += box
-        both += circ and box
-    return circled, boxed, both
+        if j + 1 not in row:
+            circled.append(j)
+        if len(row) - bisect_right(row, j) >= gap + len(below) - bisect_right(below, j + 1):
+            boxed.append(j)
+    return circled, boxed
 
 
 def crystal_mark_counts(shape: Shape, rank: int, elements):
@@ -159,23 +148,23 @@ def crystal_mark_counts(shape: Shape, rank: int, elements):
     theta_i alone (_row_marks), so every element, all of the given
     shape, is scored as a sum over its adjacent row pairs.  Strictness
     and theta are checked once per crystal, and each distinct (i, row i,
-    row i+1) is marked once, in a memo that lives as long as the call.
+    row i+1) is counted once, in a memo that lives as long as the call.
     A strict shape has exactly rank nonempty rows.
     """
     if shape.rank != rank:
         raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
     th = _theta(_require_strict(shape, "crystal shape"))
     size = rank * (rank + 1) // 2
-    last = rank - 1
     memo = {}
     for t in elements:
-        rows = t.rows
+        rows = t.rows + ((),)
         circled = boxed = both = 0
         for i in range(rank):
-            key = (i, rows[i], rows[i + 1] if i < last else ())
+            key = (i, rows[i], rows[i + 1])
             marks = memo.get(key)
             if marks is None:
-                marks = memo[key] = _row_marks(rank, i + 1, th[i], *key[1:])
+                circ, box = _row_marks(rank, i + 1, th[i], *key[1:])
+                marks = memo[key] = (len(circ), len(box), len(set(circ).intersection(box)))
             circled += marks[0]
             boxed += marks[1]
             both += marks[2]
@@ -242,6 +231,24 @@ def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPol
     if not alive:
         return TPoly.zero()
     return _c_product(box, non)
+
+
+def weight_sums(scores) -> dict:
+    """Content coordinates -> sum of C over the crystal_mark_counts scores.
+
+    Grouped by (content, box, unmarked), so each sum is built once from
+    the group sizes.  Weights keep first-seen order; one whose elements
+    all have C = 0 maps to zero.
+    """
+    groups: dict = {}  # content coords -> {(box, unmarked): n}
+    for t, alive, box, non in scores:
+        counts = groups.setdefault(_content_coords(t), {})
+        if alive:
+            counts[box, non] = counts.get((box, non), 0) + 1
+    return {
+        w: sum((_c_product(box, non) * n for (box, non), n in counts.items()), TPoly.zero())
+        for w, counts in groups.items()
+    }
 
 
 def c_factored_string(t: Tableau, *, stats: DecoratedTriangle | None = None) -> str:

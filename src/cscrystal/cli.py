@@ -28,7 +28,7 @@ from .hpoly import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
-from .laurent import shifted_coefficients, verify_bn_form, verify_identity
+from .laurent import verify_bn_form, verify_identity
 from .rootsys import (
     GLWeight,
     Shape,
@@ -131,9 +131,8 @@ def cmd_bzl(args) -> int:
 def cmd_verify(args) -> int:
     lam = _weight_from_args(args)
     started = time.monotonic()
-    coefficients = shifted_coefficients(lam)
-    report = verify_identity(lam, coefficients=coefficients)
-    bn_ok = verify_bn_form(lam, coefficients=coefficients)
+    report = verify_identity(lam)
+    bn_ok = verify_bn_form(lam)
     elapsed_ms = 1000 * (time.monotonic() - started)
     sys.stderr.write(f"elapsed: {elapsed_ms:.1f} ms\n")
     ok = report.equal and bn_ok

@@ -2,9 +2,11 @@
 
 For a dominant weight lambda, each weight drop mu (in simple-root
 coordinates) collects the coefficients of the rho-shifted crystal
-elements sitting at weight lambda + rho - mu.  The same polynomial
-arises from tensoring the plain lambda-crystal with the rho-crystal and
-only scoring the rho factor, which gives an internal cross-check.
+elements sitting at weight lambda + rho - mu: the coefficient of
+z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
+bzl.weight_sums.  The same polynomial arises from tensoring the plain
+lambda-crystal with the rho-crystal and only scoring the rho factor,
+which gives an internal cross-check.
 
 Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
 of the irreducible, a weight multiplicity of a tensor product, and a
@@ -19,10 +21,10 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bzl import _c_product, c_coefficient, crystal_mark_counts
+from .bzl import c_coefficient, crystal_mark_counts, weight_sums
 from .crystal import enumerate_crystal
 from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
-from .tableaux import content
+from .tableaux import _content_coords, content
 from .tpoly import TPoly
 
 
@@ -138,27 +140,14 @@ def format_mu(mu: AlphaVector, root: str) -> str:
 def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
-    One pass of bzl.crystal_mark_counts over B(lam+rho) sorts the
-    elements into groups by (content, boxed count, unmarked count); each
-    row is then built once, as the sum of n (-t)^box (1-t)^unmarked over
-    its groups of n elements.  Rows keep the order their weights are
-    first met in, and a weight whose elements all have C = 0 gets a zero
-    row.
+    The row of mu is bzl.weight_sums of one scoring pass over B(lam+rho)
+    at weight lam + rho - mu, rows in weight_sums order.
     """
     r = lam.rank
     shifted = lam + rho(r)
     shape = partition_shape(shifted)
-    groups: dict = {}  # content coords -> {(box, unmarked): n}
-    for t, alive, box, non in crystal_mark_counts(shape, r, enumerate_crystal(shape, r)):
-        counts = groups.setdefault(content(t).coords, {})
-        if alive:
-            counts[box, non] = counts.get((box, non), 0) + 1
-    rows = {
-        gl_to_alpha(shifted - GLWeight(coords)): sum(
-            (_c_product(box, non) * n for (box, non), n in counts.items()), TPoly.zero()
-        )
-        for coords, counts in groups.items()
-    }
+    sums = weight_sums(crystal_mark_counts(shape, r, enumerate_crystal(shape, r)))
+    rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in sums.items()}
     return HTable(lam=lam, rank=r, rows=rows)
 
 
@@ -174,7 +163,7 @@ def _content_histogram(shape: Shape, rank: int) -> dict:
     """Content coordinates -> number of crystal elements with that content."""
     counts: dict = {}
     for t in enumerate_crystal(shape, rank):
-        w = content(t).coords
+        w = _content_coords(t)
         counts[w] = counts.get(w, 0) + 1
     return counts
 

@@ -2,24 +2,23 @@
 
 The deformed character identity is checked here as literal polynomial
 equality: the product side expands z^rho * s_lambda(z) * prod(1 - t
-z_j/z_i) and the crystal side sums decorated-tableau coefficients times
-monomials.  No floating point, no division.
+z_j/z_i) and the crystal side sums C by weight (bzl.weight_sums).  No
+floating point, no division.
 """
 
 from dataclasses import dataclass
 
-from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle
+from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle, weight_sums
 
 # No function here calls bzl_path or c_coefficient: verify_bn_form
-# takes the path total from its one walk, and shifted_coefficients
-# scores the whole crystal in one kernel pass.  Both names stay
-# importable from this module because perfbench/child.py traces them
-# here.
+# takes the path total from its one walk, and the crystal is scored in
+# kernel passes.  Both names stay importable from this module because
+# perfbench/child.py traces them here.
 from .bzl import bzl_path, c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal
 from .rootsys import GLWeight, partition_shape, rho
-from .tableaux import content
-from .tpoly import TPoly
+from .tableaux import _content_coords
+from .tpoly import QLaurent, TPoly
 
 
 class LaurentPoly:
@@ -118,8 +117,8 @@ def character(lam: GLWeight) -> LaurentPoly:
     shape = partition_shape(lam)
     out = {}
     for t in enumerate_crystal(shape, lam.rank):
-        exp = content(t).coords
-        out[exp] = out.get(exp, TPoly.zero()) + TPoly.one()
+        exp = _content_coords(t)
+        out[exp] = out.get(exp, 0) + 1
     return LaurentPoly(lam.rank, out)
 
 
@@ -148,39 +147,16 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     )
 
 
-def shifted_coefficients(lam: GLWeight) -> list:
-    """(element, c_coefficient) for every element of B(lam+rho), in crystal order.
-
-    Scored in one pass of bzl.crystal_mark_counts, which marks each
-    distinct pair of adjacent rows once: an element's coefficient is
-    (-t)^box (1-t)^unmarked from its mark counts, or zero when an entry
-    is both circled and boxed.  No statistics triangle is built.  verify
-    computes this once and hands it to both cs_rhs and verify_bn_form.
-    """
+def _shifted_scores(lam: GLWeight):
+    """crystal_mark_counts over B(lam+rho), enumerated here."""
     r = lam.rank
     shape = partition_shape(lam + rho(r))
-    zero = TPoly.zero()
-    return [
-        (t, _c_product(box, non) if alive else zero)
-        for t, alive, box, non in crystal_mark_counts(shape, r, enumerate_crystal(shape, r))
-    ]
+    return crystal_mark_counts(shape, r, enumerate_crystal(shape, r))
 
 
-def cs_rhs(lam: GLWeight, *, coefficients: list | None = None) -> LaurentPoly:
-    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
-
-    A caller that already holds shifted_coefficients(lam) passes it as
-    coefficients, here and in verify_identity and verify_bn_form.
-    """
-    if coefficients is None:
-        coefficients = shifted_coefficients(lam)
-    out = {}
-    for t, coeff in coefficients:
-        if coeff.is_zero():
-            continue
-        exp = content(t).coords
-        out[exp] = out.get(exp, TPoly.zero()) + coeff
-    return LaurentPoly(lam.rank, out)
+def cs_rhs(lam: GLWeight) -> LaurentPoly:
+    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal."""
+    return LaurentPoly(lam.rank, weight_sums(_shifted_scores(lam)))
 
 
 @dataclass(frozen=True)
@@ -191,10 +167,10 @@ class IdentityReport:
     first_mismatch: tuple | None  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(lam: GLWeight, *, coefficients: list | None = None) -> IdentityReport:
+def verify_identity(lam: GLWeight) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly."""
     lhs = cs_lhs(lam)
-    rhs = cs_rhs(lam, coefficients=coefficients)
+    rhs = cs_rhs(lam)
     mismatch = None
     for exp in sorted(set(lhs.terms) | set(rhs.terms)):
         a, b = lhs.coefficient(exp), rhs.coefficient(exp)
@@ -209,27 +185,20 @@ def verify_identity(lam: GLWeight, *, coefficients: list | None = None) -> Ident
     )
 
 
-def verify_bn_form(lam: GLWeight, *, coefficients: list | None = None) -> bool:
+def verify_bn_form(lam: GLWeight) -> bool:
     """Check the reversed-coordinate form built from the walk route.
 
     Per element the operator-side product times q^(-total step count)
-    must equal the statistics-side coefficient, and summing those
-    contributions against reversed weights must reproduce
-    s_lambda(z) * prod(1 - t z_i/z_j).
+    must equal the statistics-side coefficient.  Once every element
+    agrees, the weight sums of the statistics side, against reversed
+    weights, must reproduce s_lambda(z) * prod(1 - t z_i/z_j).
     """
-    r = lam.rank
-    rho_r = rho(r)
-    if coefficients is None:
-        coefficients = shifted_coefficients(lam)
-    lhs = character(lam) * deformed_product(r, reverse=True)
-    rhs = {}
-    for t, coeff in coefficients:
+    scores = list(_shifted_scores(lam))
+    for t, alive, box, non in scores:
         tri = decorate_via_operators(t)
-        bridged = g_from_triangle(tri).shift(-tri.total())
-        if bridged != coeff.to_qlaurent():
+        want = _c_product(box, non).to_qlaurent() if alive else QLaurent.zero()
+        if g_from_triangle(tri).shift(-tri.total()) != want:
             return False
-        if bridged.is_zero():
-            continue
-        exp = (content(t) - rho_r).reverse().coords
-        rhs[exp] = rhs.get(exp, TPoly.zero()) + bridged.to_tpoly()
-    return lhs == LaurentPoly(r, rhs)
+    r, rho_r = lam.rank, rho(lam.rank)
+    rhs = {(GLWeight(w) - rho_r).reverse().coords: p for w, p in weight_sums(scores).items()}
+    return character(lam) * deformed_product(r, reverse=True) == LaurentPoly(r, rhs)

@@ -107,6 +107,8 @@ def parse_tableau(rank: int, text: str) -> Tableau:
 def tableau_from_json(obj) -> Tableau:
     if not isinstance(obj, dict) or set(obj) != {"rank", "rows"}:
         raise ValueError("tableau JSON must have exactly the keys 'rank' and 'rows'")
+    if not isinstance(obj["rows"], list) or not all(isinstance(r, list) for r in obj["rows"]):
+        raise ValueError("tableau JSON 'rows' must be a list of lists")
     return make_tableau(obj["rank"], obj["rows"])
 
 
@@ -219,13 +221,18 @@ def triangle_from_json(obj: dict) -> DecoratedTriangle:
     )
 
 
-def content(t: Tableau) -> GLWeight:
-    """Entry-count vector: coordinate k is the number of boxes holding k."""
+def _content_coords(t: Tableau) -> tuple[int, ...]:
+    """Coordinates of content(t), without building the validated weight."""
     counts = [0] * (t.rank + 1)
     for row in t.rows:
         for x in row:
             counts[x - 1] += 1
-    return GLWeight(tuple(counts))
+    return tuple(counts)
+
+
+def content(t: Tableau) -> GLWeight:
+    """Entry-count vector: coordinate k is the number of boxes holding k."""
+    return GLWeight(_content_coords(t))
 
 
 def _row_histograms(t: Tableau) -> list[list[int]]:

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import cscrystal
+from cscrystal import laurent
 from cscrystal.cli import main
 from cscrystal.hpoly import HTable, h_table
+from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import lambda_from_fundamental
 from cscrystal.tableaux import tableau_from_json, triangle_from_json
 from frozen import H_TABLE_OMEGA2
@@ -183,6 +185,43 @@ def test_verify_json(capsys):
     assert payload["identity_equal"] is True
     assert payload["reversed_form_equal"] is True
     assert payload["lhs_terms"] == payload["rhs_terms"]
+
+
+def test_verify_exits_1_when_one_element_breaks_the_bridge(capsys, monkeypatch):
+    # one extra box on one live element's walk triangle changes G for
+    # that element only; the weight sums still come from the statistics,
+    # so only the per-element check can notice
+    real = laurent.decorate_via_operators
+    tampered = []
+
+    def one_extra_box(t):
+        tri = real(t)
+        free = [cell for cell, _ in tri.items() if cell not in tri.boxed]
+        if tampered or not free or not tri.circled.isdisjoint(tri.boxed):
+            return tri
+        tampered.append(t)
+        return type(tri)(tri.rank, tri.grid, tri.circled, tri.boxed | {free[0]})
+
+    monkeypatch.setattr(laurent, "decorate_via_operators", one_extra_box)
+    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+    assert len(tampered) == 1
+    assert code == 1
+    assert "identity: equal" in out
+    assert "reversed form: MISMATCH" in out
+
+
+def test_verify_exits_1_when_the_identity_fails(capsys, monkeypatch):
+    real = laurent.cs_rhs
+
+    def one_more_term(lam):
+        return real(lam) + LaurentPoly.monomial((0,) * (lam.rank + 1))
+
+    monkeypatch.setattr(laurent, "cs_rhs", one_more_term)
+    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+    assert code == 1
+    assert "identity: MISMATCH" in out
+    assert "first mismatch at z^(0, 0, 0): lhs 0 vs rhs 1" in out
+    assert "reversed form: equal" in out
 
 
 def test_threads_flag_validation(capsys):

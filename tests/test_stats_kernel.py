@@ -5,7 +5,8 @@ generators of test_word_kernel) and compare the one-histogram kernel's
 triangle, marks, counts and memoized coefficients with
 tests/stats_twin.py.  The whole-crystal row-pair kernel,
 bzl.crystal_mark_counts, is held against the mark counts of
-decorate_via_stats on whole crystals and on rank-5 samples.  G, read
+decorate_via_stats on whole crystals and on rank-5 samples, and its
+sums by weight, bzl.weight_sums, against per-element sums.  G, read
 from the mark counts, is held against the entry-by-entry product on
 arbitrarily marked triangles and on operator-route triangles.
 """
@@ -24,11 +25,12 @@ from cscrystal.bzl import (
     decorate_via_operators,
     decorate_via_stats,
     g_from_triangle,
+    weight_sums,
 )
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
-from cscrystal.tableaux import DecoratedTriangle, stats_a, stats_b
+from cscrystal.tableaux import DecoratedTriangle, content, make_tableau, stats_a, stats_b
 from cscrystal.tpoly import TPoly
 from stats_twin import (
     twin_counts,
@@ -142,6 +144,22 @@ def test_kernel_counts_match_triangle_on_crystals():
             assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
 
+def test_weight_sums_match_per_element_sums():
+    for shape, rank, elements in _kernel_crystals():
+        if rank > 3:
+            continue
+        want = {}
+        for t in elements:
+            w = content(t).coords
+            want[w] = want.get(w, TPoly.zero()) + c_coefficient(t)
+        got = weight_sums(crystal_mark_counts(shape, rank, elements))
+        assert list(got) == list(want)  # first-seen order
+        assert got == want
+    # a weight whose elements all die is kept, with sum zero
+    t = make_tableau(2, [[1, 1, 2], [2]])
+    assert weight_sums([(t, False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}
+
+
 @st.composite
 def rank5_samples(draw):
     """A strict rank-5 shape and a few tableaux of it, so the kernel's
@@ -189,6 +207,9 @@ def test_kernel_rejects_shape_with_nonzero_last_part():
 
 
 def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
+    # one pass per check: the identity's right-hand side and the
+    # reversed form each score B(lam+rho) once, and neither builds a
+    # statistics triangle
     passes, stats_calls = [], []
     real_kernel, real_stats = laurent.crystal_mark_counts, bzl.decorate_via_stats
 
@@ -205,5 +226,5 @@ def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
     assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
     lam = lambda_from_fundamental((1, 0, 0), 3)
     elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)
-    assert passes == [list(elements)]
+    assert passes == [list(elements), list(elements)]
     assert stats_calls == []

@@ -73,6 +73,11 @@ def test_json_roundtrip():
         tableau_from_json({"rank": 2, "rows": [[True, 2]]})
     with pytest.raises(ValueError):
         tableau_from_json({"rank": True, "rows": [[1]]})
+    # rows that are not a list of lists
+    with pytest.raises(ValueError):
+        tableau_from_json({"rank": 2, "rows": 5})
+    with pytest.raises(ValueError):
+        tableau_from_json({"rank": 2, "rows": [5]})
 
 
 def test_content():

@@ -7,15 +7,18 @@ surviving signs are all '-' followed by all '+'.  The lowering operator
 acts at the leftmost surviving '+', the raising operator at the
 rightmost surviving '-'.
 
-The rule is a pure word operation, so the operators, the enumeration
-and the walk in bzl all work on flat reading words: surviving_slots
-does the cancellation, and a changed word becomes a Tableau again
-through the per-shape reading order.  Changing the letter at a
-surviving slot keeps rows weakly increasing and columns strictly
-increasing, so those tableaux are built without re-validation.
+The rule is a pure word operation, so the operators and the walk in
+bzl work on flat reading words: surviving_slots does the cancellation,
+and a changed word becomes a Tableau again through the per-shape
+reading order.  Changing the letter at a surviving slot keeps rows
+weakly increasing and columns strictly increasing, so those tableaux
+are built without re-validation.  The enumeration needs no operator:
+it fills the rows of the shape directly.
 """
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import gt
 
 from .rootsys import Shape
 from .tableaux import Tableau, make_tableau
@@ -26,7 +29,7 @@ def _reading_order(lengths: tuple[int, ...]):
     """(box of each word slot, word slots of each row) for the row lengths.
 
     Boxes are 0-indexed (row, col); each row lists its slots left to
-    right.  An enumeration or a walk touches one shape, so a few entries
+    right.  A walk over a crystal touches one shape, so a few entries
     serve every hit; the bound keeps a process that walks many one-off
     shapes from holding an order for each of them.
     """
@@ -128,32 +131,27 @@ def highest_weight_tableau(shape: Shape, rank: int) -> Tableau:
 
 @lru_cache(maxsize=16)
 def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
-    """Every tableau reachable from the highest-weight element.
+    """Every semistandard tableau of the shape, sorted by row tuples.
 
-    Breadth-first closure under all lowering operators (letters in
-    increasing order), then sorted by row tuples so the result is a
-    canonical listing.  Coincides with the set of all semistandard
-    tableaux of the shape.
+    Rows are filled top down, one recursion level per row: row k
+    (1-indexed) takes weakly increasing entries from k..rank+1 and is
+    kept when each entry exceeds the one above it.  Each row's
+    candidates come in lexicographic order, so the listing comes out
+    sorted.  B(shape) is connected, so this is also the closure of the
+    highest-weight element under the lowering operators.
     """
-    start = highest_weight_tableau(shape, rank)
-    seen = {reading_word(start)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for i in range(1, rank + 1):
-                plus = surviving_slots(word, i)[1]
-                if plus:
-                    k = plus[0]
-                    u = word[:k] + (i + 1,) + word[k + 1 :]
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-        frontier = nxt
-    # Drain the word set while building tableaux, so the two are never
-    # held in full at the same time.
+    if shape.rank != rank:
+        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
+    parts = [p for p in shape.parts if p > 0]
     out = []
-    while seen:
-        out.append(tableau_from_word(start, seen.pop()))
-    out.sort(key=lambda t: t.rows)
+
+    def fill(k, rows, above):
+        if k == len(parts):
+            out.append(Tableau(rank, rows))
+            return
+        for row in combinations_with_replacement(range(k + 1, rank + 2), parts[k]):
+            if all(map(gt, row, above)):
+                fill(k + 1, rows + (row,), row)
+
+    fill(0, (), ())
     return tuple(out)

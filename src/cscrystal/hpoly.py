@@ -40,22 +40,20 @@ _T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
 
 
 def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
-    """The H-table polynomial of mu, assembled from pairs in B(lam) x B(rho).
+    """The H-table polynomial of mu, assembled from B(lam) x B(rho).
 
-    Only the rho-side factor is scored; the lam-side factor just
-    steers which pairs land on the target weight.
+    Only the rho-side factor is scored: each b in B(rho) adds C(b) times
+    the number of B(lam) elements that carry the pair to the target
+    weight, read from B(lam)'s content histogram.
     """
     r = lam.rank
     target = lam + rho(r) - alpha_to_gl(mu, r)
-    lam_elements = enumerate_crystal(partition_shape(lam), r)
-    rho_elements = enumerate_crystal(partition_shape(rho(r)), r)
-    rho_scored = [(content(t), c_coefficient(t)) for t in rho_elements]
+    counts = _content_histogram(partition_shape(lam), r)
     total = TPoly.zero()
-    for left in lam_elements:
-        left_wt = content(left)
-        for right_wt, coeff in rho_scored:
-            if left_wt + right_wt == target:
-                total = total + coeff
+    for t in enumerate_crystal(partition_shape(rho(r)), r):
+        m = counts.get((target - content(t)).coords, 0)
+        if m:
+            total = total + c_coefficient(t) * m
     return total
 
 

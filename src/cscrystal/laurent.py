@@ -16,8 +16,8 @@ from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from
 # perfbench/child.py traces them here.
 from .bzl import bzl_path, c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal
+from .hpoly import _content_histogram
 from .rootsys import GLWeight, partition_shape, rho
-from .tableaux import _content_coords
 from .tpoly import QLaurent, TPoly
 
 
@@ -114,12 +114,7 @@ class LaurentPoly:
 
 def character(lam: GLWeight) -> LaurentPoly:
     """Schur polynomial of a partition weight, as a monomial sum."""
-    shape = partition_shape(lam)
-    out = {}
-    for t in enumerate_crystal(shape, lam.rank):
-        exp = _content_coords(t)
-        out[exp] = out.get(exp, 0) + 1
-    return LaurentPoly(lam.rank, out)
+    return LaurentPoly(lam.rank, _content_histogram(partition_shape(lam), lam.rank))
 
 
 def deformed_product(rank: int, reverse: bool = False) -> LaurentPoly:

@@ -197,16 +197,6 @@ class QLaurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def to_tpoly(self) -> TPoly:
-        """Reinterpret in t = q^{-1}; every power of q must be <= 0."""
-        if any(k > 0 for k in self.terms):
-            raise ValueError(f"positive q-powers present, not a polynomial in q^-1: {self}")
-        degree = -min(self.terms, default=0)
-        coeffs = [0] * (degree + 1)
-        for k, c in self.terms.items():
-            coeffs[-k] = c
-        return TPoly(tuple(coeffs))
-
     def to_json(self) -> list:
         return [[k, c] for k, c in sorted(self.terms.items(), reverse=True)]
 

@@ -5,18 +5,21 @@ and weight multiplicities are produced by direct enumeration of
 fillings, and dimensions by the classical product formula, so the two
 routes can be played against each other and against the library.
 
-The last part keeps scanning versions of table-driven package code as
-slow twins: a scan of B(lambda+rho) per H-table row, a scan of B(lambda)
-per weight, a scan of B(rho) per tensor weight, and a scan of all (r+1)!
-permutations per orbit sign.  They use the package's crystals, weight
-arithmetic and coefficients, but none of its tables.
+The last part keeps slow twins of package code.  bfs_crystal lists a
+crystal the graph way, as the closure of its highest-weight element
+under the public lowering operators, against the row filler of
+crystal.enumerate_crystal.  The others scan where the package reads
+tables: B(lambda+rho) per H-table row, B(lambda) per weight, B(rho) per
+tensor weight, and all (r+1)! permutations per orbit sign.  They use the
+package's crystals, weight arithmetic and coefficients, but none of its
+tables.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from cscrystal.bzl import c_coefficient
-from cscrystal.crystal import enumerate_crystal
+from cscrystal.crystal import enumerate_crystal, f_op, highest_weight_tableau
 from cscrystal.rootsys import alpha_to_gl, dot_action, partition_shape, perm_sign, rho
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
@@ -80,7 +83,24 @@ def brute_force_weight_multiplicity(parts, max_entry, target):
     return hits
 
 
-# --- slow twins of the H-table and the specialization oracles ---------------
+# --- slow twins of the enumeration, the H-table and the oracles -------------
+
+
+def bfs_crystal(shape, rank):
+    """Breadth-first closure of the highest-weight tableau under every
+    f_op, sorted by row tuples: the twin of enumerate_crystal."""
+    seen = {highest_weight_tableau(shape, rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for i in range(1, rank + 1):
+                u = f_op(t, i)
+                if u is not None and u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen, key=lambda t: t.rows)
 
 
 def h_direct(lam, mu):

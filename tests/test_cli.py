@@ -8,6 +8,7 @@ import pytest
 import cscrystal
 from cscrystal import laurent
 from cscrystal.cli import main
+from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import HTable, h_table
 from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import lambda_from_fundamental
@@ -36,6 +37,16 @@ def test_enumerate_fundamental(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("1 ")
     assert lines[-1] == "count: 2"
+
+
+def test_enumerate_one_long_row(capsys):
+    enumerate_crystal.cache_clear()  # list the crystal here, not from another test
+    try:
+        code, out, _ = run_cli(capsys, "enumerate", "--rank", "1", "--partition", "1500")
+    finally:
+        enumerate_crystal.cache_clear()
+    assert code == 0
+    assert out.endswith("count: 1501\n")
 
 
 def test_enumerate_partition_flag(capsys):

@@ -84,11 +84,25 @@ def test_enumeration_counts():
 
 
 def test_enumeration_matches_brute_force():
+    # as lists: the enumerate and graph commands print in this order
     for parts in [(3, 2, 0), (2, 1, 0), (1, 0), (2, 2, 0), (4, 3, 2, 0), (4, 3, 2, 1, 0)]:
         rank = len(parts) - 1
-        ours = {t.rows for t in enumerate_crystal(Shape(parts), rank)}
-        brute = set(oracles.brute_force_ssyt(parts, rank + 1))
-        assert ours == brute
+        ours = [t.rows for t in enumerate_crystal(Shape(parts), rank)]
+        assert ours == oracles.brute_force_ssyt(parts, rank + 1)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0, 0), (3, 2, 0), (2, 2, 0), (2, 1, 1, 0), (4, 3, 2, 0), (4, 3, 2, 1, 0), (5, 3, 2, 1, 0)],
+)
+def test_enumeration_matches_bfs_closure(parts):
+    rank = len(parts) - 1
+    assert list(enumerate_crystal(Shape(parts), rank)) == oracles.bfs_crystal(Shape(parts), rank)
+
+
+def test_enumeration_of_one_long_row():
+    # the filler recurses per row, not per cell
+    assert len(enumerate_crystal(Shape((1500, 0)), 1)) == 1501
 
 
 def test_enumeration_weyl_dimension():

@@ -178,3 +178,23 @@ def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
         expect[rho(3).coords] = 1
     assert dict(calls) == expect
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_reads_b_lambda_once(capsys, monkeypatch):
+    # cs_lhs and verify_bn_form both read B(lambda)'s one content histogram
+    calls = Counter()
+    real = hpoly.enumerate_crystal
+
+    def counted(shape, rank):
+        calls[shape.parts] += 1
+        return real(shape, rank)
+
+    monkeypatch.setattr(hpoly, "enumerate_crystal", counted)
+    hpoly._content_histogram.cache_clear()
+    try:
+        assert cli.main(["verify", "--rank", "3", "--lambda", "1,0,1"]) == 0
+    finally:
+        hpoly._content_histogram.cache_clear()
+    lam = lambda_from_fundamental((1, 0, 1), 3)
+    assert dict(calls) == {lam.coords: 1}
+    assert "MISMATCH" not in capsys.readouterr().out

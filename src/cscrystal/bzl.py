@@ -15,14 +15,16 @@ PATH layout, one row per block, is a way of printing that triangle
 
 One rule, _row_marks, marks triangle row i from tableau rows i and
 i+1, in decorate_via_stats and in crystal_mark_counts; weight_sums
-sums C by weight over the scores of the latter.
+sums C by weight over the scores of the latter.  One memoized product,
+_c_product, gives both coefficients from the mark counts: C in t, and
+G = q^total C(1/q), the same product rewritten in q and shifted by the
+triangle's entry total.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import comb
 
-from .crystal import highest_weight_tableau, reading_word, surviving_slots, tableau_from_word
+from .crystal import reading_word, surviving_slots, tableau_from_word
 
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
@@ -39,9 +41,8 @@ def _require_strict(shape: Shape, what: str) -> Shape:
     return shape
 
 
-# theta and the top element per shape; a crystal's elements share one shape
+# theta per shape; a crystal's elements share one shape
 _theta = lru_cache(maxsize=64)(theta)
-_top = lru_cache(maxsize=16)(highest_weight_tableau)
 
 
 def _walk(t: Tableau):
@@ -70,11 +71,12 @@ def _walk(t: Tableau):
 def _walk_to_top(t: Tableau):
     """_walk on a tableau of strict shape, checked to end at the top.
 
-    Returns the step counts and the boxed positions.
+    The top of a shape has row i filled with i.  Returns the step counts
+    and the boxed positions.
     """
-    shape = _require_strict(t.shape, "tableau shape")
+    _require_strict(t.shape, "tableau shape")
     entries, boxed, top = _walk(t)
-    if top != _top(shape, t.rank):
+    if any(x != i for i, row in enumerate(top.rows, start=1) for x in row):
         raise RuntimeError("walk did not finish at the highest-weight tableau")
     return entries, boxed
 
@@ -178,10 +180,10 @@ def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:
     return tri.circled.isdisjoint(tri.boxed), len(tri.boxed), non
 
 
-@lru_cache(maxsize=64)
-def _q_minus_one_power(n: int) -> tuple[tuple[int, int], ...]:
-    """(q-1)^n as (power, coefficient) pairs."""
-    return tuple((k, comb(n, k) * (-1) ** (n - k)) for k in range(n + 1))
+@lru_cache(maxsize=1024)
+def _c_product(box: int, non: int) -> TPoly:
+    """(-t)^box (1-t)^non; a shifted crystal meets few (box, non) pairs."""
+    return TPoly((0, -1)) ** box * TPoly((1, -1)) ** non
 
 
 def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
@@ -189,14 +191,14 @@ def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
     unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product.
 
     The product depends only on the marks' counts and the entry total:
-    (-1)^box q^(total - box - unmarked) (q-1)^unmarked.
+    (-1)^box q^(total - box - unmarked) (q-1)^unmarked, which is
+    q^total C(1/q) for C = (-t)^box (1-t)^unmarked.  So G is C's
+    memoized product rewritten in q and shifted by the total.
     """
     alive, box, non = _mark_counts(tri)
     if not alive:
         return QLaurent.zero()
-    shift = tri.total() - box - non
-    sign = -1 if box % 2 else 1
-    return QLaurent({shift + k: sign * c for k, c in _q_minus_one_power(non)})
+    return _c_product(box, non).to_qlaurent().shift(tri.total())
 
 
 def g_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> QLaurent:
@@ -216,12 +218,6 @@ def c_counts(t: Tableau, *, stats: DecoratedTriangle | None = None) -> tuple[boo
     tests can check that equivalence rather than assume it.
     """
     return _mark_counts(stats or decorate_via_stats(t))
-
-
-@lru_cache(maxsize=1024)
-def _c_product(box: int, non: int) -> TPoly:
-    """(-t)^box (1-t)^non; a shifted crystal meets few (box, non) pairs."""
-    return TPoly((0, -1)) ** box * TPoly((1, -1)) ** non
 
 
 def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPoly:

@@ -87,7 +87,8 @@ class HTable:
     def to_latex(self) -> str:
         """Two column-pair tabular, rows split into halves."""
         pairs = [
-            (format_mu(mu, "\\alpha_"), poly.format("q")) for mu, poly in self.sorted_rows()
+            (format_mu(mu, "\\alpha_"), str(poly.to_qlaurent()))
+            for mu, poly in self.sorted_rows()
         ]
         half = (len(pairs) + 1) // 2
         lines = [

@@ -59,10 +59,6 @@ class LaurentPoly:
     def coefficient(self, exp) -> TPoly:
         return self.terms.get(tuple(exp), TPoly.zero())
 
-    def sorted_terms(self):
-        """(exponent, coefficient) pairs in lexicographic exponent order."""
-        return [(exp, self.terms[exp]) for exp in sorted(self.terms)]
-
     def _check(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
@@ -97,16 +93,6 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.rank == other.rank and self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({coeff}) z^{exp}" for exp, coeff in self.sorted_terms()
-        )
 
     def __repr__(self):
         return f"LaurentPoly(rank={self.rank}, {len(self.terms)} terms)"

@@ -12,6 +12,7 @@ BZL (PATH) layouts are two ways of printing it, defined by one table
 from printed label to stored cell.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -172,17 +173,16 @@ class DecoratedTriangle:
     def doubly_decorated(self) -> list[tuple[int, int]]:
         return sorted(self.circled & self.boxed)
 
-    def inline(self, layout: str = STATS_LAYOUT, markers: bool = True) -> str:
+    def inline(self, layout: str = STATS_LAYOUT) -> str:
         """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
         '(2; 2□, 0◯)' for the same triangle in BZL."""
         rows: dict = {}
         for (i, _), cell in _print_cells(self.rank, layout):
             text = str(self.entry(*cell))
-            if markers:
-                if cell in self.circled:
-                    text += "◯"
-                if cell in self.boxed:
-                    text += "□"
+            if cell in self.circled:
+                text += "◯"
+            if cell in self.boxed:
+                text += "□"
             rows.setdefault(i, []).append(text)
         return "(" + "; ".join(", ".join(row) for row in rows.values()) + ")"
 
@@ -287,13 +287,6 @@ def stats_b(t: Tableau) -> DecoratedTriangle:
     return DecoratedTriangle(t.rank, _b_rows(_row_histograms(t)))
 
 
-def _truncation_count(t: Tableau, k: int, i: int) -> int:
-    # number of boxes in row i holding an entry <= k; absent rows give 0
-    if i > len(t.rows):
-        return 0
-    return sum(1 for x in t.rows[i - 1] if x <= k)
-
-
 def is_strict(t: Tableau) -> bool:
     """Every entries-at-most-k truncation has strictly decreasing parts.
 
@@ -311,12 +304,12 @@ def first_strictness_violation(t: Tableau) -> int | None:
 
     Returns the 1-indexed i such that rows i and i+1 hold equally many
     entries <= k for some threshold k with i < k <= rank+1, or None when
-    the tableau is strict.
+    the tableau is strict.  Absent rows read as empty; rows are sorted,
+    so each count is one bisection.
     """
-    best = None
-    for k in range(2, t.rank + 2):
-        for i in range(1, k):
-            if _truncation_count(t, k, i) == _truncation_count(t, k, i + 1):
-                if best is None or i < best:
-                    best = i
-    return best
+    rows = t.rows + ((),) * (t.rank + 1 - len(t.rows))
+    for i in range(1, t.rank + 1):
+        row, below = rows[i - 1], rows[i]
+        if any(bisect_right(row, k) == bisect_right(below, k) for k in range(i + 1, t.rank + 2)):
+            return i
+    return None

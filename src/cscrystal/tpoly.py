@@ -1,9 +1,10 @@
-"""Exact univariate polynomial arithmetic for the two coefficient rings.
+"""Exact univariate polynomials for the two coefficient forms.
 
 TPoly is a plain polynomial in the deformation variable t (internally t
-stands for q^{-1}).  QLaurent allows negative powers of q and exists so
-the operator-side product, which naturally lives in q, can be compared
-against the t-side coefficients after an explicit power shift.
+stands for q^{-1}) and carries the ring arithmetic.  QLaurent holds the
+operator-side product G, which lives in q: it is made from a TPoly by
+to_qlaurent, shifted by a power of q, compared, and printed, and it has
+no arithmetic of its own.  Both print through one signed-sum writer.
 """
 
 from dataclasses import dataclass
@@ -112,25 +113,27 @@ class TPoly:
         return QLaurent({-k: c for k, c in enumerate(self.coeffs) if c != 0})
 
     def __str__(self):
-        return self.format("t")
+        """Expanded in t, ascending, e.g. '1-2t+t^2'."""
+        return _signed_sum(
+            ("" if k == 0 else "t" if k == 1 else f"t^{k}", c)
+            for k, c in enumerate(self.coeffs)
+            if c != 0
+        )
 
-    def format(self, var: str = "t") -> str:
-        """Expanded string, e.g. '1-2t+t^2' or '1-2q^{-1}+q^{-2}'."""
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if var == "t":
-                power = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            else:
-                power = "" if k == 0 else f"q^{{-{k}}}"
-            mag = abs(c)
-            body = power if mag == 1 and power else f"{mag}{power}"
-            sign = "-" if c < 0 else ("+" if pieces else "")
-            pieces.append(f"{sign}{body}")
-        return "".join(pieces)
+
+def _signed_sum(terms) -> str:
+    """(power text, nonzero coefficient) pairs written as one signed sum.
+
+    A coefficient of magnitude 1 is left out before a nonempty power;
+    the empty sum is '0'.
+    """
+    pieces = []
+    for power, c in terms:
+        mag = abs(c)
+        body = power if mag == 1 and power else f"{mag}{power}"
+        sign = "-" if c < 0 else ("+" if pieces else "")
+        pieces.append(f"{sign}{body}")
+    return "".join(pieces) or "0"
 
 
 def _coerce(x):
@@ -154,37 +157,6 @@ class QLaurent:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, k: int, coeff=1):
-        return cls({k: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return QLaurent(out)
-
-    def __neg__(self):
-        return QLaurent({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        return QLaurent(out)
-
     def shift(self, k: int) -> "QLaurent":
         """Multiply by q^k."""
         return QLaurent({e + k: c for e, c in self.terms.items()})
@@ -194,29 +166,15 @@ class QLaurent:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def to_json(self) -> list:
         return [[k, c] for k, c in sorted(self.terms.items(), reverse=True)]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            if k == 0:
-                power = ""
-            elif k == 1:
-                power = "q"
-            else:
-                power = f"q^{k}" if k > 1 else f"q^{{{k}}}"
-            mag = abs(c)
-            body = power if mag == 1 and power else f"{mag}{power}"
-            sign = "-" if c < 0 else ("+" if pieces else "")
-            pieces.append(f"{sign}{body}")
-        return "".join(pieces)
+        """Expanded in descending powers of q, e.g. 'q^2-1' or '1-q^{-1}'."""
+        return _signed_sum(
+            ("" if k == 0 else "q" if k == 1 else f"q^{k}" if k > 1 else f"q^{{{k}}}", c)
+            for k, c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __repr__(self):
         return f"QLaurent({self.terms!r})"

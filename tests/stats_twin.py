@@ -6,8 +6,10 @@ entry rescans the rows, and every mark reads its neighbours through
 DecoratedTriangle.entry with out-of-range reads equal to 0.  It works on
 a rank and bare row tuples, so it shares no code with the kernel beyond
 DecoratedTriangle.  Tests compare the two entry for entry.  The decoration
-product G is kept here too, one factor per entry, as the twin of
-bzl.g_from_triangle, which reads it from the mark counts.
+product G is kept here too, one factor per entry multiplied out on plain
+{power: coefficient} dicts, as the twin of bzl.g_from_triangle, which
+reads it from the mark counts.  So is the strictness scan over every
+threshold and row pair, the twin of tableaux.first_strictness_violation.
 """
 
 from cscrystal.tableaux import DecoratedTriangle
@@ -72,16 +74,42 @@ def twin_counts(rank, rows):
 def twin_g_from_triangle(tri):
     """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
     unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
-    result = QLaurent.one()
+    result = {0: 1}
     for (i, j), a in tri.items():
         circ, box = tri.flags(i, j)
         if circ and box:
             return QLaurent.zero()
         if circ:
-            factor = QLaurent.q_power(a)
+            factor = {a: 1}
         elif box:
-            factor = QLaurent.q_power(a - 1, -1)
+            factor = {a - 1: -1}
         else:
-            factor = QLaurent({a: 1, a - 1: -1})
-        result = result * factor
-    return result
+            factor = {a: 1, a - 1: -1}
+        product = {}
+        for k1, c1 in result.items():
+            for k2, c2 in factor.items():
+                product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
+        result = product
+    return QLaurent(result)
+
+
+def twin_first_strictness_violation(rank, rows):
+    """Smallest i such that, for some threshold 1 < k <= rank+1 with
+    i < k, rows i and i+1 hold equally many entries <= k; None if none.
+
+    Every (k, i) pair is tried and every count rescans its row, with
+    absent rows counting 0.
+    """
+
+    def count(k, i):
+        if i > len(rows):
+            return 0
+        return sum(1 for x in rows[i - 1] if x <= k)
+
+    best = None
+    for k in range(2, rank + 2):
+        for i in range(1, k):
+            if count(k, i) == count(k, i + 1):
+                if best is None or i < best:
+                    best = i
+    return best

@@ -90,7 +90,7 @@ def test_cs_lhs_exponents_stay_nonnegative():
     for lam in suite_weights():
         if lam.rank > 2:
             continue
-        for exp, _ in cs_lhs(lam).sorted_terms():
+        for exp, _ in sorted(cs_lhs(lam).terms.items()):
             assert all(k >= 0 for k in exp)
 
 

@@ -8,7 +8,9 @@ bzl.crystal_mark_counts, is held against the mark counts of
 decorate_via_stats on whole crystals and on rank-5 samples, and its
 sums by weight, bzl.weight_sums, against per-element sums.  G, read
 from the mark counts, is held against the entry-by-entry product on
-arbitrarily marked triangles and on operator-route triangles.
+arbitrarily marked triangles and on operator-route triangles.  The
+one-pass strictness scan is held against the scan over every threshold
+and row pair.
 """
 
 from itertools import product
@@ -30,11 +32,19 @@ from cscrystal.bzl import (
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
-from cscrystal.tableaux import DecoratedTriangle, content, make_tableau, stats_a, stats_b
+from cscrystal.tableaux import (
+    DecoratedTriangle,
+    content,
+    first_strictness_violation,
+    make_tableau,
+    stats_a,
+    stats_b,
+)
 from cscrystal.tpoly import TPoly
 from stats_twin import (
     twin_counts,
     twin_decoration,
+    twin_first_strictness_violation,
     twin_g_from_triangle,
     twin_stats_a,
     twin_stats_b,
@@ -117,6 +127,13 @@ def test_stats_match_twin_on_every_tableau(parts):
 def test_stats_match_twin_on_any_shape(t):
     assert stats_a(t) == twin_stats_a(t.rank, t.rows)
     assert stats_b(t) == twin_stats_b(t.rank, t.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_shape_tableaux(), strict_shape_tableaux(1, 5)))
+def test_strictness_scan_matches_twin(t):
+    want = twin_first_strictness_violation(t.rank, t.rows)
+    assert first_strictness_violation(t) == want
 
 
 def _kernel_crystals():

@@ -60,12 +60,12 @@ def test_eval():
 
 
 def test_format():
-    assert TPoly((1, -2, 1)).format("t") == "1-2t+t^2"
-    assert TPoly((0, -1)).format("t") == "-t"
-    assert TPoly.zero().format("t") == "0"
-    assert TPoly((0, 0, 3)).format("t") == "3t^2"
-    assert TPoly((1, -1)).format("q") == "1-q^{-1}"
-    assert TPoly((0, 0, 1, -1)).format("q") == "q^{-2}-q^{-3}"
+    assert str(TPoly((1, -2, 1))) == "1-2t+t^2"
+    assert str(TPoly((0, -1))) == "-t"
+    assert str(TPoly.zero()) == "0"
+    assert str(TPoly((0, 0, 3))) == "3t^2"
+    assert str(TPoly((1, -1)).to_qlaurent()) == "1-q^{-1}"
+    assert str(TPoly((0, 0, 1, -1)).to_qlaurent()) == "q^{-2}-q^{-3}"
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
@@ -86,13 +86,9 @@ def test_eval_is_ring_map(a, b, x):
 
 
 def test_qlaurent_basics():
-    q2 = QLaurent.q_power(2)
-    qm1 = QLaurent.q_power(-1, -3)
-    assert q2 * q2 == QLaurent.q_power(4)
-    assert (q2 + qm1).terms == {2: 1, -1: -3}
-    assert q2 - q2 == QLaurent.zero()
-    assert q2.shift(-5) == QLaurent.q_power(-3)
-    assert QLaurent.one() * qm1 == qm1
+    q2 = QLaurent({2: 1})
+    assert q2.shift(-5) == QLaurent({-3: 1})
+    assert QLaurent({2: 1, -1: 0}).terms == {2: 1}
     assert str(QLaurent({2: 1, 0: -1})) == "q^2-1"
     assert str(QLaurent.zero()) == "0"
 
@@ -112,9 +108,3 @@ def test_qlaurent_roundtrip(a):
     for k, c in terms.items():
         coeffs[-k] = c
     assert TPoly(tuple(coeffs)) == p
-
-
-@given(coeff_lists, coeff_lists)
-def test_qlaurent_mul_matches_tpoly(a, b):
-    p, q = TPoly(tuple(a)), TPoly(tuple(b))
-    assert (p * q).to_qlaurent() == p.to_qlaurent() * q.to_qlaurent()

@@ -34,9 +34,10 @@ def fill_shape(draw, rank, parts):
 
 
 @st.composite
-def strict_shape_tableaux(draw):
-    """A semistandard tableau of a random strict shape at rank 4 or 5."""
-    rank = draw(st.integers(4, 5))
+def strict_shape_tableaux(draw, low=4, high=5):
+    """A semistandard tableau of a random strict shape at a rank in
+    low..high, by default 4 or 5."""
+    rank = draw(st.integers(low, high))
     gaps = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
     parts = [sum(gaps[k:]) for k in range(rank)]
     return fill_shape(draw, rank, parts)

@@ -36,10 +36,8 @@ from .hpoly import (
 from .laurent import (
     IdentityReport,
     LaurentPoly,
-    character,
     cs_lhs,
     cs_rhs,
-    deformed_product,
     verify_bn_form,
     verify_identity,
 )

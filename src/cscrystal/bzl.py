@@ -23,6 +23,7 @@ triangle's entry total.
 
 from bisect import bisect_right
 from functools import lru_cache
+from math import comb
 
 from .crystal import reading_word, surviving_slots, tableau_from_word
 
@@ -182,8 +183,10 @@ def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:
 
 @lru_cache(maxsize=1024)
 def _c_product(box: int, non: int) -> TPoly:
-    """(-t)^box (1-t)^non; a shifted crystal meets few (box, non) pairs."""
-    return TPoly((0, -1)) ** box * TPoly((1, -1)) ** non
+    """(-t)^box (1-t)^non, expanded by the binomial theorem: the
+    coefficient of t^(box+k) is (-1)^(box+k) binom(non, k).  A shifted
+    crystal meets few (box, non) pairs."""
+    return TPoly((0,) * box + tuple((-1) ** (box + k) * comb(non, k) for k in range(non + 1)))
 
 
 def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
@@ -229,12 +232,23 @@ def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPol
     return _c_product(box, non)
 
 
+def _scaled_sum(pairs) -> TPoly:
+    """Sum of n * p over (TPoly p, int n) pairs, added into one integer list."""
+    acc: list = []
+    for p, n in pairs:
+        acc.extend([0] * (len(p.coeffs) - len(acc)))
+        for k, c in enumerate(p.coeffs):
+            acc[k] += n * c
+    return TPoly(tuple(acc))
+
+
 def weight_sums(scores) -> dict:
     """Content coordinates -> sum of C over the crystal_mark_counts scores.
 
-    Grouped by (content, box, unmarked), so each sum is built once from
-    the group sizes.  Weights keep first-seen order; one whose elements
-    all have C = 0 maps to zero.
+    Grouped by (content, box, unmarked), so each weight's sum adds n
+    times C's coefficients into one integer list per group of size n,
+    and becomes one TPoly.  Weights keep first-seen order; one whose
+    elements all have C = 0 maps to zero.
     """
     groups: dict = {}  # content coords -> {(box, unmarked): n}
     for t, alive, box, non in scores:
@@ -242,7 +256,7 @@ def weight_sums(scores) -> dict:
         if alive:
             counts[box, non] = counts.get((box, non), 0) + 1
     return {
-        w: sum((_c_product(box, non) * n for (box, non), n in counts.items()), TPoly.zero())
+        w: _scaled_sum((_c_product(box, non), n) for (box, non), n in counts.items())
         for w, counts in groups.items()
     }
 

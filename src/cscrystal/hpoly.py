@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bzl import c_coefficient, crystal_mark_counts, weight_sums
+from .bzl import _scaled_sum, c_coefficient, crystal_mark_counts, weight_sums
 from .crystal import enumerate_crystal
 from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
 from .tableaux import _content_coords, content
@@ -44,17 +44,17 @@ def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
 
     Only the rho-side factor is scored: each b in B(rho) adds C(b) times
     the number of B(lam) elements that carry the pair to the target
-    weight, read from B(lam)'s content histogram.
+    weight, read from B(lam)'s content histogram, into one integer list.
     """
     r = lam.rank
     target = lam + rho(r) - alpha_to_gl(mu, r)
     counts = _content_histogram(partition_shape(lam), r)
-    total = TPoly.zero()
+    scored = []
     for t in enumerate_crystal(partition_shape(rho(r)), r):
         m = counts.get((target - content(t)).coords, 0)
         if m:
-            total = total + c_coefficient(t) * m
-    return total
+            scored.append((c_coefficient(t), m))
+    return _scaled_sum(scored)
 
 
 @dataclass(frozen=True)

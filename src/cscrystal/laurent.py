@@ -1,12 +1,17 @@
-"""Multivariate Laurent polynomials over exact t-polynomials.
+"""Both sides of the deformed character identity, as integer term maps.
 
-The deformed character identity is checked here as literal polynomial
-equality: the product side expands z^rho * s_lambda(z) * prod(1 - t
-z_j/z_i) and the crystal side sums C by weight (bzl.weight_sums).  No
-floating point, no division.
+The identity is checked as literal polynomial equality.  The product
+side starts from the content histogram of B(lambda), which is
+s_lambda(z) term by term, times z^rho, as a flat map
+{(z-exponent..., t-degree): int}; each factor (1 - t z_j/z_i) then acts
+by one shift-and-subtract pass (_times_deformed).  The crystal side sums
+C by weight (bzl.weight_sums).  A LaurentPoly, which has no arithmetic,
+is built from each side only to compare them and report the first
+difference.  No floating point, no division.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle, weight_sums
 
@@ -22,7 +27,7 @@ from .tpoly import QLaurent, TPoly
 
 
 class LaurentPoly:
-    """Sparse map from integer exponent vectors to TPoly coefficients."""
+    """Sparse map from integer exponent vectors to nonzero TPoly coefficients."""
 
     __slots__ = ("rank", "terms")
 
@@ -30,8 +35,6 @@ class LaurentPoly:
         self.rank = rank
         clean = {}
         for exp, coeff in (terms or {}).items():
-            if not isinstance(coeff, TPoly):
-                coeff = TPoly.constant(coeff)
             if coeff.is_zero():
                 continue
             exp = tuple(exp)
@@ -40,54 +43,11 @@ class LaurentPoly:
             clean[exp] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls, rank: int):
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int):
-        return cls(rank, {(0,) * (rank + 1): TPoly.one()})
-
-    @classmethod
-    def monomial(cls, exp, coeff=TPoly((1,))):
-        exp = tuple(exp)
-        return cls(len(exp) - 1, {exp: coeff})
-
     def num_terms(self) -> int:
         return len(self.terms)
 
     def coefficient(self, exp) -> TPoly:
         return self.terms.get(tuple(exp), TPoly.zero())
-
-    def _check(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, TPoly.zero()) + c
-        return LaurentPoly(self.rank, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return LaurentPoly(self.rank, out)
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -98,34 +58,50 @@ class LaurentPoly:
         return f"LaurentPoly(rank={self.rank}, {len(self.terms)} terms)"
 
 
-def character(lam: GLWeight) -> LaurentPoly:
-    """Schur polynomial of a partition weight, as a monomial sum."""
-    return LaurentPoly(lam.rank, _content_histogram(partition_shape(lam), lam.rank))
+def _histogram_terms(lam: GLWeight, shift) -> dict:
+    """s_lambda(z) z^shift as a flat map {(z-exponent..., 0): count}."""
+    return {
+        tuple(map(add, w, shift)) + (0,): n
+        for w, n in _content_histogram(partition_shape(lam), lam.rank).items()
+    }
 
 
-def deformed_product(rank: int, reverse: bool = False) -> LaurentPoly:
-    """prod over i<j of (1 - t z_j / z_i); with reverse, of (1 - t z_i / z_j)."""
-    up, down = (1, -1) if reverse else (-1, 1)
-    result = LaurentPoly.one(rank)
+def _times_deformed(flat: dict, rank: int, reverse: bool = False) -> dict:
+    """flat times prod over i<j of (1 - t z_j/z_i); with reverse, of (1 - t z_i/z_j).
+
+    flat maps (z-exponent..., t-degree) to an int.  Each factor is one
+    pass that subtracts the copy of flat moved by t z_j/z_i.  Starting
+    from a histogram (positive counts at t-degree 0), every term of
+    t-degree k has taken -t from k factors, so its coefficient has sign
+    (-1)^k: nothing cancels, and no zero needs dropping.
+    """
     for i in range(rank + 1):
         for j in range(i + 1, rank + 1):
-            exp = [0] * (rank + 1)
-            exp[i] = up
-            exp[j] = down
-            factor = LaurentPoly(
-                rank,
-                {(0,) * (rank + 1): TPoly.one(), tuple(exp): TPoly((0, -1))},
-            )
-            result = result * factor
-    return result
+            step = [0] * (rank + 2)
+            step[i], step[j], step[-1] = (1, -1, 1) if reverse else (-1, 1, 1)
+            out = dict(flat)
+            for key, c in flat.items():
+                key = tuple(map(add, key, step))
+                out[key] = out.get(key, 0) - c
+            flat = out
+    return flat
+
+
+def _gather(rank: int, flat: dict) -> LaurentPoly:
+    """Group a flat map by z-exponent, one TPoly per exponent."""
+    coeffs: dict = {}
+    for key, c in flat.items():
+        row = coeffs.setdefault(key[:-1], [])
+        k = key[-1]
+        row.extend([0] * (k + 1 - len(row)))
+        row[k] = c
+    return LaurentPoly(rank, {exp: TPoly(tuple(row)) for exp, row in coeffs.items()})
 
 
 def cs_lhs(lam: GLWeight) -> LaurentPoly:
-    """z^rho * s_lambda(z) * deformed product; all exponents end up >= 0."""
+    """z^rho * s_lambda(z) * prod(1 - t z_j/z_i); all exponents end up >= 0."""
     r = lam.rank
-    return (
-        LaurentPoly.monomial(rho(r).coords) * character(lam) * deformed_product(r)
-    )
+    return _gather(r, _times_deformed(_histogram_terms(lam, rho(r).coords), r))
 
 
 def _shifted_scores(lam: GLWeight):
@@ -182,4 +158,5 @@ def verify_bn_form(lam: GLWeight) -> bool:
             return False
     r, rho_r = lam.rank, rho(lam.rank)
     rhs = {(GLWeight(w) - rho_r).reverse().coords: p for w, p in weight_sums(scores).items()}
-    return character(lam) * deformed_product(r, reverse=True) == LaurentPoly(r, rhs)
+    lhs = _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True)
+    return _gather(r, lhs) == LaurentPoly(r, rhs)

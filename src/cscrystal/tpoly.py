@@ -1,14 +1,17 @@
 """Exact univariate polynomials for the two coefficient forms.
 
-TPoly is a plain polynomial in the deformation variable t (internally t
-stands for q^{-1}) and carries the ring arithmetic.  QLaurent holds the
-operator-side product G, which lives in q: it is made from a TPoly by
-to_qlaurent, shifted by a power of q, compared, and printed, and it has
-no arithmetic of its own.  Both print through one signed-sum writer.
+TPoly is a polynomial in the deformation variable t (internally t
+stands for q^{-1}), held as its integer coefficient list.  It has no
+arithmetic: the sums and products the package needs are done on plain
+integer lists and maps (bzl._c_product, bzl._scaled_sum, the laurent
+shift-and-subtract), and a TPoly is built from the result only to be
+compared, evaluated or printed.  QLaurent holds the operator-side
+product G, which lives in q: it is made from a TPoly by to_qlaurent,
+shifted by a power of q, compared, and printed.  Both print through one
+signed-sum writer.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _trim(coeffs):
@@ -31,72 +34,12 @@ class TPoly:
     def zero(cls):
         return cls(())
 
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
         return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return TPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __radd__(self, other):
-        return self + other
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return TPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return TPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPoly(tuple(out))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = TPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def eval(self, x):
         """Evaluate at an integer or Fraction, exactly."""
@@ -134,15 +77,6 @@ def _signed_sum(terms) -> str:
         sign = "-" if c < 0 else ("+" if pieces else "")
         pieces.append(f"{sign}{body}")
     return "".join(pieces) or "0"
-
-
-def _coerce(x):
-    """x as a TPoly, or NotImplemented for a type TPoly does not mix with."""
-    if isinstance(x, TPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TPoly.constant(x)
-    return NotImplemented
 
 
 class QLaurent:

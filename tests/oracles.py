@@ -12,7 +12,8 @@ crystal.enumerate_crystal.  The others scan where the package reads
 tables: B(lambda+rho) per H-table row, B(lambda) per weight, B(rho) per
 tensor weight, and all (r+1)! permutations per orbit sign.  They use the
 package's crystals, weight arithmetic and coefficients, but none of its
-tables.
+tables.  Coefficients are added and multiplied here as plain integer
+lists (list_add, list_mul), not by package code.
 """
 
 from fractions import Fraction
@@ -103,6 +104,31 @@ def bfs_crystal(shape, rank):
     return sorted(seen, key=lambda t: t.rows)
 
 
+def list_add(a, b):
+    """Sum of two coefficient lists ascending in t."""
+    n = max(len(a), len(b))
+    return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)]
+
+
+def list_mul(a, b):
+    """Product of two coefficient lists ascending in t: their convolution."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def c_product_twin(box, non):
+    """(-t)^box (1-t)^non by box multiplications by -t and non by 1-t."""
+    out = [1]
+    for _ in range(box):
+        out = list_mul(out, [0, -1])
+    for _ in range(non):
+        out = list_mul(out, [1, -1])
+    return TPoly(tuple(out))
+
+
 def h_direct(lam, mu):
     """Coefficient sum over shifted-crystal elements of weight lam+rho-mu.
 
@@ -112,11 +138,11 @@ def h_direct(lam, mu):
     """
     r = lam.rank
     target = lam + rho(r) - alpha_to_gl(mu, r)
-    total = TPoly.zero()
+    total = []
     for t in enumerate_crystal(partition_shape(lam + rho(r)), r):
         if content(t) == target:
-            total = total + c_coefficient(t)
-    return total
+            total = list_add(total, c_coefficient(t).coeffs)
+    return TPoly(tuple(total))
 
 
 def scan_weight_multiplicity(lam, nu):

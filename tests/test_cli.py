@@ -13,6 +13,7 @@ from cscrystal.hpoly import HTable, h_table
 from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import lambda_from_fundamental
 from cscrystal.tableaux import tableau_from_json, triangle_from_json
+from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2
 
 
@@ -221,18 +222,55 @@ def test_verify_exits_1_when_one_element_breaks_the_bridge(capsys, monkeypatch):
     assert "reversed form: MISMATCH" in out
 
 
-def test_verify_exits_1_when_the_identity_fails(capsys, monkeypatch):
+def _one_more_rhs_term(monkeypatch):
+    """Make cs_rhs report an extra term 1 * z^(0,...,0), where both
+    sides are zero."""
     real = laurent.cs_rhs
 
     def one_more_term(lam):
-        return real(lam) + LaurentPoly.monomial((0,) * (lam.rank + 1))
+        terms = dict(real(lam).terms)
+        terms[(0,) * (lam.rank + 1)] = TPoly((1,))
+        return LaurentPoly(lam.rank, terms)
 
     monkeypatch.setattr(laurent, "cs_rhs", one_more_term)
+
+
+def test_verify_exits_1_when_the_identity_fails(capsys, monkeypatch):
+    _one_more_rhs_term(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
     assert code == 1
     assert "identity: MISMATCH" in out
     assert "first mismatch at z^(0, 0, 0): lhs 0 vs rhs 1" in out
     assert "reversed form: equal" in out
+
+
+def test_verify_json_reports_the_first_mismatch(capsys, monkeypatch):
+    _one_more_rhs_term(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "verify", "--rank", "2", "--lambda", "1,0", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["identity_equal"] is False
+    assert payload["first_mismatch"] == {"exp": [0, 0, 0], "lhs": [], "rhs": [1]}
+    assert payload["reversed_form_equal"] is True
+
+
+def test_verify_does_not_import_sympy():
+    # sympy is the tests' reference for the left-hand side only
+    code = (
+        "import sys\n"
+        "from cscrystal.cli import main\n"
+        "assert main(['verify', '--rank', '2', '--lambda', '1,0']) == 0\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _package_path()},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_threads_flag_validation(capsys):

@@ -28,13 +28,13 @@ from cscrystal.rootsys import (
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
-from oracles import h_direct
+from oracles import h_direct, list_add
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
 
 
 def test_h_direct_example_rows():
-    assert h_direct(OMEGA2, AlphaVector((0, 0))) == TPoly.one()
+    assert h_direct(OMEGA2, AlphaVector((0, 0))) == TPoly((1,))
     assert h_direct(OMEGA2, AlphaVector((1, 2))) == TPoly((0, -2, 2))
     assert h_direct(OMEGA2, AlphaVector((3, 3))) == TPoly((0, 0, 0, -1))
     # outside the support of the shifted crystal
@@ -85,8 +85,10 @@ def test_tensor_route_four_pair_example():
     assert values == sorted(
         [(0, -1, 1), (), (0, 0, 1), (0, 0, 0, -1)], key=lambda c: (len(c), c)
     )
-    total = sum((c_coefficient(r) for _, r in pairs), TPoly.zero())
-    assert total == h_direct(OMEGA2, AlphaVector((2, 2)))
+    total = []
+    for _, r in pairs:
+        total = list_add(total, c_coefficient(r).coeffs)
+    assert TPoly(tuple(total)) == h_direct(OMEGA2, AlphaVector((2, 2)))
 
 
 def test_table_rows_have_nonzero_polynomials():

@@ -1,0 +1,91 @@
+"""The identity's product side against a sympy expansion.
+
+laurent builds z^rho s_lambda(z) prod_{i<j} (1 - t z_j/z_i) by
+shift-and-subtract passes over one integer term map.  The twin here
+expands the same product with sympy, taking s_lambda from the
+bialternant formula a_{lambda+rho} / a_rho, so it shares nothing with
+the package but the weight.  The reversed product s_lambda(z)
+prod_{i<j} (1 - t z_i/z_j) of the reversed-form check is multiplied by
+z^(0, 1, ..., r) on both sides first, so that every exponent is >= 0.
+
+Only this module imports sympy; the package must not
+(test_cli.test_verify_does_not_import_sympy).
+"""
+
+from itertools import permutations, product
+from math import prod
+
+import pytest
+import sympy
+
+from cscrystal.laurent import _histogram_terms, _times_deformed, cs_lhs
+from cscrystal.rootsys import lambda_from_fundamental
+
+T = sympy.Symbol("t")
+
+
+def _alternant(exps, z):
+    """det(z_i^exps_j), expanded over all permutations."""
+    total = 0
+    for perm in permutations(range(len(z))):
+        inversions = sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
+        total += (-1) ** inversions * prod(z[perm[k]] ** e for k, e in enumerate(exps))
+    return sympy.Poly(total, *z)
+
+
+def schur(lam, z):
+    """s_lambda(z) = a_{lambda+rho} / a_rho, divided exactly."""
+    n = len(z)
+    stair = [n - 1 - k for k in range(n)]
+    num = _alternant([a + b for a, b in zip(lam, stair)], z)
+    return num.exquo(_alternant(stair, z)).as_expr()
+
+
+def twin_terms(lam, reverse=False):
+    """{(z-exponent..., t-degree): int} of z^rho s_lambda prod(1 - t z_j/z_i),
+    or with reverse of z^(0,...,r) s_lambda prod(1 - t z_i/z_j)."""
+    z = sympy.symbols(f"z0:{len(lam)}")
+    n = len(z)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if reverse:
+        shift = prod(z[k] ** k for k in range(n))
+        factors = prod(1 - T * z[i] / z[j] for i, j in pairs)
+    else:
+        shift = prod(z[k] ** (n - 1 - k) for k in range(n))
+        factors = prod(1 - T * z[j] / z[i] for i, j in pairs)
+    expanded = sympy.expand(shift * schur(lam, z) * factors)
+    return {monom: int(c) for monom, c in sympy.Poly(expanded, *z, T).terms()}
+
+
+def package_terms(lam):
+    return {
+        exp + (k,): c
+        for exp, poly in cs_lhs(lam).terms.items()
+        for k, c in enumerate(poly.coeffs)
+        if c
+    }
+
+
+def package_reversed_terms(lam):
+    r = lam.rank
+    return _times_deformed(_histogram_terms(lam, range(r + 1)), r, reverse=True)
+
+
+TWIN_WEIGHTS = [
+    lambda_from_fundamental(coeffs, rank)
+    for rank in (1, 2, 3)
+    for coeffs in product((0, 1), repeat=rank)
+] + [lambda_from_fundamental((1, 0, 0, 0), 4)]
+
+
+@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.coords))
+def test_lhs_matches_sympy(lam):
+    assert package_terms(lam) == twin_terms(lam.coords)
+
+
+@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.coords))
+def test_reversed_product_matches_sympy(lam):
+    flat = package_reversed_terms(lam)
+    assert flat == twin_terms(lam.coords, reverse=True)
+    # the sign rule that lets _times_deformed skip dropping zeros
+    assert all((-1) ** key[-1] * c > 0 for key, c in flat.items())

@@ -10,7 +10,8 @@ sums by weight, bzl.weight_sums, against per-element sums.  G, read
 from the mark counts, is held against the entry-by-entry product on
 arbitrarily marked triangles and on operator-route triangles.  The
 one-pass strictness scan is held against the scan over every threshold
-and row pair.
+and row pair.  Coefficients are checked against plain integer-list
+sums and products (tests/oracles.py), not the package's own.
 """
 
 from itertools import product
@@ -41,6 +42,7 @@ from cscrystal.tableaux import (
     stats_b,
 )
 from cscrystal.tpoly import TPoly
+from oracles import c_product_twin, list_add
 from stats_twin import (
     twin_counts,
     twin_decoration,
@@ -74,9 +76,15 @@ def test_kernel_counts_match_twin(t):
 @given(strict_shape_tableaux())
 def test_memoized_coefficient_equals_product(t):
     alive, box, non = twin_counts(t.rank, t.rows)
-    want = TPoly((0, -1)) ** box * TPoly((1, -1)) ** non if alive else TPoly.zero()
+    want = c_product_twin(box, non) if alive else TPoly.zero()
     assert c_coefficient(t) == want
     assert c_coefficient(t) == want  # a second call reads the memo
+
+
+def test_binomial_c_product_matches_repeated_multiplication():
+    for box in range(13):
+        for non in range(13):
+            assert bzl._c_product(box, non) == c_product_twin(box, non), (box, non)
 
 
 @st.composite
@@ -168,10 +176,10 @@ def test_weight_sums_match_per_element_sums():
         want = {}
         for t in elements:
             w = content(t).coords
-            want[w] = want.get(w, TPoly.zero()) + c_coefficient(t)
+            want[w] = list_add(want.get(w, []), c_coefficient(t).coeffs)
         got = weight_sums(crystal_mark_counts(shape, rank, elements))
         assert list(got) == list(want)  # first-seen order
-        assert got == want
+        assert got == {w: TPoly(tuple(c)) for w, c in want.items()}
     # a weight whose elements all die is kept, with sum zero
     t = make_tableau(2, [[1, 1, 2], [2]])
     assert weight_sums([(t, False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from cscrystal.tpoly import QLaurent, TPoly
@@ -12,35 +11,6 @@ def test_construction_and_trim():
     assert TPoly((1, 0, 0)) == TPoly((1,))
     assert TPoly(()) == TPoly.zero()
     assert TPoly((0, 0)) == TPoly.zero()
-    assert TPoly.one() == TPoly((1,))
-    assert TPoly.constant(5) == TPoly((5,))
-
-
-def test_arithmetic():
-    one_minus_t = TPoly((1, -1))
-    assert one_minus_t * one_minus_t == TPoly((1, -2, 1))
-    assert one_minus_t**2 == TPoly((1, -2, 1))
-    assert one_minus_t + TPoly((0, 1)) == TPoly.one()
-    assert -one_minus_t == TPoly((-1, 1))
-    assert 2 * one_minus_t == TPoly((2, -2))
-    assert one_minus_t - one_minus_t == TPoly.zero()
-    assert TPoly.zero() * one_minus_t == TPoly.zero()
-    assert one_minus_t**0 == TPoly.one()
-
-
-def test_foreign_operands_raise_type_error():
-    p = TPoly((1,))
-    for other in ("x", 1.5, [1]):
-        for op in (
-            lambda: p + other,
-            lambda: other + p,
-            lambda: p - other,
-            lambda: other - p,
-            lambda: p * other,
-            lambda: other * p,
-        ):
-            with pytest.raises(TypeError):
-                op()
 
 
 def test_degree_and_coefficient():
@@ -66,23 +36,6 @@ def test_format():
     assert str(TPoly((0, 0, 3))) == "3t^2"
     assert str(TPoly((1, -1)).to_qlaurent()) == "1-q^{-1}"
     assert str(TPoly((0, 0, 1, -1)).to_qlaurent()) == "q^{-2}-q^{-3}"
-
-
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_ring_axioms(a, b, c):
-    p, q, r = TPoly(tuple(a)), TPoly(tuple(b)), TPoly(tuple(c))
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p + q) + r == p + (q + r)
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-
-
-@given(coeff_lists, coeff_lists, st.integers(min_value=-5, max_value=5))
-def test_eval_is_ring_map(a, b, x):
-    p, q = TPoly(tuple(a)), TPoly(tuple(b))
-    assert (p + q).eval(x) == p.eval(x) + q.eval(x)
-    assert (p * q).eval(x) == p.eval(x) * q.eval(x)
 
 
 def test_qlaurent_basics():

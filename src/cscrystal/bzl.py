@@ -19,6 +19,16 @@ sums C by weight over the scores of the latter.  One memoized product,
 _c_product, gives both coefficients from the mark counts: C in t, and
 G = q^total C(1/q), the same product rewritten in q and shifted by the
 triangle's entry total.
+
+The walk has a whole-crystal form too.  Block j of the walk (letters
+j, ..., 1) reads only the letters <= j+1, which by then sit at the top
+of the tableau's Gelfand-Tsetlin row j, with the (j+1)s where they
+started; so its step counts and marks depend only on GT rows j and j+1.
+crystal_walk_counts walks each distinct pair of rows once, on a small
+tableau built from them (_block_marks), and sums the blocks' mark
+counts per element.  One tableau (bzl_path, decorate_via_operators) is
+walked whole by _walk: a per-block walk of one element would build
+reading orders for many small shapes and gains nothing without a memo.
 """
 
 from bisect import bisect_right
@@ -69,17 +79,21 @@ def _walk(t: Tableau):
     return entries, boxed, tableau_from_word(t, word)
 
 
-def _walk_to_top(t: Tableau):
-    """_walk on a tableau of strict shape, checked to end at the top.
+def _walk_checked(t: Tableau):
+    """_walk, checked to end at the top, where row i is filled with i.
 
-    The top of a shape has row i filled with i.  Returns the step counts
-    and the boxed positions.
+    Returns the step counts and the boxed positions.
     """
-    _require_strict(t.shape, "tableau shape")
     entries, boxed, top = _walk(t)
     if any(x != i for i, row in enumerate(top.rows, start=1) for x in row):
         raise RuntimeError("walk did not finish at the highest-weight tableau")
     return entries, boxed
+
+
+def _walk_to_top(t: Tableau):
+    """_walk_checked on a tableau of strict shape."""
+    _require_strict(t.shape, "tableau shape")
+    return _walk_checked(t)
 
 
 def _grid(rank, entries):
@@ -103,10 +117,12 @@ def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
     the count of letter i-1 in the same block, reading 0 for letter 0.
     """
     entries, boxed = _walk_to_top(t)
-    circled = frozenset(
-        (i, j) for (i, j), a in entries.items() if a == entries.get((i - 1, j), 0)
-    )
-    return DecoratedTriangle(t.rank, _grid(t.rank, entries), circled, frozenset(boxed))
+    return DecoratedTriangle(t.rank, _grid(t.rank, entries), _circled(entries), frozenset(boxed))
+
+
+def _circled(entries) -> frozenset:
+    """Cells whose step count equals that of the letter below, in one block."""
+    return frozenset((i, j) for (i, j), a in entries.items() if a == entries.get((i - 1, j), 0))
 
 
 def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
@@ -143,6 +159,13 @@ def _row_marks(rank: int, i: int, gap: int, row: tuple, below: tuple):
     return circled, boxed
 
 
+def _crystal_shape(shape: Shape, rank: int) -> Shape:
+    """shape, checked to be strict and of the given rank."""
+    if shape.rank != rank:
+        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
+    return _require_strict(shape, "crystal shape")
+
+
 def crystal_mark_counts(shape: Shape, rank: int, elements):
     """Yield (t, alive, boxed count, unmarked count) for each element.
 
@@ -154,9 +177,7 @@ def crystal_mark_counts(shape: Shape, rank: int, elements):
     row i+1) is counted once, in a memo that lives as long as the call.
     A strict shape has exactly rank nonempty rows.
     """
-    if shape.rank != rank:
-        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
-    th = _theta(_require_strict(shape, "crystal shape"))
+    th = _theta(_crystal_shape(shape, rank))
     size = rank * (rank + 1) // 2
     memo = {}
     for t in elements:
@@ -172,6 +193,66 @@ def crystal_mark_counts(shape: Shape, rank: int, elements):
             boxed += marks[1]
             both += marks[2]
         yield t, not both, boxed, size - circled - boxed + both
+
+
+def _block_walk(lower: tuple, upper: tuple):
+    """Block j = len(lower) of the walk, as ({(i, j): step count},
+    {boxed (i, j)}), for every tableau whose Gelfand-Tsetlin rows j and
+    j+1 are lower and upper.
+
+    GT row j counts, per tableau row i, the entries <= j.  Before block j
+    the letters <= j sit at the top of shape lower, and the (j+1)s still
+    fill upper/lower; block j reads no other letter.  So it is walked on
+    the rank-j tableau of shape upper whose row i holds i in its first
+    lower_i boxes and j+1 in the rest, checked to end at the top.
+    """
+    j = len(lower)
+    rows = tuple(
+        (i,) * a + (j + 1,) * (b - a)
+        for i, (a, b) in enumerate(zip(lower + (0,), upper), start=1)
+        if b
+    )
+    entries, boxed = _walk_checked(Tableau(j, rows))
+    return {(i, j): entries[i, j] for i in range(1, j + 1)}, {(i, b) for i, b in boxed if b == j}
+
+
+def _block_marks(lower: tuple, upper: tuple) -> tuple[int, int, int]:
+    """(circled, boxed, both) counts of the block _block_walk walks."""
+    entries, boxed = _block_walk(lower, upper)
+    circled = _circled(entries)
+    return len(circled), len(boxed), len(circled & boxed)
+
+
+def crystal_walk_counts(shape: Shape, rank: int, elements):
+    """Yield the walk's (alive, boxed count, unmarked count) for each element.
+
+    The walk twin of crystal_mark_counts, and the whole-crystal twin of
+    _mark_counts(decorate_via_operators(t)).  Block j of an element's
+    walk depends only on its GT rows j and j+1 (_block_marks), so each
+    element is scored as a sum over its blocks, and each distinct (GT
+    row j, GT row j+1) is walked once, in a memo that lives as long as
+    the call.  A strict shape has exactly rank nonempty rows, so GT row
+    j+1 has j+1 parts once one empty row is added.
+    """
+    _crystal_shape(shape, rank)
+    size = rank * (rank + 1) // 2
+    caps = [(j + 1,) * (j + 1) for j in range(rank + 1)]  # map stops at row j+1
+    memo = {}
+    for t in elements:
+        rows = t.rows + ((),)
+        circled = boxed = both = 0
+        lower = (bisect_right(rows[0], 1),)
+        for j in range(1, rank + 1):
+            upper = tuple(map(bisect_right, rows, caps[j]))
+            key = (lower, upper)
+            marks = memo.get(key)
+            if marks is None:
+                marks = memo[key] = _block_marks(lower, upper)
+            circled += marks[0]
+            boxed += marks[1]
+            both += marks[2]
+            lower = upper
+        yield not both, boxed, size - circled - boxed + both
 
 
 def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:

@@ -13,17 +13,18 @@ difference.  No floating point, no division.
 from dataclasses import dataclass
 from operator import add
 
-from .bzl import _c_product, crystal_mark_counts, decorate_via_operators, g_from_triangle, weight_sums
+from .bzl import crystal_mark_counts, crystal_walk_counts, weight_sums
 
-# No function here calls bzl_path or c_coefficient: verify_bn_form
-# takes the path total from its one walk, and the crystal is scored in
-# kernel passes.  Both names stay importable from this module because
-# perfbench/child.py traces them here.
-from .bzl import bzl_path, c_coefficient  # noqa: F401
+# No function here calls bzl_path, c_coefficient, decorate_via_operators
+# or g_from_triangle: verify_bn_form compares the walk's mark counts per
+# block, and the crystal is scored in kernel passes.  The names stay
+# importable from this module because perfbench/child.py traces them
+# here.
+from .bzl import bzl_path, c_coefficient, decorate_via_operators, g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
 from .hpoly import _content_histogram
 from .rootsys import GLWeight, partition_shape, rho
-from .tpoly import QLaurent, TPoly
+from .tpoly import TPoly
 
 
 class LaurentPoly:
@@ -104,16 +105,23 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     return _gather(r, _times_deformed(_histogram_terms(lam, rho(r).coords), r))
 
 
-def _shifted_scores(lam: GLWeight):
-    """crystal_mark_counts over B(lam+rho), enumerated here."""
+def shifted_scores(lam: GLWeight) -> list:
+    """crystal_mark_counts over B(lam+rho), enumerated here, as a list."""
     r = lam.rank
     shape = partition_shape(lam + rho(r))
-    return crystal_mark_counts(shape, r, enumerate_crystal(shape, r))
+    return list(crystal_mark_counts(shape, r, enumerate_crystal(shape, r)))
 
 
-def cs_rhs(lam: GLWeight) -> LaurentPoly:
-    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal."""
-    return LaurentPoly(lam.rank, weight_sums(_shifted_scores(lam)))
+def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
+    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
+
+    A caller that already holds weight_sums(shifted_scores(lam)) passes
+    it as sums, here and in verify_identity and verify_bn_form, so that
+    one verify scores B(lam+rho) once.
+    """
+    if sums is None:
+        sums = weight_sums(shifted_scores(lam))
+    return LaurentPoly(lam.rank, sums)
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,10 @@ class IdentityReport:
     first_mismatch: tuple | None  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(lam: GLWeight) -> IdentityReport:
+def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly."""
     lhs = cs_lhs(lam)
-    rhs = cs_rhs(lam)
+    rhs = cs_rhs(lam, sums)
     mismatch = None
     for exp in sorted(set(lhs.terms) | set(rhs.terms)):
         a, b = lhs.coefficient(exp), rhs.coefficient(exp)
@@ -142,21 +150,27 @@ def verify_identity(lam: GLWeight) -> IdentityReport:
     )
 
 
-def verify_bn_form(lam: GLWeight) -> bool:
-    """Check the reversed-coordinate form built from the walk route.
+def verify_bn_form(lam: GLWeight, scores: list | None = None, sums: dict | None = None) -> bool:
+    """Check the reversed-coordinate form against the walk route.
 
-    Per element the operator-side product times q^(-total step count)
-    must equal the statistics-side coefficient.  Once every element
-    agrees, the weight sums of the statistics side, against reversed
-    weights, must reproduce s_lambda(z) * prod(1 - t z_i/z_j).
+    Per element, the walk's (alive, boxed, unmarked) counts, summed over
+    its blocks by crystal_walk_counts, must equal the statistics
+    scores.  This is the bridge G q^(-total) = C(1/q): G vanishes
+    exactly on dead elements, and (-t)^box (1-t)^unmarked determines
+    (box, unmarked).  Once every element agrees, the weight sums of the
+    statistics side, against reversed weights, must reproduce
+    s_lambda(z) * prod(1 - t z_i/z_j).  scores and sums are
+    shifted_scores(lam) and its weight_sums, when the caller holds them.
     """
-    scores = list(_shifted_scores(lam))
-    for t, alive, box, non in scores:
-        tri = decorate_via_operators(t)
-        want = _c_product(box, non).to_qlaurent() if alive else QLaurent.zero()
-        if g_from_triangle(tri).shift(-tri.total()) != want:
-            return False
+    if scores is None:
+        scores = shifted_scores(lam)
+    if sums is None:
+        sums = weight_sums(scores)
     r, rho_r = lam.rank, rho(lam.rank)
-    rhs = {(GLWeight(w) - rho_r).reverse().coords: p for w, p in weight_sums(scores).items()}
+    walked = crystal_walk_counts(partition_shape(lam + rho_r), r, (t for t, *_ in scores))
+    for (_, alive, box, non), (w_alive, w_box, w_non) in zip(scores, walked):
+        if alive != w_alive or alive and (box, non) != (w_box, w_non):
+            return False
+    rhs = {(GLWeight(w) - rho_r).reverse().coords: p for w, p in sums.items()}
     lhs = _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True)
     return _gather(r, lhs) == LaurentPoly(r, rhs)

@@ -83,6 +83,23 @@ def test_top_check_runs_for_every_element(monkeypatch):
         bzl_path(low)
 
 
+def test_block_top_check_runs_in_verify(capsys, monkeypatch):
+    # verify walks blocks, not elements; each block walk must end at the
+    # top of its own small tableau, and a breach there exits 3
+    from cscrystal import bzl
+    from cscrystal.cli import main
+
+    real = bzl._walk
+
+    def stops_short(t):
+        entries, boxed, _ = real(t)
+        return entries, boxed, t
+
+    monkeypatch.setattr(bzl, "_walk", stops_short)
+    assert main(["verify", "--rank", "2", "--lambda", "1,0"]) == 3
+    assert "internal invariant breach" in capsys.readouterr().err
+
+
 def test_path_total_equals_simple_root_drop():
     for lam in suite_weights():
         if lam.rank > 2:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cscrystal
-from cscrystal import laurent
+from cscrystal import bzl, laurent
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import HTable, h_table
@@ -200,21 +200,21 @@ def test_verify_json(capsys):
 
 
 def test_verify_exits_1_when_one_element_breaks_the_bridge(capsys, monkeypatch):
-    # one extra box on one live element's walk triangle changes G for
-    # that element only; the weight sums still come from the statistics,
-    # so only the per-element check can notice
-    real = laurent.decorate_via_operators
+    # one extra box in one live block's memo entry changes the walk's
+    # counts for the elements that share that block; the weight sums
+    # still come from the statistics, so only the per-element check can
+    # notice
+    real = bzl._block_marks
     tampered = []
 
-    def one_extra_box(t):
-        tri = real(t)
-        free = [cell for cell, _ in tri.items() if cell not in tri.boxed]
-        if tampered or not free or not tri.circled.isdisjoint(tri.boxed):
-            return tri
-        tampered.append(t)
-        return type(tri)(tri.rank, tri.grid, tri.circled, tri.boxed | {free[0]})
+    def one_extra_box(lower, upper):
+        circled, boxed, both = real(lower, upper)
+        if tampered or both or boxed == len(lower):
+            return circled, boxed, both
+        tampered.append((lower, upper))
+        return circled, boxed + 1, both
 
-    monkeypatch.setattr(laurent, "decorate_via_operators", one_extra_box)
+    monkeypatch.setattr(bzl, "_block_marks", one_extra_box)
     code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
     assert len(tampered) == 1
     assert code == 1
@@ -227,8 +227,8 @@ def _one_more_rhs_term(monkeypatch):
     sides are zero."""
     real = laurent.cs_rhs
 
-    def one_more_term(lam):
-        terms = dict(real(lam).terms)
+    def one_more_term(lam, sums=None):
+        terms = dict(real(lam, sums).terms)
         terms[(0,) * (lam.rank + 1)] = TPoly((1,))
         return LaurentPoly(lam.rank, terms)
 

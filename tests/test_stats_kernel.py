@@ -19,7 +19,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscrystal import bzl, laurent
+from cscrystal import bzl, cli, laurent
 from cscrystal.bzl import (
     _mark_counts,
     c_coefficient,
@@ -225,18 +225,20 @@ def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
 
 
 def test_kernel_rejects_shape_with_nonzero_last_part():
-    with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
-        list(crystal_mark_counts(Shape((4, 2, 1)), 2, []))
-    with pytest.raises(ValueError, match="not strictly decreasing"):
-        list(crystal_mark_counts(Shape((3, 3, 0)), 2, []))
+    for kernel in (crystal_mark_counts, bzl.crystal_walk_counts):
+        with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
+            list(kernel(Shape((4, 2, 1)), 2, []))
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            list(kernel(Shape((3, 3, 0)), 2, []))
 
 
 def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
-    # one pass per check: the identity's right-hand side and the
-    # reversed form each score B(lam+rho) once, and neither builds a
-    # statistics triangle
-    passes, stats_calls = [], []
+    # one pass for both checks: the identity's right-hand side and the
+    # reversed form share one scoring of B(lam+rho), and neither builds
+    # a statistics triangle
+    passes, stats_calls, sums_calls = [], [], []
     real_kernel, real_stats = laurent.crystal_mark_counts, bzl.decorate_via_stats
+    real_sums = laurent.weight_sums
 
     def counted_kernel(shape, rank, elements):
         passes.append(list(elements))
@@ -246,10 +248,17 @@ def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
         stats_calls.append(t)
         return real_stats(t)
 
+    def counted_sums(scores):
+        sums_calls.append(scores)
+        return real_sums(scores)
+
     monkeypatch.setattr(laurent, "crystal_mark_counts", counted_kernel)
     monkeypatch.setattr(bzl, "decorate_via_stats", counted_stats)
+    monkeypatch.setattr(laurent, "weight_sums", counted_sums)
+    monkeypatch.setattr(cli, "weight_sums", counted_sums)
     assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
     lam = lambda_from_fundamental((1, 0, 0), 3)
     elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)
-    assert passes == [list(elements), list(elements)]
+    assert passes == [list(elements)]
+    assert len(sums_calls) == 1
     assert stats_calls == []

@@ -44,13 +44,14 @@ def strict_shape_tableaux(draw, low=4, high=5):
 
 
 @st.composite
-def any_shape_tableaux(draw):
-    """A semistandard tableau of a random shape at rank 4 or 5.
+def any_shape_tableaux(draw, low=4, high=5):
+    """A semistandard tableau of a random shape at a rank in low..high,
+    by default 4 or 5.
 
     Most shapes drawn repeat a part or end in a nonzero part, so they
     are not strict; a full column of rank+1 boxes is allowed.
     """
-    rank = draw(st.integers(4, 5))
+    rank = draw(st.integers(low, high))
     parts = draw(st.lists(st.integers(0, 4), min_size=rank + 1, max_size=rank + 1))
     return fill_shape(draw, rank, sorted(parts, reverse=True))
 

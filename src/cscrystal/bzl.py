@@ -20,22 +20,22 @@ _c_product, gives both coefficients from the mark counts: C in t, and
 G = q^total C(1/q), the same product rewritten in q and shifted by the
 triangle's entry total.
 
-The walk has a whole-crystal form too.  Block j of the walk (letters
-j, ..., 1) reads only the letters <= j+1, which by then sit at the top
-of the tableau's Gelfand-Tsetlin row j, with the (j+1)s where they
-started; so its step counts and marks depend only on GT rows j and j+1.
-crystal_walk_counts walks each distinct pair of rows once, on a small
-tableau built from them (_block_marks), and sums the blocks' mark
-counts per element.  One tableau (bzl_path, decorate_via_operators) is
-walked whole by _walk: a per-block walk of one element would build
-reading orders for many small shapes and gains nothing without a memo.
+The walk is run block by block.  Block j of the walk (letters j, ...,
+1) reads only the letters <= j+1, which by then sit at the top of the
+tableau's Gelfand-Tsetlin row j, with the (j+1)s where they started;
+so its step counts and marks depend only on GT rows j and j+1.
+_block_walk writes that block's word straight from the two rows and
+raises its letters, and it is the one walk: one tableau (bzl_path,
+decorate_via_operators) joins its blocks, and crystal_walk_counts walks
+each distinct pair of rows of a crystal once (_block_marks) and sums
+the blocks' mark counts per element.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
-from .crystal import reading_word, surviving_slots, tableau_from_word
+from .crystal import surviving_slots
 
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
@@ -52,48 +52,19 @@ def _require_strict(shape: Shape, what: str) -> Shape:
     return shape
 
 
-# theta per shape; a crystal's elements share one shape
-_theta = lru_cache(maxsize=64)(theta)
-
-
-def _walk(t: Tableau):
-    """Raise t to the top along the letter schedule.
-
-    Works on one mutable reading word.  A stage changes every surviving
-    '-' of its letter to the letter, which is e_i applied until it dies:
-    raising the rightmost surviving '-' leaves the others surviving.
-    Returns the step counts and the stages where lowering was dead, both
-    per (letter, block), and the final element.
-    """
-    word = list(reading_word(t))
-    entries = {}
-    boxed = set()
-    for block in range(1, t.rank + 1):
-        for letter in range(block, 0, -1):
-            minus, plus = surviving_slots(word, letter)
-            if not plus:
-                boxed.add((letter, block))
-            for k in minus:
-                word[k] = letter
-            entries[(letter, block)] = len(minus)
-    return entries, boxed, tableau_from_word(t, word)
-
-
-def _walk_checked(t: Tableau):
-    """_walk, checked to end at the top, where row i is filled with i.
-
-    Returns the step counts and the boxed positions.
-    """
-    entries, boxed, top = _walk(t)
-    if any(x != i for i, row in enumerate(top.rows, start=1) for x in row):
-        raise RuntimeError("walk did not finish at the highest-weight tableau")
-    return entries, boxed
-
-
 def _walk_to_top(t: Tableau):
-    """_walk_checked on a tableau of strict shape."""
+    """Step counts and boxed stages, per (letter, block), of the walk of
+    t, a tableau of strict shape: block j is walked by _block_walk from
+    t's Gelfand-Tsetlin rows j and j+1."""
     _require_strict(t.shape, "tableau shape")
-    return _walk_checked(t)
+    rows = t.rows + ((),)  # a strict shape has exactly rank nonempty rows
+    gt = [tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, t.rank + 2)]
+    entries, boxed = {}, set()
+    for lower, upper in zip(gt, gt[1:]):
+        block_entries, block_boxed = _block_walk(lower, upper)
+        entries.update(block_entries)
+        boxed |= block_boxed
+    return entries, boxed
 
 
 def _grid(rank, entries):
@@ -132,7 +103,7 @@ def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
     marks of row i come from tableau rows i and i+1 (_row_marks).
     """
     r = t.rank
-    th = _theta(_require_strict(t.shape, "tableau shape"))
+    th = theta(_require_strict(t.shape, "tableau shape"))
     rows = t.rows + ((),)  # a strict shape has exactly r nonempty rows
     circled, boxed = [], []
     for i in range(1, r + 1):
@@ -177,7 +148,7 @@ def crystal_mark_counts(shape: Shape, rank: int, elements):
     row i+1) is counted once, in a memo that lives as long as the call.
     A strict shape has exactly rank nonempty rows.
     """
-    th = _theta(_crystal_shape(shape, rank))
+    th = theta(_crystal_shape(shape, rank))
     size = rank * (rank + 1) // 2
     memo = {}
     for t in elements:
@@ -198,22 +169,39 @@ def crystal_mark_counts(shape: Shape, rank: int, elements):
 def _block_walk(lower: tuple, upper: tuple):
     """Block j = len(lower) of the walk, as ({(i, j): step count},
     {boxed (i, j)}), for every tableau whose Gelfand-Tsetlin rows j and
-    j+1 are lower and upper.
+    j+1 (per tableau row, the entries <= j and <= j+1) are lower and upper.
 
-    GT row j counts, per tableau row i, the entries <= j.  Before block j
-    the letters <= j sit at the top of shape lower, and the (j+1)s still
-    fill upper/lower; block j reads no other letter.  So it is walked on
-    the rank-j tableau of shape upper whose row i holds i in its first
-    lower_i boxes and j+1 in the rest, checked to end at the top.
+    Before block j the letters <= j sit at the top of shape lower, and
+    the (j+1)s still fill upper/lower; block j reads no other letter.
+    So its reading word, columns right to left, has column c hold 1..g
+    and then j+1 down to height h, for the heights g and h of column c
+    in lower and upper.  A stage changes every surviving '-' of its
+    letter to the letter (e_i until it dies), and the word must end at
+    the top, where row i holds only i.
     """
     j = len(lower)
-    rows = tuple(
-        (i,) * a + (j + 1,) * (b - a)
-        for i, (a, b) in enumerate(zip(lower + (0,), upper), start=1)
-        if b
-    )
-    entries, boxed = _walk_checked(Tableau(j, rows))
-    return {(i, j): entries[i, j] for i in range(1, j + 1)}, {(i, b) for i, b in boxed if b == j}
+    lower, upper = lower + (0,), upper + (0,)
+    word, top = [], []
+    g = h = 0
+    for c in range(upper[0] - 1, -1, -1):
+        while upper[h] > c:
+            h += 1
+        while lower[g] > c:
+            g += 1
+        word += range(1, g + 1)
+        word += [j + 1] * (h - g)
+        top += range(1, h + 1)
+    entries, boxed = {}, set()
+    for letter in range(j, 0, -1):
+        minus, plus = surviving_slots(word, letter)
+        if not plus:
+            boxed.add((letter, j))
+        for k in minus:
+            word[k] = letter
+        entries[(letter, j)] = len(minus)
+    if word != top:
+        raise RuntimeError("walk did not finish at the highest-weight tableau")
+    return entries, boxed
 
 
 def _block_marks(lower: tuple, upper: tuple) -> tuple[int, int, int]:

@@ -7,13 +7,13 @@ surviving signs are all '-' followed by all '+'.  The lowering operator
 acts at the leftmost surviving '+', the raising operator at the
 rightmost surviving '-'.
 
-The rule is a pure word operation, so the operators and the walk in
-bzl work on flat reading words: surviving_slots does the cancellation,
-and a changed word becomes a Tableau again through the per-shape
-reading order.  Changing the letter at a surviving slot keeps rows
-weakly increasing and columns strictly increasing, so those tableaux
-are built without re-validation.  The enumeration needs no operator:
-it fills the rows of the shape directly.
+The rule is a pure word operation, done by surviving_slots, which the
+walk in bzl shares.  The operators read a tableau's word through the
+per-shape reading order, and a changed word becomes a Tableau again
+through the same order.  Changing the letter at a surviving slot keeps
+rows weakly increasing and columns strictly increasing, so those
+tableaux are built without re-validation.  The enumeration needs no
+operator: it fills the rows of the shape directly.
 """
 
 from functools import lru_cache
@@ -29,9 +29,10 @@ def _reading_order(lengths: tuple[int, ...]):
     """(box of each word slot, word slots of each row) for the row lengths.
 
     Boxes are 0-indexed (row, col); each row lists its slots left to
-    right.  A walk over a crystal touches one shape, so a few entries
-    serve every hit; the bound keeps a process that walks many one-off
-    shapes from holding an order for each of them.
+    right.  Only the operators read it, and the operators over one
+    crystal (graph's f_op) touch one shape, so a few entries serve every
+    hit; the bound keeps a process that meets many one-off shapes from
+    holding an order for each of them.
     """
     width = lengths[0] if lengths else 0
     boxes = tuple(

@@ -5,9 +5,10 @@ side starts from the content histogram of B(lambda), which is
 s_lambda(z) term by term, times z^rho, as a flat map
 {(z-exponent..., t-degree): int}; each factor (1 - t z_j/z_i) then acts
 by one shift-and-subtract pass (_times_deformed).  The crystal side sums
-C by weight (bzl.weight_sums).  A LaurentPoly, which has no arithmetic,
-is built from each side only to compare them and report the first
-difference.  No floating point, no division.
+C by weight (bzl.weight_sums).  verify_identity builds a LaurentPoly,
+which has no arithmetic, from each side only to compare them and
+report the first difference; verify_bn_form compares the flat maps
+themselves.  No floating point, no division.
 """
 
 from dataclasses import dataclass
@@ -159,8 +160,8 @@ def verify_bn_form(lam: GLWeight, scores: list | None = None, sums: dict | None 
     exactly on dead elements, and (-t)^box (1-t)^unmarked determines
     (box, unmarked).  Once every element agrees, the weight sums of the
     statistics side, against reversed weights, must reproduce
-    s_lambda(z) * prod(1 - t z_i/z_j).  scores and sums are
-    shifted_scores(lam) and its weight_sums, when the caller holds them.
+    s_lambda(z) * prod(1 - t z_i/z_j) as a flat map.  scores and sums
+    are shifted_scores(lam) and its weight_sums, when the caller holds them.
     """
     if scores is None:
         scores = shifted_scores(lam)
@@ -171,6 +172,6 @@ def verify_bn_form(lam: GLWeight, scores: list | None = None, sums: dict | None 
     for (_, alive, box, non), (w_alive, w_box, w_non) in zip(scores, walked):
         if alive != w_alive or alive and (box, non) != (w_box, w_non):
             return False
-    rhs = {(GLWeight(w) - rho_r).reverse().coords: p for w, p in sums.items()}
-    lhs = _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True)
-    return _gather(r, lhs) == LaurentPoly(r, rhs)
+    rev = {w: (GLWeight(w) - rho_r).reverse().coords for w in sums}
+    rhs = {rev[w] + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
+    return _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True) == rhs

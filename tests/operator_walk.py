@@ -1,9 +1,10 @@
 """The walk of bzl, spelled with the public crystal operators.
 
-This is the slow, obvious twin of the word kernel in bzl._walk: every
-stage asks phi for the box mark and applies e_op until it returns
-None, building and validating a Tableau at each step.  Tests compare
-the two walk for walk.
+This is the slow, obvious twin of the block walk bzl._block_walk: it
+raises the whole tableau, and every stage asks phi for the box mark and
+applies e_op until it returns None, building and validating a Tableau
+at each step.  Tests compare the two block for block and, through
+decorate_via_operators and bzl_path, tableau for tableau.
 """
 
 from cscrystal.crystal import e_op, phi

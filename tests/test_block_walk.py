@@ -1,13 +1,15 @@
-"""The block lemma behind bzl.crystal_walk_counts.
+"""The block lemma behind bzl._block_walk, the one walk of the package.
 
 Block j of the walk (letters j, ..., 1) depends only on the tableau's
-Gelfand-Tsetlin rows j and j+1, so verify walks each distinct pair of
-rows once.  These tests hold that block walk equal to block j of the
-whole-word walk bzl._walk, in step counts and boxed letters, on
-tableaux of any shape: exhaustively at ranks 1-4 for rows up to a
-fixed length, and on random tableaux at rank 5.  They also hold the
-per-element sums equal to the marks of decorate_via_operators on every
-crystal of the verification suite.
+Gelfand-Tsetlin rows j and j+1, so bzl walks each block from its pair
+of rows alone.  These tests hold that block walk equal to block j of
+the slow twin tests/operator_walk.py, which raises the whole tableau
+with the public e_op and phi, in step counts and boxed letters, on
+tableaux of any shape: exhaustively at ranks 1-4 for rows up to a fixed
+length, and on random tableaux at rank 5.  The twin's last element must
+be the highest-weight tableau, and every block walk checks that it ends
+at its own top.  They also hold the per-element sums equal to the marks
+of decorate_via_operators on every crystal of the verification suite.
 """
 
 from bisect import bisect_right
@@ -15,15 +17,10 @@ from bisect import bisect_right
 from hypothesis import given, settings
 
 from conftest import shifted_elements
-from cscrystal.bzl import (
-    _block_walk,
-    _mark_counts,
-    _walk,
-    crystal_walk_counts,
-    decorate_via_operators,
-)
+from cscrystal.bzl import _block_walk, _mark_counts, crystal_walk_counts, decorate_via_operators
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, rho
+from operator_walk import operator_walk
 from test_word_kernel import any_shape_tableaux
 
 
@@ -34,9 +31,11 @@ def gt_row(t, j):
 
 
 def check_blocks(t, walked):
-    """Each block of t's whole walk equals the walk of its GT row pair;
-    walked memoizes _block_walk by that pair."""
-    entries, boxed, _ = _walk(t)
+    """Each block of t's operator walk equals the walk of its GT row pair,
+    and the operator walk ends at the top; walked memoizes _block_walk by
+    that pair."""
+    entries, boxed, top = operator_walk(t)
+    assert top.rows == tuple((i,) * len(row) for i, row in enumerate(t.rows, start=1)), t
     for j in range(1, t.rank + 1):
         key = (gt_row(t, j), gt_row(t, j + 1))
         if key not in walked:

@@ -62,20 +62,26 @@ def test_bzl_path_requires_strict_shape():
         bzl_path(column)
 
 
-def test_top_check_runs_for_every_element(monkeypatch):
+def _stop_one_raise_short(monkeypatch):
+    """Make every stage of the block walk that raises skip its last '-'."""
     from cscrystal import bzl
+
+    real = bzl.surviving_slots
+
+    def short(word, i):
+        minus, plus = real(word, i)
+        return minus[:-1], plus
+
+    monkeypatch.setattr(bzl, "surviving_slots", short)
+
+
+def test_top_check_runs_for_every_element(monkeypatch):
     from cscrystal.crystal import enumerate_crystal
 
     shape = Shape((3, 2, 0))
     top = highest_weight_tableau(shape, 2)
-    decorate_via_operators(top)  # the real walk ends at the top
-    real = bzl._walk
-
-    def stops_short(t):
-        entries, boxed, _ = real(t)
-        return entries, boxed, t
-
-    monkeypatch.setattr(bzl, "_walk", stops_short)
+    _stop_one_raise_short(monkeypatch)
+    decorate_via_operators(top)  # nothing to raise: the walk is already at the top
     low = next(t for t in enumerate_crystal(shape, 2) if t != top)
     with pytest.raises(RuntimeError):
         decorate_via_operators(low)
@@ -85,19 +91,23 @@ def test_top_check_runs_for_every_element(monkeypatch):
 
 def test_block_top_check_runs_in_verify(capsys, monkeypatch):
     # verify walks blocks, not elements; each block walk must end at the
-    # top of its own small tableau, and a breach there exits 3
-    from cscrystal import bzl
+    # top of its own word, and a breach there exits 3
     from cscrystal.cli import main
 
-    real = bzl._walk
-
-    def stops_short(t):
-        entries, boxed, _ = real(t)
-        return entries, boxed, t
-
-    monkeypatch.setattr(bzl, "_walk", stops_short)
+    _stop_one_raise_short(monkeypatch)
     assert main(["verify", "--rank", "2", "--lambda", "1,0"]) == 3
-    assert "internal invariant breach" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal invariant breach" in err
+    assert "did not finish at the highest-weight tableau" in err
+
+
+def test_top_check_runs_in_bzl_command(capsys, monkeypatch):
+    from cscrystal.cli import main
+
+    _stop_one_raise_short(monkeypatch)
+    # the walk's own top check fires, before the two routes are compared
+    assert main(["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"]) == 3
+    assert "internal invariant breach: walk did not finish" in capsys.readouterr().err
 
 
 def test_path_total_equals_simple_root_drop():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import suite_weights
+from cscrystal.bzl import weight_sums
 from cscrystal.hpoly import _content_histogram
 from cscrystal.laurent import (
     LaurentPoly,
@@ -8,6 +9,7 @@ from cscrystal.laurent import (
     _times_deformed,
     cs_lhs,
     cs_rhs,
+    shifted_scores,
     verify_bn_form,
     verify_identity,
 )
@@ -120,3 +122,18 @@ def test_identity_across_suite(suite):
 def test_bn_form_across_suite(suite):
     for lam in suite:
         assert verify_bn_form(lam), lam
+
+
+def test_bn_form_fails_when_one_weight_sum_changes():
+    # every element's walk still agrees with its scores; only the
+    # reversed product comparison can see the change
+    lam = lambda_from_fundamental((1, 0), 2)
+    scores = shifted_scores(lam)
+    sums = weight_sums(scores)
+    assert verify_bn_form(lam, scores, sums)
+    # one weight sum gains a term
+    w, p = next(iter(sums.items()))
+    assert not verify_bn_form(lam, scores, {**sums, w: TPoly(p.coeffs + (1,))})
+    # the same terms with one coefficient changed
+    w, p = next((w, p) for w, p in sums.items() if p.coeffs)
+    assert not verify_bn_form(lam, scores, {**sums, w: TPoly((p.coeffs[0] + 1,) + p.coeffs[1:])})

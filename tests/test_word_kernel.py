@@ -8,9 +8,9 @@ route, and full validation of every operator image.
 
 from hypothesis import given, settings, strategies as st
 
-from cscrystal.bzl import _walk, bzl_path, decorate_via_operators, decorate_via_stats
-from cscrystal.crystal import e_op, epsilon, f_op, phi
-from cscrystal.tableaux import make_tableau, stats_a
+from cscrystal.bzl import bzl_path, decorate_via_operators, decorate_via_stats
+from cscrystal.crystal import e_op, epsilon, f_op, highest_weight_tableau, phi
+from cscrystal.tableaux import DecoratedTriangle, make_tableau, stats_a
 from operator_walk import operator_walk
 
 
@@ -59,7 +59,15 @@ def any_shape_tableaux(draw, low=4, high=5):
 @settings(max_examples=60, deadline=None)
 @given(strict_shape_tableaux())
 def test_kernel_walk_matches_operator_walk(t):
-    assert _walk(t) == operator_walk(t)
+    # the block walk, joined over t's blocks, against the twin walk
+    # built from e_op and phi: step counts, marks and the top element
+    r = t.rank
+    entries, boxed, top = operator_walk(t)
+    grid = tuple(tuple(entries[i, j] for j in range(i, r + 1)) for i in range(1, r + 1))
+    circled = frozenset(cell for cell, a in entries.items() if a == entries.get((cell[0] - 1, cell[1]), 0))
+    assert decorate_via_operators(t) == DecoratedTriangle(r, grid, circled, frozenset(boxed))
+    assert bzl_path(t) == DecoratedTriangle(r, grid)
+    assert top == highest_weight_tableau(t.shape, r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,35 +13,40 @@ statistics route puts a_{i,j}, so the two triangles must be equal.  The
 PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
 
-One rule, _row_marks, marks triangle row i from tableau rows i and
-i+1, in decorate_via_stats and in crystal_mark_counts; weight_sums
-sums C by weight over the scores of the latter.  One memoized product,
-_c_product, gives both coefficients from the mark counts: C in t, and
-G = q^total C(1/q), the same product rewritten in q and shifted by the
-triangle's entry total.
+Both routes are read block by block from the tableau's Gelfand-Tsetlin
+(GT) rows: GT row j holds, per tableau row i, the number of entries
+<= j.  Column j of the triangle depends only on GT rows j and j+1.
+For the statistics this is one rule, _stats_block: a_{i,j} sums the
+(j+1)s of rows 1..i, and (i, j) is circled when GT rows j and j+1
+agree at i and boxed when row j+1 at i+1 equals row j at i.  For the
+walk it is a lemma: block j (letters j, ..., 1) reads only the letters
+<= j+1, which by then sit at the top of GT row j, with the (j+1)s where
+they started; _block_walk writes that block's word straight from the
+two rows and raises its letters, and it is the one walk.
 
-The walk is run block by block.  Block j of the walk (letters j, ...,
-1) reads only the letters <= j+1, which by then sit at the top of the
-tableau's Gelfand-Tsetlin row j, with the (j+1)s where they started;
-so its step counts and marks depend only on GT rows j and j+1.
-_block_walk writes that block's word straight from the two rows and
-raises its letters, and it is the one walk: one tableau (bzl_path,
-decorate_via_operators) joins its blocks, and crystal_walk_counts walks
-each distinct pair of rows of a crystal once (_block_marks) and sums
-the blocks' mark counts per element.
+One tableau (bzl_path, decorate_via_operators, decorate_via_stats)
+joins its blocks (_join_blocks).  A whole crystal is scored by
+crystal_scores, which applies _stats_block once per distinct pair of GT
+rows and sums the blocks' mark counts and weight coordinates per
+element; weight_sums sums C by weight over those scores, and verify
+checks block_agrees, the walk against the statistics, once per
+distinct block.  One memoized product, _c_product, gives both
+coefficients from the mark counts: C in t, and G = q^total C(1/q), the
+same product rewritten in q and shifted by the triangle's entry total.
 """
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import getitem, or_
 
 from .crystal import surviving_slots
 
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
-from .rootsys import Shape, theta
-from .tableaux import DecoratedTriangle, Tableau, _a_rows, _content_coords, _row_histograms
+from .rootsys import Shape
+from .tableaux import DecoratedTriangle, Tableau
 from .tpoly import QLaurent, TPoly
 
 
@@ -52,19 +57,14 @@ def _require_strict(shape: Shape, what: str) -> Shape:
     return shape
 
 
-def _walk_to_top(t: Tableau):
-    """Step counts and boxed stages, per (letter, block), of the walk of
-    t, a tableau of strict shape: block j is walked by _block_walk from
-    t's Gelfand-Tsetlin rows j and j+1."""
+def _join_blocks(t: Tableau, block) -> list:
+    """block(GT row j, GT row j+1) for j = 1..rank, its dicts and sets
+    merged across blocks.  t has strict shape; its GT row j holds, per
+    tableau row 1..j, the number of entries <= j."""
     _require_strict(t.shape, "tableau shape")
     rows = t.rows + ((),)  # a strict shape has exactly rank nonempty rows
     gt = [tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, t.rank + 2)]
-    entries, boxed = {}, set()
-    for lower, upper in zip(gt, gt[1:]):
-        block_entries, block_boxed = _block_walk(lower, upper)
-        entries.update(block_entries)
-        boxed |= block_boxed
-    return entries, boxed
+    return [reduce(or_, parts) for parts in zip(*map(block, gt, gt[1:]))]
 
 
 def _grid(rank, entries):
@@ -75,7 +75,7 @@ def _grid(rank, entries):
 
 def bzl_path(t: Tableau) -> DecoratedTriangle:
     """Step-count triangle of the walk, no marks."""
-    entries, _ = _walk_to_top(t)
+    entries, _ = _join_blocks(t, _block_walk)
     return DecoratedTriangle(t.rank, _grid(t.rank, entries))
 
 
@@ -87,7 +87,7 @@ def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
     reached just before that stage, and circled when its count equals
     the count of letter i-1 in the same block, reading 0 for letter 0.
     """
-    entries, boxed = _walk_to_top(t)
+    entries, boxed = _join_blocks(t, _block_walk)
     return DecoratedTriangle(t.rank, _grid(t.rank, entries), _circled(entries), frozenset(boxed))
 
 
@@ -97,73 +97,84 @@ def _circled(entries) -> frozenset:
 
 
 def decorate_via_stats(t: Tableau) -> DecoratedTriangle:
-    """Statistic-based marks, no crystal walking.
+    """Statistic-based marks, no crystal walking: _stats_block joined
+    over t's GT rows."""
+    entries, circled, boxed = _join_blocks(t, _stats_block)
+    return DecoratedTriangle(t.rank, _grid(t.rank, entries), frozenset(circled), frozenset(boxed))
 
-    Entries are the color counts a_{i,j}, from one row histogram; the
-    marks of row i come from tableau rows i and i+1 (_row_marks).
+
+def _stats_block(lower: tuple, upper: tuple):
+    """Column j = len(lower) of the statistics triangle, as
+    ({(i, j): a_{i,j}}, {circled (i, j)}, {boxed (i, j)}), for every
+    tableau whose GT rows j and j+1 are lower and upper.
+
+    a_{i,j}, the number of (j+1)s in rows 1..i, sums upper - lower over
+    rows 1..i.  (i, j) is circled when a_{i,j} = a_{i-1,j}: row i holds
+    no j+1, so upper_i = lower_i.  It is boxed when
+    b_{i,j} >= theta_i + b_{i+1,j+1}, for b_{i,j} = l_i - lower_i the
+    entries of row i above j and theta_i = l_i - l_{i+1} (l the shape);
+    that reads upper_{i+1} >= lower_i, and GT rows interlace, so it is
+    upper_{i+1} = lower_i.
     """
-    r = t.rank
-    th = theta(_require_strict(t.shape, "tableau shape"))
-    rows = t.rows + ((),)  # a strict shape has exactly r nonempty rows
-    circled, boxed = [], []
-    for i in range(1, r + 1):
-        circ, box = _row_marks(r, i, th[i - 1], rows[i - 1], rows[i])
-        circled += [(i, j) for j in circ]
-        boxed += [(i, j) for j in box]
-    return DecoratedTriangle(r, _a_rows(_row_histograms(t)), frozenset(circled), frozenset(boxed))
+    j = len(lower)
+    entries, circled, boxed = {}, set(), set()
+    a = 0
+    for i in range(j):
+        a += upper[i] - lower[i]
+        entries[(i + 1, j)] = a
+        if upper[i] == lower[i]:
+            circled.add((i + 1, j))
+        if upper[i + 1] == lower[i]:
+            boxed.add((i + 1, j))
+    return entries, circled, boxed
 
 
-def _row_marks(rank: int, i: int, gap: int, row: tuple, below: tuple):
-    """Circled and boxed columns j of triangle row i, from tableau rows i, i+1.
+def crystal_scores(shape: Shape, rank: int, elements, blocks: dict | None = None):
+    """Yield (content coordinates, alive, boxed count, unmarked count)
+    for each element, all of the given shape.
 
-    (i, j) is circled when a_{i,j} = a_{i-1,j}: row i holds no j+1.  It
-    is boxed when b_{i,j} >= theta_i + b_{i+1,j+1}, where b_{i,j} counts
-    the entries of row i above j and below is empty for the last row.
-    Rows are sorted, so each such count is one bisection.
+    The whole-crystal twin of content(t) and _mark_counts(decorate_via_stats(t)).
+    Column j of the triangle and content coordinate j+1 depend only on
+    GT rows j and j+1 (_stats_block), so every element is scored as a
+    sum over its blocks.  Strictness is checked once per crystal.  Each
+    distinct (GT row j, GT row j+1) is scored once, into blocks: a memo
+    that lives as long as the call, or the caller's dict, from which
+    verify_bn_form reads the distinct blocks afterwards.  GT rows are
+    read from each distinct tableau row's counts of entries <= 1..rank,
+    memoized too and transposed.  A strict shape has exactly rank
+    nonempty rows, and its parts are GT row rank+1.
     """
-    circled, boxed = [], []
-    for j in range(i, rank + 1):
-        if j + 1 not in row:
-            circled.append(j)
-        if len(row) - bisect_right(row, j) >= gap + len(below) - bisect_right(below, j + 1):
-            boxed.append(j)
-    return circled, boxed
-
-
-def _crystal_shape(shape: Shape, rank: int) -> Shape:
-    """shape, checked to be strict and of the given rank."""
     if shape.rank != rank:
         raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
-    return _require_strict(shape, "crystal shape")
-
-
-def crystal_mark_counts(shape: Shape, rank: int, elements):
-    """Yield (t, alive, boxed count, unmarked count) for each element.
-
-    The whole-crystal twin of _mark_counts(decorate_via_stats(t)).  Row
-    i of a triangle is marked from rows i and i+1 of the tableau and
-    theta_i alone (_row_marks), so every element, all of the given
-    shape, is scored as a sum over its adjacent row pairs.  Strictness
-    and theta are checked once per crystal, and each distinct (i, row i,
-    row i+1) is counted once, in a memo that lives as long as the call.
-    A strict shape has exactly rank nonempty rows.
-    """
-    th = theta(_crystal_shape(shape, rank))
+    _require_strict(shape, "crystal shape")
     size = rank * (rank + 1) // 2
-    memo = {}
+    blocks = {} if blocks is None else blocks
+    caps = range(1, rank + 1)
+    cuts = [slice(j) for j in caps]  # GT row j keeps tableau rows 1..j
+    counts: dict = {}
     for t in elements:
-        rows = t.rows + ((),)
+        vectors = []
+        for row in t.rows:
+            v = counts.get(row)
+            if v is None:
+                v = counts[row] = tuple(bisect_right(row, k) for k in caps)
+            vectors.append(v)
+        gt = list(map(getitem, zip(*vectors), cuts))
+        gt.append(shape.parts)
+        weight = [gt[0][0]]
         circled = boxed = both = 0
-        for i in range(rank):
-            key = (i, rows[i], rows[i + 1])
-            marks = memo.get(key)
+        for key in zip(gt, gt[1:]):
+            marks = blocks.get(key)
             if marks is None:
-                circ, box = _row_marks(rank, i + 1, th[i], *key[1:])
-                marks = memo[key] = (len(circ), len(box), len(set(circ).intersection(box)))
+                _, circ, box = _stats_block(*key)
+                marks = blocks[key] = (
+                    len(circ), len(box), len(circ & box), sum(key[1]) - sum(key[0])
+                )
             circled += marks[0]
             boxed += marks[1]
             both += marks[2]
-        yield t, not both, boxed, size - circled - boxed + both
+            weight.append(marks[3])
+        yield tuple(weight), not both, boxed, size - circled - boxed + both
 
 
 def _block_walk(lower: tuple, upper: tuple):
@@ -204,43 +215,12 @@ def _block_walk(lower: tuple, upper: tuple):
     return entries, boxed
 
 
-def _block_marks(lower: tuple, upper: tuple) -> tuple[int, int, int]:
-    """(circled, boxed, both) counts of the block _block_walk walks."""
+def block_agrees(lower: tuple, upper: tuple) -> bool:
+    """Whether the walk's block len(lower) equals the statistics block
+    _stats_block cell by cell: step counts against a_{i,j}, circled and
+    boxed cells."""
     entries, boxed = _block_walk(lower, upper)
-    circled = _circled(entries)
-    return len(circled), len(boxed), len(circled & boxed)
-
-
-def crystal_walk_counts(shape: Shape, rank: int, elements):
-    """Yield the walk's (alive, boxed count, unmarked count) for each element.
-
-    The walk twin of crystal_mark_counts, and the whole-crystal twin of
-    _mark_counts(decorate_via_operators(t)).  Block j of an element's
-    walk depends only on its GT rows j and j+1 (_block_marks), so each
-    element is scored as a sum over its blocks, and each distinct (GT
-    row j, GT row j+1) is walked once, in a memo that lives as long as
-    the call.  A strict shape has exactly rank nonempty rows, so GT row
-    j+1 has j+1 parts once one empty row is added.
-    """
-    _crystal_shape(shape, rank)
-    size = rank * (rank + 1) // 2
-    caps = [(j + 1,) * (j + 1) for j in range(rank + 1)]  # map stops at row j+1
-    memo = {}
-    for t in elements:
-        rows = t.rows + ((),)
-        circled = boxed = both = 0
-        lower = (bisect_right(rows[0], 1),)
-        for j in range(1, rank + 1):
-            upper = tuple(map(bisect_right, rows, caps[j]))
-            key = (lower, upper)
-            marks = memo.get(key)
-            if marks is None:
-                marks = memo[key] = _block_marks(lower, upper)
-            circled += marks[0]
-            boxed += marks[1]
-            both += marks[2]
-            lower = upper
-        yield not both, boxed, size - circled - boxed + both
+    return (entries, _circled(entries), boxed) == _stats_block(lower, upper)
 
 
 def _mark_counts(tri: DecoratedTriangle) -> tuple[bool, int, int]:
@@ -312,7 +292,7 @@ def _scaled_sum(pairs) -> TPoly:
 
 
 def weight_sums(scores) -> dict:
-    """Content coordinates -> sum of C over the crystal_mark_counts scores.
+    """Content coordinates -> sum of C over the crystal_scores scores.
 
     Grouped by (content, box, unmarked), so each weight's sum adds n
     times C's coefficients into one integer list per group of size n,
@@ -320,8 +300,8 @@ def weight_sums(scores) -> dict:
     elements all have C = 0 maps to zero.
     """
     groups: dict = {}  # content coords -> {(box, unmarked): n}
-    for t, alive, box, non in scores:
-        counts = groups.setdefault(_content_coords(t), {})
+    for w, alive, box, non in scores:
+        counts = groups.setdefault(w, {})
         if alive:
             counts[box, non] = counts.get((box, non), 0) + 1
     return {

@@ -18,7 +18,6 @@ from .bzl import (
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    weight_sums,
 )
 from .crystal import enumerate_crystal, f_op
 from .hpoly import (
@@ -29,7 +28,7 @@ from .hpoly import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
-from .laurent import shifted_scores, verify_bn_form, verify_identity
+from .laurent import shifted_sums, verify_bn_form, verify_identity
 from .rootsys import (
     GLWeight,
     Shape,
@@ -132,10 +131,9 @@ def cmd_bzl(args) -> int:
 def cmd_verify(args) -> int:
     lam = _weight_from_args(args)
     started = time.monotonic()
-    scores = shifted_scores(lam)
-    sums = weight_sums(scores)
+    sums, blocks = shifted_sums(lam)
     report = verify_identity(lam, sums)
-    bn_ok = verify_bn_form(lam, scores, sums)
+    bn_ok = verify_bn_form(lam, sums, blocks)
     elapsed_ms = 1000 * (time.monotonic() - started)
     sys.stderr.write(f"elapsed: {elapsed_ms:.1f} ms\n")
     ok = report.equal and bn_ok

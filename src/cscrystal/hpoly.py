@@ -4,9 +4,10 @@ For a dominant weight lambda, each weight drop mu (in simple-root
 coordinates) collects the coefficients of the rho-shifted crystal
 elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
-bzl.weight_sums.  The same polynomial arises from tensoring the plain
-lambda-crystal with the rho-crystal and only scoring the rho factor,
-which gives an internal cross-check.
+bzl.weight_sums over one bzl.crystal_scores pass, which scores each
+element from its Gelfand-Tsetlin blocks.  The same polynomial arises
+from tensoring the plain lambda-crystal with the rho-crystal and only
+scoring the rho factor, which gives an internal cross-check.
 
 Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
 of the irreducible, a weight multiplicity of a tensor product, and a
@@ -21,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bzl import _scaled_sum, c_coefficient, crystal_mark_counts, weight_sums
+from .bzl import _scaled_sum, c_coefficient, crystal_scores, weight_sums
 from .crystal import enumerate_crystal
 from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
 from .tableaux import _content_coords, content
@@ -145,7 +146,7 @@ def h_table(lam: GLWeight) -> HTable:
     r = lam.rank
     shifted = lam + rho(r)
     shape = partition_shape(shifted)
-    sums = weight_sums(crystal_mark_counts(shape, r, enumerate_crystal(shape, r)))
+    sums = weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r)))
     rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in sums.items()}
     return HTable(lam=lam, rank=r, rows=rows)
 

@@ -5,22 +5,25 @@ side starts from the content histogram of B(lambda), which is
 s_lambda(z) term by term, times z^rho, as a flat map
 {(z-exponent..., t-degree): int}; each factor (1 - t z_j/z_i) then acts
 by one shift-and-subtract pass (_times_deformed).  The crystal side sums
-C by weight (bzl.weight_sums).  verify_identity builds a LaurentPoly,
-which has no arithmetic, from each side only to compare them and
-report the first difference; verify_bn_form compares the flat maps
-themselves.  No floating point, no division.
+C by weight (bzl.weight_sums) over one scoring pass of B(lambda+rho)
+(bzl.crystal_scores), whose memo of distinct Gelfand-Tsetlin blocks
+verify_bn_form walks to check the walk against the statistics.
+verify_identity builds a LaurentPoly, which has no arithmetic, from
+each side only to compare them and report the first difference;
+verify_bn_form compares the flat maps themselves.  No floating point,
+no division.
 """
 
 from dataclasses import dataclass
 from operator import add
 
-from .bzl import crystal_mark_counts, crystal_walk_counts, weight_sums
+from .bzl import block_agrees, crystal_scores, weight_sums
 
 # No function here calls bzl_path, c_coefficient, decorate_via_operators
-# or g_from_triangle: verify_bn_form compares the walk's mark counts per
-# block, and the crystal is scored in kernel passes.  The names stay
-# importable from this module because perfbench/child.py traces them
-# here.
+# or g_from_triangle: verify_bn_form compares the walk with the
+# statistics per block, and the crystal is scored in one kernel pass.
+# The names stay importable from this module because perfbench/child.py
+# traces them here.
 from .bzl import bzl_path, c_coefficient, decorate_via_operators, g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
 from .hpoly import _content_histogram
@@ -106,22 +109,24 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     return _gather(r, _times_deformed(_histogram_terms(lam, rho(r).coords), r))
 
 
-def shifted_scores(lam: GLWeight) -> list:
-    """crystal_mark_counts over B(lam+rho), enumerated here, as a list."""
+def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
+    """(weight_sums, block memo) of one crystal_scores pass over
+    B(lam+rho), enumerated here."""
     r = lam.rank
     shape = partition_shape(lam + rho(r))
-    return list(crystal_mark_counts(shape, r, enumerate_crystal(shape, r)))
+    blocks: dict = {}
+    return weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r), blocks)), blocks
 
 
 def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
     """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
 
-    A caller that already holds weight_sums(shifted_scores(lam)) passes
-    it as sums, here and in verify_identity and verify_bn_form, so that
-    one verify scores B(lam+rho) once.
+    A caller that already holds the sums of shifted_sums(lam) passes
+    them as sums, here and in verify_identity and verify_bn_form, so
+    that one verify scores B(lam+rho) once.
     """
     if sums is None:
-        sums = weight_sums(shifted_scores(lam))
+        sums, _ = shifted_sums(lam)
     return LaurentPoly(lam.rank, sums)
 
 
@@ -151,27 +156,22 @@ def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:
     )
 
 
-def verify_bn_form(lam: GLWeight, scores: list | None = None, sums: dict | None = None) -> bool:
+def verify_bn_form(lam: GLWeight, sums: dict | None = None, blocks: dict | None = None) -> bool:
     """Check the reversed-coordinate form against the walk route.
 
-    Per element, the walk's (alive, boxed, unmarked) counts, summed over
-    its blocks by crystal_walk_counts, must equal the statistics
-    scores.  This is the bridge G q^(-total) = C(1/q): G vanishes
-    exactly on dead elements, and (-t)^box (1-t)^unmarked determines
-    (box, unmarked).  Once every element agrees, the weight sums of the
-    statistics side, against reversed weights, must reproduce
-    s_lambda(z) * prod(1 - t z_i/z_j) as a flat map.  scores and sums
-    are shifted_scores(lam) and its weight_sums, when the caller holds them.
+    Every distinct Gelfand-Tsetlin block of B(lam+rho) is walked once,
+    and must equal the statistics block cell by cell (block_agrees).
+    Every element's walk then equals its statistics triangle, so the
+    bridge G q^(-total) = C(1/q) holds per element.  The weight sums
+    of the statistics side, against reversed weights, must then
+    reproduce s_lambda(z) * prod(1 - t z_i/z_j) as a flat map.  sums
+    and blocks are one shifted_sums(lam), when the caller holds it.
     """
-    if scores is None:
-        scores = shifted_scores(lam)
-    if sums is None:
-        sums = weight_sums(scores)
+    if sums is None or blocks is None:
+        sums, blocks = shifted_sums(lam)
+    if not all(block_agrees(*key) for key in blocks):
+        return False
     r, rho_r = lam.rank, rho(lam.rank)
-    walked = crystal_walk_counts(partition_shape(lam + rho_r), r, (t for t, *_ in scores))
-    for (_, alive, box, non), (w_alive, w_box, w_non) in zip(scores, walked):
-        if alive != w_alive or alive and (box, non) != (w_box, w_non):
-            return False
     rev = {w: (GLWeight(w) - rho_r).reverse().coords for w in sums}
     rhs = {rev[w] + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
     return _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True) == rhs

@@ -59,14 +59,21 @@ class Tableau:
 def make_tableau(rank: int, rows) -> Tableau:
     """Validate and build a Tableau; raises ValueError on any defect.
 
-    Booleans are refused as the rank and as entries, although bool is a
-    subclass of int: a JSON true would otherwise pass as 1.
+    Trailing empty rows are dropped; an empty row before a nonempty one
+    is a defect, not a row to skip.  Booleans are refused as the rank
+    and as entries, although bool is a subclass of int: a JSON true
+    would otherwise pass as 1.
     """
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise ValueError(f"rank {rank!r} is not an integer")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    rows = tuple(tuple(row) for row in rows if len(row) > 0)
+    rows = [tuple(row) for row in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    if () in rows:
+        raise ValueError(f"row {rows.index(()) + 1} is empty but a later row is not")
+    rows = tuple(rows)
     if len(rows) > rank + 1:
         raise ValueError(f"too many rows ({len(rows)}) for rank {rank}")
     for i, row in enumerate(rows, start=1):

@@ -8,8 +8,10 @@ with the public e_op and phi, in step counts and boxed letters, on
 tableaux of any shape: exhaustively at ranks 1-4 for rows up to a fixed
 length, and on random tableaux at rank 5.  The twin's last element must
 be the highest-weight tableau, and every block walk checks that it ends
-at its own top.  They also hold the per-element sums equal to the marks
-of decorate_via_operators on every crystal of the verification suite.
+at its own top.  They also hold the per-element sums of the whole-crystal
+scorer's blocks equal to the marks of decorate_via_operators on every
+crystal of the verification suite, and every block of its memo equal to
+the statistics block (bzl.block_agrees), cell by cell.
 """
 
 from bisect import bisect_right
@@ -17,7 +19,7 @@ from bisect import bisect_right
 from hypothesis import given, settings
 
 from conftest import shifted_elements
-from cscrystal.bzl import _block_walk, _mark_counts, crystal_walk_counts, decorate_via_operators
+from cscrystal.bzl import _block_walk, _mark_counts, block_agrees, crystal_scores, decorate_via_operators
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, rho
 from operator_walk import operator_walk
@@ -28,6 +30,11 @@ def gt_row(t, j):
     """Per row 1..j of t, the number of entries <= j."""
     rows = t.rows + ((),) * j
     return tuple(bisect_right(row, j) for row in rows[:j])
+
+
+def gt_pairs(t):
+    """(GT row j, GT row j+1) of t for j = 1..rank."""
+    return [(gt_row(t, j), gt_row(t, j + 1)) for j in range(1, t.rank + 1)]
 
 
 def check_blocks(t, walked):
@@ -74,5 +81,8 @@ def test_walk_counts_match_operator_marks_on_suite(suite):
     for lam in suite:
         r = lam.rank
         elements = shifted_elements(lam)
-        got = list(crystal_walk_counts(Shape((lam + rho(r)).coords), r, elements))
+        blocks = {}
+        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), r, elements, blocks)]
         assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
+        assert blocks.keys() == {key for t in elements for key in gt_pairs(t)}, lam
+        assert all(block_agrees(*key) for key in blocks), lam

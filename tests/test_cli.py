@@ -200,21 +200,45 @@ def test_verify_json(capsys):
 
 
 def test_verify_exits_1_when_one_element_breaks_the_bridge(capsys, monkeypatch):
-    # one extra box in one live block's memo entry changes the walk's
-    # counts for the elements that share that block; the weight sums
-    # still come from the statistics, so only the per-element check can
-    # notice
-    real = bzl._block_marks
+    # one extra box in one live block's walk breaks the walk of the
+    # elements that share that block; the weight sums still come from
+    # the statistics, so only the block check can notice
+    real = bzl._block_walk
     tampered = []
 
     def one_extra_box(lower, upper):
-        circled, boxed, both = real(lower, upper)
-        if tampered or both or boxed == len(lower):
-            return circled, boxed, both
+        entries, boxed = real(lower, upper)
+        free = [cell for cell in entries if cell not in boxed]
+        if tampered or not free or bzl._circled(entries) & boxed:
+            return entries, boxed
         tampered.append((lower, upper))
-        return circled, boxed + 1, both
+        return entries, boxed | {free[0]}
 
-    monkeypatch.setattr(bzl, "_block_marks", one_extra_box)
+    monkeypatch.setattr(bzl, "_block_walk", one_extra_box)
+    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+    assert len(tampered) == 1
+    assert code == 1
+    assert "identity: equal" in out
+    assert "reversed form: MISMATCH" in out
+
+
+def test_verify_exits_1_when_one_step_count_changes(capsys, monkeypatch):
+    # one more step in one block 1 walk with a nonzero step count keeps
+    # that block's circled and boxed cells, so its elements' mark counts
+    # do not change; only comparing the step counts with a_{i,j} sees it
+    real = bzl._block_walk
+    tampered = []
+
+    def one_more_step(lower, upper):
+        entries, boxed = real(lower, upper)
+        if tampered or len(lower) != 1 or not entries[(1, 1)]:
+            return entries, boxed
+        tampered.append((lower, upper))
+        changed = {**entries, (1, 1): entries[(1, 1)] + 1}
+        assert (bzl._circled(changed), boxed) == (bzl._circled(entries), boxed)
+        return changed, boxed
+
+    monkeypatch.setattr(bzl, "_block_walk", one_more_step)
     code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
     assert len(tampered) == 1
     assert code == 1

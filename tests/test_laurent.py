@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import suite_weights
-from cscrystal.bzl import weight_sums
 from cscrystal.hpoly import _content_histogram
 from cscrystal.laurent import (
     LaurentPoly,
@@ -9,7 +8,7 @@ from cscrystal.laurent import (
     _times_deformed,
     cs_lhs,
     cs_rhs,
-    shifted_scores,
+    shifted_sums,
     verify_bn_form,
     verify_identity,
 )
@@ -125,15 +124,14 @@ def test_bn_form_across_suite(suite):
 
 
 def test_bn_form_fails_when_one_weight_sum_changes():
-    # every element's walk still agrees with its scores; only the
+    # every block's walk still agrees with its statistics; only the
     # reversed product comparison can see the change
     lam = lambda_from_fundamental((1, 0), 2)
-    scores = shifted_scores(lam)
-    sums = weight_sums(scores)
-    assert verify_bn_form(lam, scores, sums)
+    sums, blocks = shifted_sums(lam)
+    assert verify_bn_form(lam, sums, blocks)
     # one weight sum gains a term
     w, p = next(iter(sums.items()))
-    assert not verify_bn_form(lam, scores, {**sums, w: TPoly(p.coeffs + (1,))})
+    assert not verify_bn_form(lam, {**sums, w: TPoly(p.coeffs + (1,))}, blocks)
     # the same terms with one coefficient changed
     w, p = next((w, p) for w, p in sums.items() if p.coeffs)
-    assert not verify_bn_form(lam, scores, {**sums, w: TPoly((p.coeffs[0] + 1,) + p.coeffs[1:])})
+    assert not verify_bn_form(lam, {**sums, w: TPoly((p.coeffs[0] + 1,) + p.coeffs[1:])}, blocks)

@@ -3,10 +3,12 @@
 Property tests at ranks 4 and 5 draw tableaux of random shapes (the
 generators of test_word_kernel) and compare the one-histogram kernel's
 triangle, marks, counts and memoized coefficients with
-tests/stats_twin.py.  The whole-crystal row-pair kernel,
-bzl.crystal_mark_counts, is held against the mark counts of
-decorate_via_stats on whole crystals and on rank-5 samples, and its
-sums by weight, bzl.weight_sums, against per-element sums.  G, read
+tests/stats_twin.py, whose boxes follow the theta rule on the b
+statistics where the kernel reads an equality of Gelfand-Tsetlin rows.
+The whole-crystal block kernel, bzl.crystal_scores, is held against
+the contents and mark counts of decorate_via_stats on whole crystals
+and on rank-5 samples, and its sums by weight, bzl.weight_sums, against
+per-element sums.  G, read
 from the mark counts, is held against the entry-by-entry product on
 arbitrarily marked triangles and on operator-route triangles.  The
 one-pass strictness scan is held against the scan over every threshold
@@ -19,12 +21,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscrystal import bzl, cli, laurent
+from cscrystal import bzl, laurent
 from cscrystal.bzl import (
     _mark_counts,
     c_coefficient,
     c_counts,
-    crystal_mark_counts,
+    crystal_scores,
     decorate_via_operators,
     decorate_via_stats,
     g_from_triangle,
@@ -163,9 +165,10 @@ def _kernel_crystals():
 
 def test_kernel_counts_match_triangle_on_crystals():
     for shape, rank, elements in _kernel_crystals():
-        scored = list(crystal_mark_counts(shape, rank, elements))
-        assert [t for t, *_ in scored] == list(elements)
-        for t, *counts in scored:
+        scored = list(crystal_scores(shape, rank, elements))
+        assert len(scored) == len(elements)
+        for t, (w, *counts) in zip(elements, scored):
+            assert w == content(t).coords
             assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
 
@@ -177,18 +180,18 @@ def test_weight_sums_match_per_element_sums():
         for t in elements:
             w = content(t).coords
             want[w] = list_add(want.get(w, []), c_coefficient(t).coeffs)
-        got = weight_sums(crystal_mark_counts(shape, rank, elements))
+        got = weight_sums(crystal_scores(shape, rank, elements))
         assert list(got) == list(want)  # first-seen order
         assert got == {w: TPoly(tuple(c)) for w, c in want.items()}
     # a weight whose elements all die is kept, with sum zero
     t = make_tableau(2, [[1, 1, 2], [2]])
-    assert weight_sums([(t, False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}
+    assert weight_sums([(content(t).coords, False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}
 
 
 @st.composite
 def rank5_samples(draw):
     """A strict rank-5 shape and a few tableaux of it, so the kernel's
-    row-pair memo is shared between elements."""
+    block memo is shared between elements."""
     gaps = draw(st.lists(st.integers(1, 2), min_size=5, max_size=5))
     parts = [sum(gaps[k:]) for k in range(5)]
     count = draw(st.integers(1, 6))
@@ -199,7 +202,8 @@ def rank5_samples(draw):
 @given(rank5_samples())
 def test_kernel_counts_match_triangle_at_rank_5(sample):
     shape, elements = sample
-    for t, *counts in crystal_mark_counts(shape, 5, elements):
+    for t, (w, *counts) in zip(elements, crystal_scores(shape, 5, elements), strict=True):
+        assert w == content(t).coords
         assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
 
@@ -225,11 +229,10 @@ def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
 
 
 def test_kernel_rejects_shape_with_nonzero_last_part():
-    for kernel in (crystal_mark_counts, bzl.crystal_walk_counts):
-        with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
-            list(kernel(Shape((4, 2, 1)), 2, []))
-        with pytest.raises(ValueError, match="not strictly decreasing"):
-            list(kernel(Shape((3, 3, 0)), 2, []))
+    with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
+        list(crystal_scores(Shape((4, 2, 1)), 2, []))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        list(crystal_scores(Shape((3, 3, 0)), 2, []))
 
 
 def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
@@ -237,12 +240,12 @@ def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
     # reversed form share one scoring of B(lam+rho), and neither builds
     # a statistics triangle
     passes, stats_calls, sums_calls = [], [], []
-    real_kernel, real_stats = laurent.crystal_mark_counts, bzl.decorate_via_stats
+    real_kernel, real_stats = laurent.crystal_scores, bzl.decorate_via_stats
     real_sums = laurent.weight_sums
 
-    def counted_kernel(shape, rank, elements):
+    def counted_kernel(shape, rank, elements, blocks=None):
         passes.append(list(elements))
-        return real_kernel(shape, rank, passes[-1])
+        return real_kernel(shape, rank, passes[-1], blocks)
 
     def counted_stats(t):
         stats_calls.append(t)
@@ -252,10 +255,9 @@ def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
         sums_calls.append(scores)
         return real_sums(scores)
 
-    monkeypatch.setattr(laurent, "crystal_mark_counts", counted_kernel)
+    monkeypatch.setattr(laurent, "crystal_scores", counted_kernel)
     monkeypatch.setattr(bzl, "decorate_via_stats", counted_stats)
     monkeypatch.setattr(laurent, "weight_sums", counted_sums)
-    monkeypatch.setattr(cli, "weight_sums", counted_sums)
     assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
     lam = lambda_from_fundamental((1, 0, 0), 3)
     elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)

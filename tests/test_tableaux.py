@@ -35,6 +35,19 @@ def test_make_tableau_drops_empty_rows():
     assert t.rows == ((1, 1),)
 
 
+def test_make_tableau_rejects_nonempty_row_after_empty_one():
+    # dropping the empty row first would read these as the tableaux
+    # with rows [[1]] and [[1], [2]]
+    with pytest.raises(ValueError, match="row 1 is empty"):
+        make_tableau(2, [[], [1]])
+    with pytest.raises(ValueError, match="row 2 is empty"):
+        make_tableau(2, [[1], [], [2]])
+    with pytest.raises(ValueError, match="row 1 is empty"):
+        tableau_from_json({"rank": 2, "rows": [[], [1]]})
+    with pytest.raises(ValueError, match="row 2 is empty"):
+        tableau_from_json({"rank": 2, "rows": [[1], [], [2]]})
+
+
 def test_make_tableau_rejects_bad_input():
     with pytest.raises(ValueError):
         make_tableau(1, [[2, 1]])  # row decreases

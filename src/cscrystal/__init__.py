@@ -61,8 +61,6 @@ from .tableaux import (
     is_strict,
     make_tableau,
     parse_tableau,
-    stats_a,
-    stats_b,
     tableau_from_json,
     triangle_from_json,
 )

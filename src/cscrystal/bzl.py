@@ -57,13 +57,21 @@ def _require_strict(shape: Shape, what: str) -> Shape:
     return shape
 
 
-def _join_blocks(t: Tableau, block) -> list:
-    """block(GT row j, GT row j+1) for j = 1..rank, its dicts and sets
-    merged across blocks.  t has strict shape; its GT row j holds, per
-    tableau row 1..j, the number of entries <= j."""
+@lru_cache(maxsize=1)
+def _gt_rows(t: Tableau) -> tuple:
+    """GT rows 1..rank+1 of t, which must have strict shape: row j holds,
+    per tableau row 1..j, the number of entries <= j.  A bzl call
+    decorates one tableau by both routes, so one entry of memo makes it
+    read and check the shape once."""
     _require_strict(t.shape, "tableau shape")
     rows = t.rows + ((),)  # a strict shape has exactly rank nonempty rows
-    gt = [tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, t.rank + 2)]
+    return tuple(tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, t.rank + 2))
+
+
+def _join_blocks(t: Tableau, block) -> list:
+    """block(GT row j, GT row j+1) for j = 1..rank, its dicts and sets
+    merged across blocks."""
+    gt = _gt_rows(t)
     return [reduce(or_, parts) for parts in zip(*map(block, gt, gt[1:]))]
 
 

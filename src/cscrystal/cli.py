@@ -7,7 +7,6 @@ stdout is a pure function of the arguments; timings go to stderr.
 """
 
 import argparse
-import json
 import sys
 import time
 from functools import lru_cache
@@ -66,6 +65,8 @@ def _emit(text: str):
 
 
 def _emit_json(obj):
+    import json  # here, not at the top: a text-format run never loads it
+
     _emit(json.dumps(obj, indent=2, ensure_ascii=False))
 
 

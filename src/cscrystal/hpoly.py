@@ -19,12 +19,13 @@ coefficient.
 """
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bzl import _scaled_sum, c_coefficient, crystal_scores, weight_sums
 from .crystal import enumerate_crystal
-from .rootsys import AlphaVector, GLWeight, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho
+from .rootsys import (
+    AlphaVector, GLWeight, Record, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho,
+)
 from .tableaux import _content_coords, content
 from .tpoly import TPoly
 
@@ -58,13 +59,14 @@ def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
     return _scaled_sum(scored)
 
 
-@dataclass(frozen=True)
-class HTable:
+class HTable(Record):
     """All weight drops of the shifted crystal with their polynomials."""
 
-    lam: GLWeight
-    rank: int
-    rows: dict  # AlphaVector -> TPoly
+    __slots__ = ("lam", "rank", "rows")
+
+    def __init__(self, lam: GLWeight, rank: int, rows: dict):
+        self.lam, self.rank = lam, rank
+        self.rows = rows  # AlphaVector -> TPoly
 
     def sorted_rows(self):
         """(mu, polynomial) pairs ordered by (degree, coordinates)."""

@@ -14,7 +14,6 @@ verify_bn_form compares the flat maps themselves.  No floating point,
 no division.
 """
 
-from dataclasses import dataclass
 from operator import add
 
 from .bzl import block_agrees, crystal_scores, weight_sums
@@ -27,7 +26,7 @@ from .bzl import block_agrees, crystal_scores, weight_sums
 from .bzl import bzl_path, c_coefficient, decorate_via_operators, g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
 from .hpoly import _content_histogram
-from .rootsys import GLWeight, partition_shape, rho
+from .rootsys import GLWeight, Record, partition_shape, rho
 from .tpoly import TPoly
 
 
@@ -130,12 +129,12 @@ def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
     return LaurentPoly(lam.rank, sums)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    equal: bool
-    lhs_terms: int
-    rhs_terms: int
-    first_mismatch: tuple | None  # (exp, lhs coeff, rhs coeff)
+class IdentityReport(Record):
+    __slots__ = ("equal", "lhs_terms", "rhs_terms", "first_mismatch")
+
+    def __init__(self, equal: bool, lhs_terms: int, rhs_terms: int, first_mismatch: tuple | None):
+        self.equal, self.lhs_terms, self.rhs_terms = equal, lhs_terms, rhs_terms
+        self.first_mismatch = first_mismatch  # (exp, lhs coeff, rhs coeff)
 
 
 def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:

@@ -6,18 +6,47 @@ fundamental weight is e_1 + ... + e_i.  Permutations act by permuting
 coordinates; the dot action shifts by rho on both sides.  The sign of a
 dot orbit is read off by matching coordinates, not by a search over the
 Weyl group.
+
+The package's value classes derive from Record, defined here because
+this is the bottom module.
 """
 
-from dataclasses import dataclass
+
+class Record:
+    """Base of the value classes: fields listed in __slots__, set in __init__.
+
+    Instances of one class with equal fields are equal and hash as their
+    field tuple; instances of two classes never are.  The repr names the
+    fields, as in Shape(parts=(2, 1, 0)).  No code assigns a field after
+    __init__.  Plain slots keep the dataclasses module, and with it
+    inspect and ast, out of every process's start-up.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class GLWeight:
+class GLWeight(Record):
     """Weight vector in GL coordinates; rank is len(coords) - 1."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
         if len(self.coords) < 2:
             raise ValueError("a weight needs at least two coordinates (rank >= 1)")
         if not all(isinstance(c, int) for c in self.coords):
@@ -51,13 +80,13 @@ class GLWeight:
         return GLWeight(tuple(reversed(self.coords)))
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     """Row lengths of a Young diagram, always stored with r+1 parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...]):
+        self.parts = parts
         if len(self.parts) < 2:
             raise ValueError("a shape needs r+1 parts with r >= 1")
         if any(not isinstance(p, int) or p < 0 for p in self.parts):
@@ -100,13 +129,13 @@ def partition_shape(lam: GLWeight) -> Shape:
     return Shape(lam.coords)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
+class AlphaVector(Record):
     """Nonnegative coordinates of a weight drop in the simple-root basis."""
 
-    c: tuple[int, ...]
+    __slots__ = ("c",)
 
-    def __post_init__(self):
+    def __init__(self, c: tuple[int, ...]):
+        self.c = c
         if len(self.c) < 1:
             raise ValueError("alpha coordinates need length >= 1")
         if any(not isinstance(x, int) or x < 0 for x in self.c):

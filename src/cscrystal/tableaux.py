@@ -1,30 +1,30 @@
-"""Semistandard Young tableaux, the statistics read off them, and the
-triangle type that holds those statistics.
+"""Semistandard Young tableaux, their content and strictness, and the
+triangle type that holds the decoration statistics.
 
 A tableau of rank r has entries in 1..r+1, weakly increasing rows,
 strictly increasing columns, and weakly decreasing row lengths.  Rows
 and columns are 1-indexed throughout.
 
-DecoratedTriangle is the one triangle type of the package: stats_a,
-stats_b and both decoration routes of bzl return it.  It stores entry
-(i, j), 1 <= i <= j <= rank, in one coordinate system; the STATS and
-BZL (PATH) layouts are two ways of printing it, defined by one table
-from printed label to stored cell.
+DecoratedTriangle is the one triangle type of the package: both
+decoration routes of bzl return it.  It stores entry (i, j),
+1 <= i <= j <= rank, in one coordinate system; the STATS and BZL (PATH)
+layouts are two ways of printing it, defined by one table from printed
+label to stored cell.  Tableau and DecoratedTriangle are
+rootsys.Record value classes.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import add
 
-from .rootsys import GLWeight, Shape
+from .rootsys import GLWeight, Record, Shape
 
 
-@dataclass(frozen=True)
-class Tableau:
-    rank: int
-    rows: tuple[tuple[int, ...], ...]
+class Tableau(Record):
+    __slots__ = ("rank", "rows")
+
+    def __init__(self, rank: int, rows: tuple[tuple[int, ...], ...]):
+        self.rank = rank
+        self.rows = rows
 
     @property
     def shape(self) -> Shape:
@@ -140,8 +140,7 @@ def _print_cells(rank: int, layout: str) -> tuple[tuple[tuple[int, int], tuple[i
     raise ValueError(f"unknown layout {layout!r}")
 
 
-@dataclass(frozen=True)
-class DecoratedTriangle:
+class DecoratedTriangle(Record):
     """Integers at (i, j), 1 <= i <= j <= rank, with circle and box marks.
 
     grid[i-1][j-i] holds entry (i, j); circled and boxed hold (i, j)
@@ -150,12 +149,11 @@ class DecoratedTriangle:
     enter the decoration rules.
     """
 
-    rank: int
-    grid: tuple[tuple[int, ...], ...]
-    circled: frozenset = frozenset()
-    boxed: frozenset = frozenset()
+    __slots__ = ("rank", "grid", "circled", "boxed")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, grid: tuple[tuple[int, ...], ...],
+                 circled: frozenset = frozenset(), boxed: frozenset = frozenset()):
+        self.rank, self.grid, self.circled, self.boxed = rank, grid, circled, boxed
         if [len(row) for row in self.grid] != list(range(self.rank, 0, -1)):
             raise ValueError(f"a rank-{self.rank} triangle needs rows of {self.rank}..1 entries")
         if not all(1 <= i <= j <= self.rank for i, j in self.circled | self.boxed):
@@ -240,58 +238,6 @@ def _content_coords(t: Tableau) -> tuple[int, ...]:
 def content(t: Tableau) -> GLWeight:
     """Entry-count vector: coordinate k is the number of boxes holding k."""
     return GLWeight(_content_coords(t))
-
-
-def _row_histograms(t: Tableau) -> list[list[int]]:
-    """Color counts per row: hist[i-1][k] boxes of row i hold k.
-
-    One list of length rank+2 (colors 0..rank+1) for each row 1..rank,
-    built in one pass over the rows; rows past rank never enter a
-    statistic, and rows absent from the tableau count nothing.
-    """
-    width = t.rank + 2
-    hist = []
-    for row in t.rows[: t.rank]:
-        counts = [0] * width
-        for x in row:
-            counts[x] += 1
-        hist.append(counts)
-    hist.extend([0] * width for _ in range(t.rank - len(hist)))
-    return hist
-
-
-def _a_rows(hist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Rows of stats_a: the histograms summed down the rows.
-
-    Row i holds a_{i,j} for j = i..rank, the count of j+1 in rows 1..i.
-    """
-    rows, running = [], [0] * (len(hist) + 2)
-    for i, counts in enumerate(hist, start=1):
-        running = list(map(add, running, counts))
-        rows.append(tuple(running[i + 1 :]))
-    return tuple(rows)
-
-
-def _b_rows(hist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Rows of stats_b: each row's histogram summed from the top color down.
-
-    Row i holds b_{i,j} for j = i..rank, the count of entries >= j+1.
-    """
-    rank = len(hist)
-    return tuple(
-        tuple(accumulate(counts[rank + 1 : i : -1]))[::-1]
-        for i, counts in enumerate(hist, start=1)
-    )
-
-
-def stats_a(t: Tableau) -> DecoratedTriangle:
-    """Entry (i, j): number of boxes holding j+1 within rows 1..i."""
-    return DecoratedTriangle(t.rank, _a_rows(_row_histograms(t)))
-
-
-def stats_b(t: Tableau) -> DecoratedTriangle:
-    """Entry (i, j): number of boxes in row i holding at least j+1."""
-    return DecoratedTriangle(t.rank, _b_rows(_row_histograms(t)))
 
 
 def is_strict(t: Tableau) -> bool:

@@ -8,10 +8,10 @@ shift-and-subtract), and a TPoly is built from the result only to be
 compared, evaluated or printed.  QLaurent holds the operator-side
 product G, which lives in q: it is made from a TPoly by to_qlaurent,
 shifted by a power of q, compared, and printed.  Both print through one
-signed-sum writer.
+signed-sum writer.  TPoly is a rootsys.Record value class.
 """
 
-from dataclasses import dataclass
+from .rootsys import Record
 
 
 def _trim(coeffs):
@@ -21,14 +21,13 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class TPoly:
+class TPoly(Record):
     """Dense coefficients ascending from degree 0; () is the zero polynomial."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: tuple):
+        self.coeffs = _trim(coeffs)
 
     @classmethod
     def zero(cls):

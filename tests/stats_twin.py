@@ -1,11 +1,13 @@
 """The statistics route of bzl, spelled entry by entry.
 
-This is the slow, obvious twin of the one-histogram kernel behind
-tableaux.stats_a/stats_b and bzl.decorate_via_stats: every triangle
-entry rescans the rows, and every mark reads its neighbours through
+This is the slow, obvious twin of the Gelfand-Tsetlin block rule behind
+bzl.decorate_via_stats (bzl._stats_block): every triangle entry
+rescans the rows, and every mark reads its neighbours through
 DecoratedTriangle.entry with out-of-range reads equal to 0.  It works on
 a rank and bare row tuples, so it shares no code with the kernel beyond
-DecoratedTriangle.  Tests compare the two entry for entry.  The decoration
+DecoratedTriangle.  Tests compare the two entry for entry; the a and b
+statistics alone (twin_stats_a, twin_stats_b) are also the tests' own
+reference for the triangles of worked examples.  The decoration
 product G is kept here too, one factor per entry multiplied out on plain
 {power: coefficient} dicts, as the twin of bzl.g_from_triangle, which
 reads it from the mark counts.  So is the strictness scan over every

@@ -47,9 +47,10 @@ from cscrystal.rootsys import (
     lambda_from_fundamental,
     rho,
 )
-from cscrystal.tableaux import is_strict, make_tableau, stats_a
+from cscrystal.tableaux import is_strict, make_tableau
 from frozen import CRYSTAL_SIZES, H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
 from oracles import h_direct
+from stats_twin import twin_stats_a
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
 
@@ -124,7 +125,7 @@ def test_04_decoration_equivalence():
                 ops = decorate_via_operators(t)
                 stats = decorate_via_stats(t)
                 assert ops == stats, t.rows
-                assert bzl_path(t) == stats_a(t), t.rows
+                assert bzl_path(t) == twin_stats_a(t.rank, t.rows), t.rows
                 checked += 1
         assert checked > 700
 

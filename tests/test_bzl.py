@@ -24,10 +24,10 @@ from cscrystal.tableaux import (
     content,
     is_strict,
     make_tableau,
-    stats_a,
     triangle_from_json,
 )
 from cscrystal.tpoly import QLaurent, TPoly
+from stats_twin import twin_stats_a
 from test_word_kernel import strict_shape_tableaux
 
 
@@ -181,7 +181,7 @@ def test_path_entries_match_stats_by_layout_bijection():
         rank = len(parts) - 1
         for t in shifted_elements_for_shape(parts, rank):
             # the steps of letter i in block j are a_{i,j}
-            assert bzl_path(t) == stats_a(t)
+            assert bzl_path(t) == twin_stats_a(t.rank, t.rows)
 
 
 def test_doubly_decorated_witness():

@@ -297,6 +297,32 @@ def test_verify_does_not_import_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _loaded_modules(code="pass"):
+    """sys.modules of a child process after it runs code, read from the
+    last line of its stdout."""
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _package_path()},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_text_run_loads_no_dataclasses_inspect_or_json():
+    # against what a bare interpreter loads in the same environment, a
+    # text-format run adds none of these start-up costs; json is loaded
+    # only when JSON is written
+    baseline = _loaded_modules()
+    verify = "from cscrystal.cli import main\nassert main(['verify', '--rank', '2', '--lambda', '1,0'{}]) == 0"
+    added = _loaded_modules(verify.format("")) - baseline
+    assert "cscrystal.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
+    assert "json" in _loaded_modules(verify.format(", '--format', 'json'"))
+
+
 def test_threads_flag_validation(capsys):
     # there is no thread pool: --threads is an unknown flag
     for command in ("verify", "hpoly"):

@@ -1,10 +1,13 @@
 """The statistics kernels against their entry-by-entry twins.
 
 Property tests at ranks 4 and 5 draw tableaux of random shapes (the
-generators of test_word_kernel) and compare the one-histogram kernel's
+generators of test_word_kernel) and compare the block kernel's
 triangle, marks, counts and memoized coefficients with
 tests/stats_twin.py, whose boxes follow the theta rule on the b
 statistics where the kernel reads an equality of Gelfand-Tsetlin rows.
+On tableaux of any shape, the twin's a and b statistics are held
+against their reading from GT rows: a from _stats_block, and
+b_{i,j} = l_i - (GT row j)_i, from which the box rule is derived.
 The whole-crystal block kernel, bzl.crystal_scores, is held against
 the contents and mark counts of decorate_via_stats on whole crystals
 and on rank-5 samples, and its sums by weight, bzl.weight_sums, against
@@ -16,6 +19,7 @@ and row pair.  Coefficients are checked against plain integer-list
 sums and products (tests/oracles.py), not the package's own.
 """
 
+from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -24,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from cscrystal import bzl, laurent
 from cscrystal.bzl import (
     _mark_counts,
+    _stats_block,
     c_coefficient,
     c_counts,
     crystal_scores,
@@ -40,8 +45,6 @@ from cscrystal.tableaux import (
     content,
     first_strictness_violation,
     make_tableau,
-    stats_a,
-    stats_b,
 )
 from cscrystal.tpoly import TPoly
 from oracles import c_product_twin, list_add
@@ -56,6 +59,25 @@ from stats_twin import (
 from test_word_kernel import any_shape_tableaux, fill_shape, strict_shape_tableaux
 
 
+def _gt_stats(t):
+    """(a, b) statistics triangles of t, of any shape, read from its GT
+    rows: a_{i,j} from _stats_block, b_{i,j} = l_i - (GT row j)_i."""
+    rank = t.rank
+    rows = t.rows + ((),) * (rank + 1 - len(t.rows))
+    gt = [tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, rank + 2)]
+    a = {}
+    for lower, upper in zip(gt, gt[1:]):
+        a.update(_stats_block(lower, upper)[0])
+    cells = [[(i, j) for j in range(i, rank + 1)] for i in range(1, rank + 1)]
+    a_grid = tuple(tuple(a[cell] for cell in row) for row in cells)
+    b_grid = tuple(tuple(len(rows[i - 1]) - gt[j - 1][i - 1] for i, j in row) for row in cells)
+    return DecoratedTriangle(rank, a_grid), DecoratedTriangle(rank, b_grid)
+
+
+def _twin_stats(t):
+    return twin_stats_a(t.rank, t.rows), twin_stats_b(t.rank, t.rows)
+
+
 @settings(max_examples=80, deadline=None)
 @given(strict_shape_tableaux())
 def test_kernel_decoration_matches_twin(t):
@@ -64,8 +86,7 @@ def test_kernel_decoration_matches_twin(t):
     assert tri.grid == grid
     assert tri.circled == circled
     assert tri.boxed == boxed
-    assert stats_a(t) == twin_stats_a(t.rank, t.rows)
-    assert stats_b(t) == twin_stats_b(t.rank, t.rows)
+    assert _gt_stats(t) == _twin_stats(t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,15 +149,13 @@ def test_stats_match_twin_on_every_tableau(parts):
     # non-strict shapes too, and a column of rank+1 boxes whose last
     # row never enters a statistic
     for t in enumerate_crystal(Shape(parts), 3):
-        assert stats_a(t) == twin_stats_a(3, t.rows)
-        assert stats_b(t) == twin_stats_b(3, t.rows)
+        assert _gt_stats(t) == _twin_stats(t)
 
 
 @settings(max_examples=80, deadline=None)
 @given(any_shape_tableaux())
 def test_stats_match_twin_on_any_shape(t):
-    assert stats_a(t) == twin_stats_a(t.rank, t.rows)
-    assert stats_b(t) == twin_stats_b(t.rank, t.rows)
+    assert _gt_stats(t) == _twin_stats(t)
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from cscrystal.bzl import bzl_path, decorate_via_operators, decorate_via_stats
 from cscrystal.crystal import e_op, epsilon, f_op, highest_weight_tableau, phi
-from cscrystal.tableaux import DecoratedTriangle, make_tableau, stats_a
+from cscrystal.tableaux import DecoratedTriangle, make_tableau
 from operator_walk import operator_walk
+from stats_twin import twin_stats_a
 
 
 def fill_shape(draw, rank, parts):
@@ -74,7 +75,7 @@ def test_kernel_walk_matches_operator_walk(t):
 @given(strict_shape_tableaux())
 def test_decoration_routes_agree_at_ranks_4_and_5(t):
     assert decorate_via_operators(t) == decorate_via_stats(t)
-    assert bzl_path(t) == stats_a(t)
+    assert bzl_path(t) == twin_stats_a(t.rank, t.rows)
 
 
 @settings(max_examples=60, deadline=None)

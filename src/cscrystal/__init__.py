@@ -13,7 +13,6 @@ from .bzl import (
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    path_entry_sum,
 )
 from .crystal import (
     e_op,
@@ -28,7 +27,6 @@ from .hpoly import (
     HTable,
     SpecPoint,
     h_table,
-    h_tensor,
     specialize,
     tensor_weight_multiplicity,
     weight_multiplicity,
@@ -51,8 +49,6 @@ from .rootsys import (
     gl_to_alpha,
     lambda_from_fundamental,
     rho,
-    simple_root,
-    theta,
 )
 from .tableaux import (
     DecoratedTriangle,

@@ -327,8 +327,3 @@ def c_factored_string(t: Tableau, *, stats: DecoratedTriangle | None = None) -> 
     tpow = "" if box == 0 else ("t" if box == 1 else f"t^{box}")
     upow = "" if non == 0 else ("(1-t)" if non == 1 else f"(1-t)^{non}")
     return (sign + tpow + upow) or "1"
-
-
-def path_entry_sum(t: Tableau) -> int:
-    """Total of all step counts; the q-power bridging g to c."""
-    return bzl_path(t).total()

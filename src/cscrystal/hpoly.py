@@ -7,26 +7,33 @@ z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 bzl.weight_sums over one bzl.crystal_scores pass, which scores each
 element from its Gelfand-Tsetlin blocks.  The same polynomial arises
 from tensoring the plain lambda-crystal with the rho-crystal and only
-scoring the rho factor, which gives an internal cross-check.
+scoring the rho factor; tests/oracles.py keeps that route as a twin.
 
 Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
-of the irreducible, a weight multiplicity of a tensor product, and a
-signed indicator of the shifted Weyl orbit.  The first two have
-independent oracles here, read from one weight histogram of B(lambda)
-and one convolution of it with B(rho), each built once per lambda; the
-orbit sign lives in rootsys.  No oracle looks at B(lambda+rho) or at any
-coefficient.
+of V(lambda), a weight multiplicity of V(lambda) x V(rho), and a signed
+indicator of the shifted Weyl orbit.  All three oracles read the root
+system, not a crystal: the first looks the sorted weight up in
+rootsys.dominant_multiplicities (Freudenthal's formula), the second in
+s_lambda s_rho with s_rho = prod_{i<j} (z_i + z_j), built once per
+lambda, and the orbit sign lives in rootsys.  No oracle lists a crystal
+or reads a coefficient.
 """
 
 import enum
 from functools import lru_cache
+from itertools import combinations
 
-from .bzl import _scaled_sum, c_coefficient, crystal_scores, weight_sums
+from .bzl import crystal_scores, weight_sums
+
+# No function here calls c_coefficient: the oracles read the root
+# system, not coefficients.  The name stays importable from this module
+# because perfbench/child.py traces it here.
+from .bzl import c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal
 from .rootsys import (
-    AlphaVector, GLWeight, Record, Shape, alpha_to_gl, gl_to_alpha, partition_shape, rho,
+    AlphaVector, GLWeight, Record, character, dominant_multiplicities, gl_to_alpha,
+    partition_shape, rho,
 )
-from .tableaux import _content_coords, content
 from .tpoly import TPoly
 
 
@@ -39,24 +46,6 @@ class SpecPoint(enum.Enum):
 
 
 _T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
-
-
-def h_tensor(lam: GLWeight, mu: AlphaVector) -> TPoly:
-    """The H-table polynomial of mu, assembled from B(lam) x B(rho).
-
-    Only the rho-side factor is scored: each b in B(rho) adds C(b) times
-    the number of B(lam) elements that carry the pair to the target
-    weight, read from B(lam)'s content histogram, into one integer list.
-    """
-    r = lam.rank
-    target = lam + rho(r) - alpha_to_gl(mu, r)
-    counts = _content_histogram(partition_shape(lam), r)
-    scored = []
-    for t in enumerate_crystal(partition_shape(rho(r)), r):
-        m = counts.get((target - content(t)).coords, 0)
-        if m:
-            scored.append((c_coefficient(t), m))
-    return _scaled_sum(scored)
 
 
 class HTable(Record):
@@ -157,50 +146,34 @@ def specialize(h: TPoly, point: SpecPoint) -> int:
     return h.eval(_T_VALUE[point])
 
 
-# Each table is built per (shape, rank) and looked up once per H-table
-# row; a process asks about few weights at a time, so a few entries do.
-# The cached dicts are shared, so callers only read them.
-@lru_cache(maxsize=8)
-def _content_histogram(shape: Shape, rank: int) -> dict:
-    """Content coordinates -> number of crystal elements with that content."""
-    counts: dict = {}
-    for t in enumerate_crystal(shape, rank):
-        w = _content_coords(t)
-        counts[w] = counts.get(w, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=8)
-def _tensor_histogram(shape: Shape, rank: int) -> dict:
-    """Weight coordinates -> multiplicity in B(shape) x B(rho): the
-    convolution of the two content histograms."""
-    left = _content_histogram(shape, rank)
-    right = _content_histogram(partition_shape(rho(rank)), rank)
-    counts: dict = {}
-    for a, m in left.items():
-        for b, n in right.items():
-            w = tuple(x + y for x, y in zip(a, b))
-            counts[w] = counts.get(w, 0) + m * n
-    return counts
-
-
 def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Number of lambda-crystal elements with entry-count vector nu.
+    """Multiplicity of the weight nu in V(lam), the number of B(lam)
+    elements with content nu: the sorted nu looked up in
+    rootsys.dominant_multiplicities; 0 for a nu of another rank."""
+    return dominant_multiplicities(lam).get(tuple(sorted(nu.coords, reverse=True)), 0)
 
-    A lookup in the content histogram of B(lambda); a nu of another rank
-    matches no element and gives 0.
-    """
-    return _content_histogram(partition_shape(lam), lam.rank).get(nu.coords, 0)
+
+@lru_cache(maxsize=8)  # built once per lambda; callers only read the dicts
+def _tensor_terms(lam: GLWeight) -> dict:
+    """Weight coordinates -> multiplicity in V(lam) x V(rho), from
+    s_lam(z) s_rho(z) with s_rho = prod_{i<j} (z_i + z_j): each pair is
+    one pass that adds the copies of the map moved by e_i and by e_j."""
+    flat = character(lam)
+    for pair in combinations(range(lam.rank + 1), 2):
+        out: dict = {}
+        for k in pair:
+            for w, m in flat.items():
+                w = w[:k] + (w[k] + 1,) + w[k + 1:]
+                out[w] = out.get(w, 0) + m
+        flat = out
+    return flat
 
 
 def tensor_weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution.
-
-    A lookup in the convolution of the B(lambda) and B(rho) content
-    histograms; a nu of another rank raises ValueError.
-    """
-    r = lam.rank
-    counts = _tensor_histogram(partition_shape(lam), r)
-    if len(nu.coords) != r + 1:
+    """Multiplicity of nu as a weight of V(lam) x V(rho), the number of
+    pairs in B(lam) x B(rho) with content nu; ValueError for a nu of
+    another rank."""
+    counts = _tensor_terms(lam)
+    if len(nu.coords) != lam.rank + 1:
         raise ValueError("rank mismatch between weights")
     return counts.get(nu.coords, 0)

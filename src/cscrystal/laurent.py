@@ -1,8 +1,9 @@
 """Both sides of the deformed character identity, as integer term maps.
 
 The identity is checked as literal polynomial equality.  The product
-side starts from the content histogram of B(lambda), which is
-s_lambda(z) term by term, times z^rho, as a flat map
+side starts from s_lambda(z) term by term, the weight multiplicities of
+V(lambda) from rootsys.character (Freudenthal's formula, no crystal
+listed), times z^rho, as a flat map
 {(z-exponent..., t-degree): int}; each factor (1 - t z_j/z_i) then acts
 by one shift-and-subtract pass (_times_deformed).  The crystal side sums
 C by weight (bzl.weight_sums) over one scoring pass of B(lambda+rho)
@@ -10,8 +11,8 @@ C by weight (bzl.weight_sums) over one scoring pass of B(lambda+rho)
 verify_bn_form walks to check the walk against the statistics.
 verify_identity builds a LaurentPoly, which has no arithmetic, from
 each side only to compare them and report the first difference;
-verify_bn_form compares the flat maps themselves.  No floating point,
-no division.
+verify_bn_form compares the flat maps themselves.  No floating point;
+the one division, Freudenthal's, is exact and checked in rootsys.
 """
 
 from operator import add
@@ -25,8 +26,7 @@ from .bzl import block_agrees, crystal_scores, weight_sums
 # traces them here.
 from .bzl import bzl_path, c_coefficient, decorate_via_operators, g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
-from .hpoly import _content_histogram
-from .rootsys import GLWeight, Record, partition_shape, rho
+from .rootsys import GLWeight, Record, character, partition_shape, rho
 from .tpoly import TPoly
 
 
@@ -66,7 +66,7 @@ def _histogram_terms(lam: GLWeight, shift) -> dict:
     """s_lambda(z) z^shift as a flat map {(z-exponent..., 0): count}."""
     return {
         tuple(map(add, w, shift)) + (0,): n
-        for w, n in _content_histogram(partition_shape(lam), lam.rank).items()
+        for w, n in character(lam).items()
     }
 
 
@@ -75,7 +75,7 @@ def _times_deformed(flat: dict, rank: int, reverse: bool = False) -> dict:
 
     flat maps (z-exponent..., t-degree) to an int.  Each factor is one
     pass that subtracts the copy of flat moved by t z_j/z_i.  Starting
-    from a histogram (positive counts at t-degree 0), every term of
+    from a character (positive counts at t-degree 0), every term of
     t-degree k has taken -t from k factors, so its coefficient has sign
     (-1)^k: nothing cancels, and no zero needs dropping.
     """

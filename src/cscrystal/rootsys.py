@@ -5,11 +5,17 @@ alpha_i is e_i - e_{i+1}, rho is (r, r-1, ..., 1, 0), and the i-th
 fundamental weight is e_1 + ... + e_i.  Permutations act by permuting
 coordinates; the dot action shifts by rho on both sides.  The sign of a
 dot orbit is read off by matching coordinates, not by a search over the
-Weyl group.
+Weyl group.  The weight multiplicities of V(lambda) come from
+Freudenthal's formula on its dominant weights (dominant_multiplicities),
+in integers, and spread over Weyl orbits they give s_lambda term by term
+(character); no crystal is listed for them.
 
 The package's value classes derive from Record, defined here because
 this is the bottom module.
 """
+
+from functools import lru_cache
+from itertools import combinations, permutations
 
 
 class Record:
@@ -98,9 +104,6 @@ class Shape(Record):
     def rank(self) -> int:
         return len(self.parts) - 1
 
-    def size(self) -> int:
-        return sum(self.parts)
-
     def is_strict(self) -> bool:
         """Strictly decreasing through part r, with the last part zero."""
         return self.strictness_defect() is None
@@ -149,16 +152,6 @@ class AlphaVector(Record):
         return sum(self.c)
 
 
-def simple_root(i: int, rank: int) -> GLWeight:
-    """alpha_i = e_i - e_{i+1} as a length r+1 vector."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"simple root index {i} outside 1..{rank}")
-    coords = [0] * (rank + 1)
-    coords[i - 1] = 1
-    coords[i] = -1
-    return GLWeight(tuple(coords))
-
-
 def rho(rank: int) -> GLWeight:
     """The staircase weight (r, r-1, ..., 1, 0)."""
     if rank < 1:
@@ -181,15 +174,62 @@ def lambda_from_fundamental(coeffs, rank: int) -> GLWeight:
     return GLWeight(tuple(coords))
 
 
-def theta(shape: Shape) -> tuple[int, ...]:
-    """Consecutive row-length gaps (l_1 - l_2, ..., l_r - l_{r+1}).
+def _moved(nu: tuple, i: int, j: int, k: int) -> tuple:
+    """nu + k(e_i - e_j), sorted into a partition's order."""
+    v = list(nu)
+    v[i] += k
+    v[j] -= k
+    return tuple(sorted(v, reverse=True))
 
-    Only defined for strict shapes, where every gap is >= 1.
+
+@lru_cache(maxsize=8)  # a process asks about few weights; callers only read the dicts
+def dominant_multiplicities(lam: GLWeight) -> dict:
+    """Partition nu -> multiplicity of the weight nu in V(lam), for a
+    partition lam, by Freudenthal's formula (Humphreys, Intro. to Lie
+    Algebras, §22.3): for the roots e_i - e_j,
+
+        (|lam+rho|^2 - |nu+rho|^2) m(nu)
+            = 2 sum_{i<j} sum_{k>=1} (nu_i - nu_j + 2k) m(nu + k(e_i - e_j)).
+
+    A weight has the multiplicity of its sorted coordinates, and each
+    string stops at its first non-weight.  The dominant weights are the
+    partitions lam dominates, reached by moving one box down from row i
+    to row j where nu_i - nu_j >= 2.  Each m on the right belongs to a
+    partition above nu, with a larger |.+rho|^2, so taking nu in
+    decreasing |nu+rho|^2 finds it done.  A division with a remainder
+    raises RuntimeError.
     """
-    defect = shape.strictness_defect()
-    if defect is not None:
-        raise ValueError(f"theta needs a strict shape: {defect}")
-    return tuple(shape.parts[i] - shape.parts[i + 1] for i in range(shape.rank))
+    top = partition_shape(lam).parts
+    pairs = list(combinations(range(len(top)), 2))
+    found, todo = {top}, [top]
+    while todo:
+        nu = todo.pop()
+        for down in {_moved(nu, i, j, -1) for i, j in pairs if nu[i] - nu[j] >= 2} - found:
+            found.add(down)
+            todo.append(down)
+
+    def norm(nu):  # |nu+rho|^2
+        return sum((x + len(nu) - k) ** 2 for k, x in enumerate(nu, start=1))
+
+    mult = {top: 1}
+    for nu in sorted(found - {top}, key=lambda nu: (norm(nu), nu), reverse=True):
+        total = 0
+        for i, j in pairs:
+            k = 1
+            while m := mult.get(_moved(nu, i, j, k)):
+                total += m * (nu[i] - nu[j] + 2 * k)
+                k += 1
+        mult[nu], rem = divmod(2 * total, norm(top) - norm(nu))
+        if rem:
+            raise RuntimeError(f"Freudenthal's formula does not divide at {nu} in V{top}")
+    return mult
+
+
+def character(lam: GLWeight) -> dict:
+    """s_lam(z) term by term: weight coordinates -> multiplicity in
+    V(lam), each dominant multiplicity spread over its Weyl orbit."""
+    mults = dominant_multiplicities(lam)
+    return {w: m for nu, m in mults.items() for w in set(permutations(nu))}
 
 
 def alpha_to_gl(mu: AlphaVector, rank: int) -> GLWeight:

@@ -40,9 +40,6 @@ class Tableau(Record):
             return 0
         return self.rows[i - 1][j - 1]
 
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
     def to_text(self) -> str:
         """One-line form, rows joined by ' / '; the empty tableau is '∅'."""
         if not self.rows:
@@ -172,12 +169,6 @@ class DecoratedTriangle(Record):
     def total(self) -> int:
         return sum(map(sum, self.grid))
 
-    def flags(self, i: int, j: int) -> tuple[bool, bool]:
-        return ((i, j) in self.circled, (i, j) in self.boxed)
-
-    def doubly_decorated(self) -> list[tuple[int, int]]:
-        return sorted(self.circled & self.boxed)
-
     def inline(self, layout: str = STATS_LAYOUT) -> str:
         """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
         '(2; 2□, 0◯)' for the same triangle in BZL."""
@@ -226,18 +217,13 @@ def triangle_from_json(obj: dict) -> DecoratedTriangle:
     )
 
 
-def _content_coords(t: Tableau) -> tuple[int, ...]:
-    """Coordinates of content(t), without building the validated weight."""
+def content(t: Tableau) -> GLWeight:
+    """Entry-count vector: coordinate k is the number of boxes holding k."""
     counts = [0] * (t.rank + 1)
     for row in t.rows:
         for x in row:
             counts[x - 1] += 1
-    return tuple(counts)
-
-
-def content(t: Tableau) -> GLWeight:
-    """Entry-count vector: coordinate k is the number of boxes holding k."""
-    return GLWeight(_content_coords(t))
+    return GLWeight(tuple(counts))
 
 
 def is_strict(t: Tableau) -> bool:

@@ -8,12 +8,15 @@ routes can be played against each other and against the library.
 The last part keeps slow twins of package code.  bfs_crystal lists a
 crystal the graph way, as the closure of its highest-weight element
 under the public lowering operators, against the row filler of
-crystal.enumerate_crystal.  The others scan where the package reads
-tables: B(lambda+rho) per H-table row, B(lambda) per weight, B(rho) per
-tensor weight, and all (r+1)! permutations per orbit sign.  They use the
-package's crystals, weight arithmetic and coefficients, but none of its
-tables.  Coefficients are added and multiplied here as plain integer
-lists (list_add, list_mul), not by package code.
+crystal.enumerate_crystal.  content_histogram counts the contents of
+listed B(lambda), the twin of the root-system character
+rootsys.character.  h_tensor builds a whole H-table from B(lambda) x
+B(rho), the twin of hpoly.h_table.  The others scan where the package
+reads tables: B(lambda+rho) per H-table row, B(lambda) per weight,
+B(rho) per tensor weight, and all (r+1)! permutations per orbit sign.
+They use the package's crystals, weight arithmetic and coefficients,
+but none of its tables.  Coefficients are added and multiplied here as
+plain integer lists (list_add, list_mul), not by package code.
 """
 
 from fractions import Fraction
@@ -21,7 +24,9 @@ from itertools import combinations_with_replacement, permutations
 
 from cscrystal.bzl import c_coefficient
 from cscrystal.crystal import enumerate_crystal, f_op, highest_weight_tableau
-from cscrystal.rootsys import alpha_to_gl, dot_action, partition_shape, perm_sign, rho
+from cscrystal.rootsys import (
+    GLWeight, alpha_to_gl, dot_action, gl_to_alpha, partition_shape, perm_sign, rho,
+)
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
 
@@ -143,6 +148,39 @@ def h_direct(lam, mu):
         if content(t) == target:
             total = list_add(total, c_coefficient(t).coeffs)
     return TPoly(tuple(total))
+
+
+def content_histogram(lam):
+    """Content coordinates -> number of listed B(lam) elements with that
+    content: s_lam(z) term by term."""
+    counts: dict = {}
+    for t in enumerate_crystal(partition_shape(lam), lam.rank):
+        w = content(t).coords
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def h_tensor(lam):
+    """The H-table of lam from B(lam) x B(rho), scoring only the rho factor.
+
+    The paper's tensor-product statement, as a whole-table twin of
+    hpoly.h_table: each b in B(rho) with C(b) != 0 adds C(b) times
+    B(lam)'s content histogram shifted by wt(b).  Returns {mu: TPoly},
+    mu the drop from lam + rho, without the rows whose sum is zero.
+    """
+    r = lam.rank
+    counts = content_histogram(lam)
+    sums: dict = {}
+    for b in enumerate_crystal(partition_shape(rho(r)), r):
+        coeffs = c_coefficient(b).coeffs
+        if not coeffs:
+            continue
+        for w, n in counts.items():
+            w = (GLWeight(w) + content(b)).coords
+            sums[w] = list_add(sums.get(w, []), [n * c for c in coeffs])
+    top = lam + rho(r)
+    table = {gl_to_alpha(top - GLWeight(w)): TPoly(tuple(c)) for w, c in sums.items()}
+    return {mu: p for mu, p in table.items() if not p.is_zero()}
 
 
 def scan_weight_multiplicity(lam, nu):

@@ -78,7 +78,7 @@ def twin_g_from_triangle(tri):
     unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
     result = {0: 1}
     for (i, j), a in tri.items():
-        circ, box = tri.flags(i, j)
+        circ, box = (i, j) in tri.circled, (i, j) in tri.boxed
         if circ and box:
             return QLaurent.zero()
         if circ:

@@ -17,7 +17,6 @@ from cscrystal.bzl import (
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    path_entry_sum,
 )
 from cscrystal.cli import main
 from cscrystal.crystal import (
@@ -32,7 +31,6 @@ from cscrystal.crystal import (
 from cscrystal.hpoly import (
     SpecPoint,
     h_table,
-    h_tensor,
     specialize,
     tensor_weight_multiplicity,
     weight_multiplicity,
@@ -49,7 +47,7 @@ from cscrystal.rootsys import (
 )
 from cscrystal.tableaux import is_strict, make_tableau
 from frozen import CRYSTAL_SIZES, H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
-from oracles import h_direct
+from oracles import h_direct, h_tensor
 from stats_twin import twin_stats_a
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
@@ -100,9 +98,10 @@ def test_02_worked_example_coefficients():
         for rows, coeffs in named.items():
             t = make_tableau(2, [list(r) for r in rows])
             assert c_coefficient(t).coeffs == coeffs, rows
-        table = h_table(OMEGA2)
-        for mu in table.rows:
-            assert h_direct(OMEGA2, mu) == h_tensor(OMEGA2, mu), mu
+        tensor = h_tensor(OMEGA2)
+        assert tensor.keys() == h_table(OMEGA2).rows.keys()
+        for mu, poly in tensor.items():
+            assert h_direct(OMEGA2, mu) == poly, mu
         assert time.perf_counter() - started < 1.0
 
 
@@ -135,7 +134,8 @@ def test_05_strictness_lemma():
     with verdict(5, label):
         for lam in suite_weights():
             for t in shifted_elements(lam):
-                doubled = decorate_via_stats(t).doubly_decorated()
+                tri = decorate_via_stats(t)
+                doubled = tri.circled & tri.boxed
                 zero = c_coefficient(t).is_zero()
                 if not is_strict(t):
                     assert doubled, t.rows
@@ -149,7 +149,7 @@ def test_06_bridge_between_coefficient_forms():
     with verdict(6, "g times q^(-path total) equals c on every suite element"):
         for lam in suite_weights():
             for t in shifted_elements(lam):
-                bridged = g_coefficient(t).shift(-path_entry_sum(t))
+                bridged = g_coefficient(t).shift(-bzl_path(t).total())
                 assert bridged == c_coefficient(t).to_qlaurent(), t.rows
 
 

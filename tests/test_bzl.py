@@ -13,7 +13,6 @@ from cscrystal.bzl import (
     decorate_via_stats,
     g_coefficient,
     g_from_triangle,
-    path_entry_sum,
 )
 from cscrystal.crystal import highest_weight_tableau
 from cscrystal.rootsys import Shape, gl_to_alpha, rho
@@ -117,7 +116,7 @@ def test_path_total_equals_simple_root_drop():
         shifted = lam + rho(lam.rank)
         for t in shifted_elements(lam):
             drop = gl_to_alpha(shifted - content(t))
-            assert path_entry_sum(t) == drop.degree()
+            assert bzl_path(t).total() == drop.degree()
 
 
 def test_operator_route_decorations():
@@ -154,7 +153,9 @@ def test_layout_conversion_is_inverse():
         assert [(e["i"], e["j"]) for e in path] == [(1, 1), (2, 1), (2, 2)]
         for e in path:
             cell = (e["i"] - e["j"] + 1, e["i"])
-            assert (e["a"], (e["circled"], e["boxed"])) == (ops.entry(*cell), ops.flags(*cell))
+            assert (e["a"], (e["circled"], e["boxed"])) == (
+                ops.entry(*cell), (cell in ops.circled, cell in ops.boxed)
+            )
 
 
 def test_decoration_routes_agree_on_examples():
@@ -187,7 +188,7 @@ def test_path_entries_match_stats_by_layout_bijection():
 def test_doubly_decorated_witness():
     t4 = make_tableau(2, B4)
     tri = decorate_via_stats(t4)
-    assert tri.doubly_decorated() == [(1, 1)]
+    assert sorted(tri.circled & tri.boxed) == [(1, 1)]
     assert not is_strict(t4)
     assert c_coefficient(t4) == TPoly.zero()
     assert g_coefficient(t4) == QLaurent.zero()
@@ -246,7 +247,7 @@ def test_bridge_g_q_shift_equals_c():
     for parts in [(2, 1, 0), (3, 2, 0), (1, 0), (3, 1, 0)]:
         rank = len(parts) - 1
         for t in shifted_elements_for_shape(parts, rank):
-            bridged = g_coefficient(t).shift(-path_entry_sum(t))
+            bridged = g_coefficient(t).shift(-bzl_path(t).total())
             assert bridged == c_coefficient(t).to_qlaurent()
 
 
@@ -263,7 +264,7 @@ def test_strictness_lemma_on_suite():
             continue
         for t in shifted_elements(lam):
             tri = decorate_via_stats(t)
-            doubled = tri.doubly_decorated()
+            doubled = sorted(tri.circled & tri.boxed)
             if is_strict(t):
                 assert doubled == []
             else:
@@ -274,7 +275,8 @@ def test_strictness_lemma_on_suite():
 @settings(max_examples=100, deadline=None)
 @given(strict_shape_tableaux())
 def test_strictness_lemma_at_ranks_4_and_5(t):
-    no_double = decorate_via_stats(t).doubly_decorated() == []
+    tri = decorate_via_stats(t)
+    no_double = not tri.circled & tri.boxed
     assert is_strict(t) == no_double == (not c_coefficient(t).is_zero())
 
 
@@ -303,7 +305,8 @@ def test_doubly_decorated_entry_sits_in_violating_row_pair():
                 continue
             violations = _violating_row_pairs(t)
             assert violations
-            witnesses = decorate_via_stats(t).doubly_decorated()
+            tri = decorate_via_stats(t)
+            witnesses = sorted(tri.circled & tri.boxed)
             assert any(
                 u in (v, v + 1) for (u, _) in witnesses for v in violations
             )
@@ -316,7 +319,7 @@ def test_lone_dominant_entry_keeps_nonzero_coefficient():
     t = make_tableau(2, [[1, 1, 3], [2]])
     assert is_strict(t)
     tri = decorate_via_stats(t)
-    assert tri.doubly_decorated() == []
+    assert not tri.circled & tri.boxed
     assert tri.boxed == frozenset()
     assert c_coefficient(t) == TPoly((1, -1))
     assert bzl_path(t).inline(BZL_LAYOUT) == "(0; 1, 1)"

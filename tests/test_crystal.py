@@ -13,7 +13,7 @@ from cscrystal.crystal import (
     reading_word,
     surviving_slots,
 )
-from cscrystal.rootsys import GLWeight, Shape, simple_root
+from cscrystal.rootsys import GLWeight, Shape
 from cscrystal.tableaux import content, make_tableau
 from frozen import CRYSTAL_SIZES
 
@@ -133,7 +133,8 @@ def test_crystal_axioms_on_suite():
         for t in shifted_elements(lam):
             wt = content(t)
             for i in range(1, rank + 1):
-                alpha = simple_root(i, rank)
+                # the simple root e_i - e_{i+1}
+                alpha = GLWeight(tuple(int(k == i) - int(k == i + 1) for k in range(1, rank + 2)))
                 down = f_op(t, i)
                 if down is not None:
                     assert content(down) == wt - alpha

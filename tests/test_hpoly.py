@@ -10,7 +10,6 @@ from cscrystal.hpoly import (
     SpecPoint,
     format_mu,
     h_table,
-    h_tensor,
     specialize,
     tensor_weight_multiplicity,
     weight_multiplicity,
@@ -28,7 +27,7 @@ from cscrystal.rootsys import (
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
-from oracles import h_direct, list_add
+from oracles import h_direct, h_tensor, list_add
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
 
@@ -50,9 +49,11 @@ def test_h_table_matches_frozen_table():
 
 
 def test_h_tensor_equals_h_direct_on_omega2():
+    tensor = h_tensor(OMEGA2)
+    assert {mu.c for mu in tensor} == set(H_TABLE_OMEGA2)
     for mu_c in H_TABLE_OMEGA2:
         mu = AlphaVector(mu_c)
-        assert h_tensor(OMEGA2, mu) == h_direct(OMEGA2, mu)
+        assert tensor[mu] == h_direct(OMEGA2, mu)
 
 
 def test_h_tensor_equals_h_direct_across_suite():
@@ -60,9 +61,22 @@ def test_h_tensor_equals_h_direct_across_suite():
         if lam.rank > 2:
             continue
         table = h_table(lam)
+        tensor = h_tensor(lam)
         for mu in table.rows:
-            assert h_tensor(lam, mu) == h_direct(lam, mu)
+            assert tensor.get(mu, TPoly.zero()) == h_direct(lam, mu)
             assert table.rows[mu] == h_direct(lam, mu)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    suite_weights() + [lambda_from_fundamental((1, 0, 0, 0), 4)],
+    ids=lambda lam: str(lam.coords),
+)
+def test_h_tensor_equals_h_table(lam):
+    # the tensor-product route to the whole table: B(lambda) x B(rho)
+    # with only the rho factor scored, against one pass over B(lambda+rho)
+    nonzero = {mu: p for mu, p in h_table(lam).rows.items() if not p.is_zero()}
+    assert h_tensor(lam) == nonzero
 
 
 def test_tensor_route_four_pair_example():

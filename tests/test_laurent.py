@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import suite_weights
-from cscrystal.hpoly import _content_histogram
+from oracles import content_histogram
 from cscrystal.laurent import (
     LaurentPoly,
     _gather,
@@ -12,18 +12,13 @@ from cscrystal.laurent import (
     verify_bn_form,
     verify_identity,
 )
-from cscrystal.rootsys import GLWeight, lambda_from_fundamental, partition_shape, rho
+from cscrystal.rootsys import GLWeight, lambda_from_fundamental, rho
 from cscrystal.tpoly import TPoly
 from frozen import CS_LHS_RHO_RANK2
 
 
 def LP(rank, d):
     return LaurentPoly(rank, {e: TPoly(c) for e, c in d.items()})
-
-
-def character(lam):
-    """s_lambda(z): B(lambda)'s content histogram, as exponent -> count."""
-    return _content_histogram(partition_shape(lam), lam.rank)
 
 
 def deformed_product(rank, reverse=False):
@@ -37,10 +32,10 @@ def test_rank_mismatch_raises():
 
 
 def test_character_small():
-    assert character(GLWeight((1, 0))) == {(1, 0): 1, (0, 1): 1}
-    e2 = character(GLWeight((1, 1, 0)))
+    assert content_histogram(GLWeight((1, 0))) == {(1, 0): 1, (0, 1): 1}
+    e2 = content_histogram(GLWeight((1, 1, 0)))
     assert e2 == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-    adj = character(GLWeight((2, 1, 0)))
+    adj = content_histogram(GLWeight((2, 1, 0)))
     assert len(adj) == 7
     assert adj[(1, 1, 1)] == 2
     assert adj[(2, 1, 0)] == 1
@@ -48,7 +43,7 @@ def test_character_small():
 
 
 def test_character_is_symmetric():
-    adj = character(GLWeight((2, 1, 0)))
+    adj = content_histogram(GLWeight((2, 1, 0)))
     swapped = {(e[1], e[0], e[2]): c for e, c in adj.items()}
     assert swapped == adj
 

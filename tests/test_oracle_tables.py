@@ -1,8 +1,9 @@
 """The table-driven specialization oracles against their scanning twins.
 
-hpoly reads the q = inf and q = -1 oracles from one content histogram of
-B(lambda) and one convolution with B(rho); rootsys builds the q = 1
-orbit sign by matching coordinates.  tests/oracles.py keeps the
+hpoly reads the q = inf and q = -1 oracles from the root system: the
+dominant multiplicities of V(lambda) by Freudenthal's formula, and the
+character s_lambda s_rho; rootsys builds the q = 1 orbit sign by
+matching coordinates.  tests/oracles.py keeps the
 per-row scans, and these tests hold each oracle to its twin at ranks
 1-4, on every row of several H-tables, and on non-dominant weights whose
 lambda + rho repeats a coordinate.
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cscrystal import cli, hpoly
+from cscrystal import cli, hpoly, laurent
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.rootsys import (
@@ -155,46 +156,37 @@ def test_wrong_rank_weight():
     assert oracles.scan_weight_multiplicity(lam, nu) == 0
 
 
-@pytest.mark.parametrize("at", ["inf", "-1"])
-def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
+def _count_listings(monkeypatch):
+    """Count enumerate_crystal calls per shape at every name the package
+    calls it through on verify's and hpoly's paths."""
     calls = Counter()
-    real = hpoly.enumerate_crystal
+    real = enumerate_crystal
 
     def counted(shape, rank):
         calls[shape.parts] += 1
         return real(shape, rank)
 
-    monkeypatch.setattr(hpoly, "enumerate_crystal", counted)
-    hpoly._content_histogram.cache_clear()
-    hpoly._tensor_histogram.cache_clear()
-    try:
-        assert cli.main(["hpoly", "--rank", "3", "--lambda", "1,0,1", "--at", at]) == 0
-    finally:
-        hpoly._content_histogram.cache_clear()
-        hpoly._tensor_histogram.cache_clear()
+    for module in (laurent, hpoly, cli):
+        monkeypatch.setattr(module, "enumerate_crystal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("at", ["inf", "-1", "1"])
+def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
+    # the oracles read the root system: B(lambda+rho), listed once for
+    # the table, is the one crystal an hpoly run lists
+    calls = _count_listings(monkeypatch)
+    assert cli.main(["hpoly", "--rank", "3", "--lambda", "1,0,1", "--at", at]) == 0
     lam = lambda_from_fundamental((1, 0, 1), 3)
-    expect = {(lam + rho(3)).coords: 1, lam.coords: 1}
-    if at == "-1":
-        expect[rho(3).coords] = 1
-    assert dict(calls) == expect
+    assert dict(calls) == {(lam + rho(3)).coords: 1}
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_verify_reads_b_lambda_once(capsys, monkeypatch):
-    # cs_lhs and verify_bn_form both read B(lambda)'s one content histogram
-    calls = Counter()
-    real = hpoly.enumerate_crystal
-
-    def counted(shape, rank):
-        calls[shape.parts] += 1
-        return real(shape, rank)
-
-    monkeypatch.setattr(hpoly, "enumerate_crystal", counted)
-    hpoly._content_histogram.cache_clear()
-    try:
-        assert cli.main(["verify", "--rank", "3", "--lambda", "1,0,1"]) == 0
-    finally:
-        hpoly._content_histogram.cache_clear()
+def test_verify_lists_only_b_lambda_plus_rho(capsys, monkeypatch):
+    # cs_lhs and verify_bn_form read s_lambda from the root system, so
+    # B(lambda+rho), listed once for both checks, is the one crystal
+    calls = _count_listings(monkeypatch)
+    assert cli.main(["verify", "--rank", "3", "--lambda", "1,0,1"]) == 0
     lam = lambda_from_fundamental((1, 0, 1), 3)
-    assert dict(calls) == {lam.coords: 1}
+    assert dict(calls) == {(lam + rho(3)).coords: 1}
     assert "MISMATCH" not in capsys.readouterr().out

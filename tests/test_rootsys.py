@@ -15,19 +15,7 @@ from cscrystal.rootsys import (
     perm_sign,
     permute_weight,
     rho,
-    simple_root,
-    theta,
 )
-
-
-def test_simple_root_coordinates():
-    assert simple_root(1, 1) == GLWeight((1, -1))
-    assert simple_root(2, 3) == GLWeight((0, 1, -1, 0))
-    assert simple_root(3, 3) == GLWeight((0, 0, 1, -1))
-    with pytest.raises(ValueError):
-        simple_root(0, 3)
-    with pytest.raises(ValueError):
-        simple_root(4, 3)
 
 
 def test_rho():
@@ -66,16 +54,6 @@ def test_shape_validation():
     assert not Shape((3, 3, 0)).is_strict()
     assert not Shape((3, 2, 1)).is_strict()
     assert Shape((1, 0)).is_strict()
-
-
-def test_theta():
-    assert theta(Shape((6, 3, 1, 0))) == (3, 2, 1)
-    assert theta(Shape((3, 2, 0))) == (1, 2)
-    assert theta(Shape((1, 0))) == (1,)
-    with pytest.raises(ValueError, match="not strictly decreasing"):
-        theta(Shape((3, 3, 0)))
-    with pytest.raises(ValueError, match=r"\(3, 2, 1\) has last part 1"):
-        theta(Shape((3, 2, 1)))
 
 
 def test_alpha_gl_conversion():

@@ -19,7 +19,6 @@ from .crystal import (
     enumerate_crystal,
     epsilon,
     f_op,
-    highest_weight_tableau,
     phi,
     reading_word,
 )

@@ -13,7 +13,9 @@ per-shape reading order, and a changed word becomes a Tableau again
 through the same order.  Changing the letter at a surviving slot keeps
 rows weakly increasing and columns strictly increasing, so those
 tableaux are built without re-validation.  The enumeration needs no
-operator: it fills the rows of the shape directly.
+operator: it fills the rows of the shape directly, memoizing per call
+the rows that fit under each (row index, row above), so every tableau
+of one listing shares the tuple of each distinct row.
 """
 
 from functools import lru_cache
@@ -21,7 +23,7 @@ from itertools import combinations_with_replacement
 from operator import gt
 
 from .rootsys import Shape
-from .tableaux import Tableau, make_tableau
+from .tableaux import Tableau
 
 
 @lru_cache(maxsize=16)
@@ -122,37 +124,43 @@ def _check_letter(rank, i):
         raise ValueError(f"operator index {i} outside 1..{rank}")
 
 
-def highest_weight_tableau(shape: Shape, rank: int) -> Tableau:
-    """Row i filled with the letter i; killed by every raising operator."""
-    if shape.rank != rank:
-        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
-    rows = [[i] * p for i, p in enumerate(shape.parts, start=1) if p > 0]
-    return make_tableau(rank, rows)
-
-
 @lru_cache(maxsize=16)
 def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
     """Every semistandard tableau of the shape, sorted by row tuples.
 
     Rows are filled top down, one recursion level per row: row k
-    (1-indexed) takes weakly increasing entries from k..rank+1 and is
-    kept when each entry exceeds the one above it.  Each row's
-    candidates come in lexicographic order, so the listing comes out
-    sorted.  B(shape) is connected, so this is also the closure of the
-    highest-weight element under the lowering operators.
+    (1-indexed) takes weakly increasing entries from k..rank+1 and fits
+    under the row above when each entry exceeds the one above it.  Which
+    rows fit depends on nothing else, so within one call each (k, row
+    above) filters row k's candidates once and later visits reuse the
+    list; each distinct row is then one tuple, shared by every tableau
+    that holds it.  Candidates come in lexicographic order, so the
+    listing comes out sorted.  B(shape) is connected, so this is also
+    the closure of the highest-weight element under the lowering
+    operators.
     """
     if shape.rank != rank:
         raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
     parts = [p for p in shape.parts if p > 0]
+    if not parts:
+        return (Tableau(rank, ()),)
+    candidates = [
+        list(combinations_with_replacement(range(k + 1, rank + 2), p))
+        for k, p in enumerate(parts)
+    ]
+    fits = {}  # (k, row above) -> the rows of row k that fit under it
+    last = len(parts) - 1
     out = []
 
-    def fill(k, rows, above):
-        if k == len(parts):
-            out.append(Tableau(rank, rows))
-            return
-        for row in combinations_with_replacement(range(k + 1, rank + 2), parts[k]):
-            if all(map(gt, row, above)):
-                fill(k + 1, rows + (row,), row)
+    def fill(k, prefix, above):
+        rows = fits.get((k, above))
+        if rows is None:
+            rows = fits[k, above] = [row for row in candidates[k] if all(map(gt, row, above))]
+        if k == last:
+            out.extend([Tableau(rank, prefix + (row,)) for row in rows])
+        else:
+            for row in rows:
+                fill(k + 1, prefix + (row,), row)
 
     fill(0, (), ())
     return tuple(out)

@@ -7,9 +7,9 @@ routes can be played against each other and against the library.
 
 The last part keeps slow twins of package code.  bfs_crystal lists a
 crystal the graph way, as the closure of its highest-weight element
-under the public lowering operators, against the row filler of
-crystal.enumerate_crystal.  content_histogram counts the contents of
-listed B(lambda), the twin of the root-system character
+(highest_weight_tableau) under the public lowering operators, against
+the row filler of crystal.enumerate_crystal.  content_histogram counts
+the contents of listed B(lambda), the twin of the root-system character
 rootsys.character.  h_tensor builds a whole H-table from B(lambda) x
 B(rho), the twin of hpoly.h_table.  The others scan where the package
 reads tables: B(lambda+rho) per H-table row, B(lambda) per weight,
@@ -23,11 +23,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from cscrystal.bzl import c_coefficient
-from cscrystal.crystal import enumerate_crystal, f_op, highest_weight_tableau
+from cscrystal.crystal import enumerate_crystal, f_op
 from cscrystal.rootsys import (
     GLWeight, alpha_to_gl, dot_action, gl_to_alpha, partition_shape, perm_sign, rho,
 )
-from cscrystal.tableaux import content
+from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
 
 
@@ -90,6 +90,14 @@ def brute_force_weight_multiplicity(parts, max_entry, target):
 
 
 # --- slow twins of the enumeration, the H-table and the oracles -------------
+
+
+def highest_weight_tableau(shape, rank):
+    """Row i filled with the letter i; killed by every raising operator."""
+    if shape.rank != rank:
+        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
+    rows = [[i] * p for i, p in enumerate(shape.parts, start=1) if p > 0]
+    return make_tableau(rank, rows)
 
 
 def bfs_crystal(shape, rank):

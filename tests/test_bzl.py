@@ -14,7 +14,6 @@ from cscrystal.bzl import (
     g_coefficient,
     g_from_triangle,
 )
-from cscrystal.crystal import highest_weight_tableau
 from cscrystal.rootsys import Shape, gl_to_alpha, rho
 from cscrystal.tableaux import (
     BZL_LAYOUT,
@@ -26,6 +25,7 @@ from cscrystal.tableaux import (
     triangle_from_json,
 )
 from cscrystal.tpoly import QLaurent, TPoly
+from oracles import highest_weight_tableau
 from stats_twin import twin_stats_a
 from test_word_kernel import strict_shape_tableaux
 

@@ -8,7 +8,6 @@ from cscrystal.crystal import (
     enumerate_crystal,
     epsilon,
     f_op,
-    highest_weight_tableau,
     phi,
     reading_word,
     surviving_slots,
@@ -68,7 +67,7 @@ def test_letter_range_errors():
 
 
 def test_highest_weight_tableau():
-    hw = highest_weight_tableau(Shape((3, 2, 0)), 2)
+    hw = oracles.highest_weight_tableau(Shape((3, 2, 0)), 2)
     assert hw == make_tableau(2, [[1, 1, 1], [2, 2]])
     for i in (1, 2):
         assert e_op(hw, i) is None
@@ -89,6 +88,35 @@ def test_enumeration_matches_brute_force():
         rank = len(parts) - 1
         ours = [t.rows for t in enumerate_crystal(Shape(parts), rank)]
         assert ours == oracles.brute_force_ssyt(parts, rank + 1)
+
+
+@st.composite
+def shapes(draw):
+    """(parts, rank) at ranks 1..4 with parts at most 3, any shape.
+
+    Equal parts and shapes that do not end in 0 come often: there the
+    same (row index, row above) pairs recur most in the listing.
+    """
+    rank = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.integers(0, 3), min_size=rank + 1, max_size=rank + 1))
+    return tuple(sorted(parts, reverse=True)), rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes())
+def test_enumeration_matches_brute_force_on_drawn_shapes(shape):
+    parts, rank = shape
+    ours = [t.rows for t in enumerate_crystal(Shape(parts), rank)]
+    assert ours == oracles.brute_force_ssyt(parts, rank + 1)
+
+
+def test_listing_holds_each_distinct_row_once():
+    # the rows that fit under one row are listed once per call, so all
+    # tableaux that hold a row hold the same tuple; the parts differ, so
+    # two equal rows sit in the same row of the shape
+    crystal = enumerate_crystal(Shape((5, 3, 2, 1, 0)), 4)
+    rows = [row for t in crystal for row in t.rows]
+    assert len({id(row) for row in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize(
@@ -169,7 +197,7 @@ def test_unique_highest_weight_element():
             for t in crystal
             if all(e_op(t, i) is None for i in range(1, rank + 1))
         ]
-        assert tops == [highest_weight_tableau(Shape(parts), rank)]
+        assert tops == [oracles.highest_weight_tableau(Shape(parts), rank)]
 
 
 def test_maximal_e1_clears_row_one_twos():

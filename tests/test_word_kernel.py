@@ -9,9 +9,10 @@ route, and full validation of every operator image.
 from hypothesis import given, settings, strategies as st
 
 from cscrystal.bzl import bzl_path, decorate_via_operators, decorate_via_stats
-from cscrystal.crystal import e_op, epsilon, f_op, highest_weight_tableau, phi
+from cscrystal.crystal import e_op, epsilon, f_op, phi
 from cscrystal.tableaux import DecoratedTriangle, make_tableau
 from operator_walk import operator_walk
+from oracles import highest_weight_tableau
 from stats_twin import twin_stats_a
 
 

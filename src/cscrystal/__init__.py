@@ -43,7 +43,6 @@ from .rootsys import (
     GLWeight,
     Shape,
     alpha_to_gl,
-    dot_action,
     dot_orbit_sign,
     gl_to_alpha,
     lambda_from_fundamental,

@@ -70,12 +70,17 @@ def _emit_json(obj):
     _emit(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
-def cmd_enumerate(args) -> int:
+def _listed(args) -> tuple:
+    """(shape, its listed crystal) of the weight, plus rho with --shifted."""
     lam = _weight_from_args(args)
     if args.shifted:
         lam = lam + rho(args.rank)
     shape = Shape(lam.coords)
-    elements = enumerate_crystal(shape, args.rank)
+    return shape, enumerate_crystal(shape, args.rank)
+
+
+def cmd_enumerate(args) -> int:
+    shape, elements = _listed(args)
     if args.format == "json":
         _emit_json(
             {
@@ -232,11 +237,7 @@ def cmd_hpoly(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    lam = _weight_from_args(args)
-    if args.shifted:
-        lam = lam + rho(args.rank)
-    shape = Shape(lam.coords)
-    elements = enumerate_crystal(shape, args.rank)
+    _, elements = _listed(args)
     index = {t.rows: k for k, t in enumerate(elements)}
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for k, t in enumerate(elements):
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:

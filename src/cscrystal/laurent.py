@@ -1,20 +1,23 @@
-"""Both sides of the deformed character identity, as integer term maps.
+"""Both sides of the deformed character identity, as flat integer maps.
 
-The identity is checked as literal polynomial equality.  The product
-side starts from s_lambda(z) term by term, the weight multiplicities of
-V(lambda) from rootsys.character (Freudenthal's formula, no crystal
-listed), times z^rho, as a flat map
-{(z-exponent..., t-degree): int}; each factor (1 - t z_j/z_i) then acts
-by one shift-and-subtract pass (_times_deformed).  The crystal side sums
-C by weight (bzl.weight_sums) over one scoring pass of B(lambda+rho)
-(bzl.crystal_scores), whose memo of distinct Gelfand-Tsetlin blocks
-verify_bn_form walks to check the walk against the statistics.
-verify_identity builds a LaurentPoly, which has no arithmetic, from
-each side only to compare them and report the first difference;
-verify_bn_form compares the flat maps themselves.  No floating point;
-the one division, Freudenthal's, is exact and checked in rootsys.
+The identity is checked as literal polynomial equality.  Each side is
+one map {(z-exponent..., t-degree): int} with no zero values.  The
+product side starts from s_lambda(z) term by term, the weight
+multiplicities of V(lambda) from rootsys.character (Freudenthal's
+formula, no crystal listed), times z^rho; each factor (1 - t z_j/z_i)
+then acts by one shift-and-subtract pass (_times_deformed).  The crystal
+side sums C by weight (bzl.weight_sums), each sum spread over its
+t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores).
+verify_identity compares the two maps, and looks for the first
+differing exponent only when they differ.  The reversed form is the
+identity relabelled by the bijection e -> reversed(e - rho), so
+verify_bn_form holds the same sums equal to the same product map, built
+once per verify (_product), after walking the scorer's memo of distinct
+Gelfand-Tsetlin blocks.  No floating point; the one division,
+Freudenthal's, is exact and checked in rootsys.
 """
 
+from functools import lru_cache
 from operator import add
 
 from .bzl import block_agrees, crystal_scores, weight_sums
@@ -31,47 +34,37 @@ from .tpoly import TPoly
 
 
 class LaurentPoly:
-    """Sparse map from integer exponent vectors to nonzero TPoly coefficients."""
+    """One side of the identity: a flat map {(z-exponent..., t-degree): int}
+    with no zero values, held as given (it may be a memo's) and never
+    written to."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "flat")
 
-    def __init__(self, rank: int, terms: dict | None = None):
-        self.rank = rank
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            if coeff.is_zero():
-                continue
-            exp = tuple(exp)
-            if len(exp) != rank + 1:
-                raise ValueError(f"exponent {exp} has wrong length for rank {rank}")
-            clean[exp] = coeff
-        self.terms = clean
+    def __init__(self, rank: int, flat: dict):
+        if set(map(len, flat)) - {rank + 2}:
+            raise ValueError(f"a key at rank {rank} is {rank + 1} exponents and a t-degree")
+        self.rank, self.flat = rank, flat
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        """The number of z-exponents with a nonzero coefficient."""
+        return len({key[:-1] for key in self.flat})
 
     def coefficient(self, exp) -> TPoly:
-        return self.terms.get(tuple(exp), TPoly.zero())
+        exp = tuple(exp)
+        top = max((key[-1] for key in self.flat), default=-1)
+        return TPoly(tuple(self.flat.get(exp + (k,), 0) for k in range(top + 1)))
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.rank == other.rank and self.terms == other.terms
+            return self.rank == other.rank and self.flat == other.flat
         return NotImplemented
 
     def __repr__(self):
-        return f"LaurentPoly(rank={self.rank}, {len(self.terms)} terms)"
+        return f"LaurentPoly(rank={self.rank}, {len(self.flat)} flat terms)"
 
 
-def _histogram_terms(lam: GLWeight, shift) -> dict:
-    """s_lambda(z) z^shift as a flat map {(z-exponent..., 0): count}."""
-    return {
-        tuple(map(add, w, shift)) + (0,): n
-        for w, n in character(lam).items()
-    }
-
-
-def _times_deformed(flat: dict, rank: int, reverse: bool = False) -> dict:
-    """flat times prod over i<j of (1 - t z_j/z_i); with reverse, of (1 - t z_i/z_j).
+def _times_deformed(flat: dict, rank: int) -> dict:
+    """flat times prod over i<j of (1 - t z_j/z_i).
 
     flat maps (z-exponent..., t-degree) to an int.  Each factor is one
     pass that subtracts the copy of flat moved by t z_j/z_i.  Starting
@@ -82,7 +75,7 @@ def _times_deformed(flat: dict, rank: int, reverse: bool = False) -> dict:
     for i in range(rank + 1):
         for j in range(i + 1, rank + 1):
             step = [0] * (rank + 2)
-            step[i], step[j], step[-1] = (1, -1, 1) if reverse else (-1, 1, 1)
+            step[i], step[j], step[-1] = -1, 1, 1
             out = dict(flat)
             for key, c in flat.items():
                 key = tuple(map(add, key, step))
@@ -91,21 +84,17 @@ def _times_deformed(flat: dict, rank: int, reverse: bool = False) -> dict:
     return flat
 
 
-def _gather(rank: int, flat: dict) -> LaurentPoly:
-    """Group a flat map by z-exponent, one TPoly per exponent."""
-    coeffs: dict = {}
-    for key, c in flat.items():
-        row = coeffs.setdefault(key[:-1], [])
-        k = key[-1]
-        row.extend([0] * (k + 1 - len(row)))
-        row[k] = c
-    return LaurentPoly(rank, {exp: TPoly(tuple(row)) for exp, row in coeffs.items()})
+@lru_cache(maxsize=1)  # verify reads it twice, in cs_lhs and verify_bn_form
+def _product(lam: GLWeight) -> dict:
+    """z^rho s_lam(z) prod_{i<j} (1 - t z_j/z_i) as a flat map, which
+    callers only read; every exponent is >= 0."""
+    r, shift = lam.rank, rho(lam.rank).coords
+    return _times_deformed({tuple(map(add, w, shift)) + (0,): n for w, n in character(lam).items()}, r)
 
 
 def cs_lhs(lam: GLWeight) -> LaurentPoly:
     """z^rho * s_lambda(z) * prod(1 - t z_j/z_i); all exponents end up >= 0."""
-    r = lam.rank
-    return _gather(r, _times_deformed(_histogram_terms(lam, rho(r).coords), r))
+    return LaurentPoly(lam.rank, _product(lam))
 
 
 def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
@@ -117,6 +106,11 @@ def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
     return weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r), blocks)), blocks
 
 
+def _flat(sums: dict) -> dict:
+    """Weight sums {content: TPoly} spread over their t-degrees."""
+    return {w + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
+
+
 def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
     """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
 
@@ -126,7 +120,7 @@ def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
     """
     if sums is None:
         sums, _ = shifted_sums(lam)
-    return LaurentPoly(lam.rank, sums)
+    return LaurentPoly(lam.rank, _flat(sums))
 
 
 class IdentityReport(Record):
@@ -141,18 +135,11 @@ def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly."""
     lhs = cs_lhs(lam)
     rhs = cs_rhs(lam, sums)
-    mismatch = None
-    for exp in sorted(set(lhs.terms) | set(rhs.terms)):
-        a, b = lhs.coefficient(exp), rhs.coefficient(exp)
-        if a != b:
-            mismatch = (exp, a, b)
-            break
-    return IdentityReport(
-        equal=mismatch is None,
-        lhs_terms=lhs.num_terms(),
-        rhs_terms=rhs.num_terms(),
-        first_mismatch=mismatch,
-    )
+    a, b, mismatch = lhs.flat, rhs.flat, None
+    if a != b:
+        exp = min(key[:-1] for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+        mismatch = (exp, lhs.coefficient(exp), rhs.coefficient(exp))
+    return IdentityReport(mismatch is None, lhs.num_terms(), rhs.num_terms(), mismatch)
 
 
 def verify_bn_form(lam: GLWeight, sums: dict | None = None, blocks: dict | None = None) -> bool:
@@ -161,16 +148,13 @@ def verify_bn_form(lam: GLWeight, sums: dict | None = None, blocks: dict | None 
     Every distinct Gelfand-Tsetlin block of B(lam+rho) is walked once,
     and must equal the statistics block cell by cell (block_agrees).
     Every element's walk then equals its statistics triangle, so the
-    bridge G q^(-total) = C(1/q) holds per element.  The weight sums
-    of the statistics side, against reversed weights, must then
-    reproduce s_lambda(z) * prod(1 - t z_i/z_j) as a flat map.  sums
-    and blocks are one shifted_sums(lam), when the caller holds it.
+    bridge G q^(-total) = C(1/q) holds per element.  The reversed form,
+    s_lambda(z) * prod(1 - t z_i/z_j) = sum of C(b) z^reversed(wt(b) - rho),
+    is the identity with every exponent e sent to reversed(e - rho) on
+    both sides (s_lambda is symmetric), and that is a bijection; so the
+    statistics side's weight sums must equal the product map itself.
+    sums and blocks are one shifted_sums(lam), when the caller holds it.
     """
     if sums is None or blocks is None:
         sums, blocks = shifted_sums(lam)
-    if not all(block_agrees(*key) for key in blocks):
-        return False
-    r, rho_r = lam.rank, rho(lam.rank)
-    rev = {w: (GLWeight(w) - rho_r).reverse().coords for w in sums}
-    rhs = {rev[w] + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
-    return _times_deformed(_histogram_terms(lam, (0,) * (r + 1)), r, reverse=True) == rhs
+    return all(block_agrees(*key) for key in blocks) and _flat(sums) == _product(lam)

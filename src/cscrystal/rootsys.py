@@ -70,9 +70,6 @@ class GLWeight(Record):
         self._check_rank(other)
         return GLWeight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "GLWeight":
-        return GLWeight(tuple(-a for a in self.coords))
-
     def _check_rank(self, other):
         if len(self.coords) != len(other.coords):
             raise ValueError("rank mismatch between weights")
@@ -80,10 +77,6 @@ class GLWeight(Record):
     def is_partition(self) -> bool:
         """True when coordinates are weakly decreasing and nonnegative."""
         return all(a >= b for a, b in zip(self.coords, self.coords[1:])) and self.coords[-1] >= 0
-
-    def reverse(self) -> "GLWeight":
-        """Image under the longest Weyl element (coordinate reversal)."""
-        return GLWeight(tuple(reversed(self.coords)))
 
 
 class Shape(Record):
@@ -264,27 +257,6 @@ def perm_sign(perm: tuple[int, ...]) -> int:
         if perm[a] > perm[b]
     )
     return -1 if inversions % 2 else 1
-
-
-def _check_perm(perm, n):
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-
-
-def permute_weight(perm: tuple[int, ...], v: GLWeight) -> GLWeight:
-    """Coordinate permutation: position w(k) of the result holds v_k."""
-    n = len(v.coords)
-    _check_perm(perm, n)
-    out = [0] * n
-    for k in range(n):
-        out[perm[k] - 1] = v.coords[k]
-    return GLWeight(tuple(out))
-
-
-def dot_action(perm: tuple[int, ...], lam: GLWeight) -> GLWeight:
-    """Shifted action w(lam + rho) - rho."""
-    r = lam.rank
-    return permute_weight(perm, lam + rho(r)) - rho(r)
 
 
 def dot_orbit_sign(lam: GLWeight, mu: AlphaVector) -> int:

@@ -13,7 +13,8 @@ the contents of listed B(lambda), the twin of the root-system character
 rootsys.character.  h_tensor builds a whole H-table from B(lambda) x
 B(rho), the twin of hpoly.h_table.  The others scan where the package
 reads tables: B(lambda+rho) per H-table row, B(lambda) per weight,
-B(rho) per tensor weight, and all (r+1)! permutations per orbit sign.
+B(rho) per tensor weight, and all (r+1)! permutations per orbit sign,
+each acting by the dot action w(lambda + rho) - rho (dot_action).
 They use the package's crystals, weight arithmetic and coefficients,
 but none of its tables.  Coefficients are added and multiplied here as
 plain integer lists (list_add, list_mul), not by package code.
@@ -25,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 from cscrystal.bzl import c_coefficient
 from cscrystal.crystal import enumerate_crystal, f_op
 from cscrystal.rootsys import (
-    GLWeight, alpha_to_gl, dot_action, gl_to_alpha, partition_shape, perm_sign, rho,
+    GLWeight, alpha_to_gl, gl_to_alpha, partition_shape, perm_sign, rho,
 )
 from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
@@ -212,6 +213,27 @@ def scan_tensor_weight_multiplicity(lam, nu):
         remainder = nu - content(t)
         total += lam_counts.get(remainder.coords, 0)
     return total
+
+
+def _check_perm(perm, n):
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+
+
+def permute_weight(perm, v):
+    """Coordinate permutation: position w(k) of the result holds v_k."""
+    n = len(v.coords)
+    _check_perm(perm, n)
+    out = [0] * n
+    for k in range(n):
+        out[perm[k] - 1] = v.coords[k]
+    return GLWeight(tuple(out))
+
+
+def dot_action(perm, lam):
+    """Shifted action w(lam + rho) - rho."""
+    r = lam.rank
+    return permute_weight(perm, lam + rho(r)) - rho(r)
 
 
 def scan_dot_orbit_sign(lam, mu):

@@ -13,7 +13,6 @@ from cscrystal.hpoly import HTable, h_table
 from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import lambda_from_fundamental
 from cscrystal.tableaux import tableau_from_json, triangle_from_json
-from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2
 
 
@@ -164,6 +163,16 @@ def test_shifted_shape_with_nonzero_last_part_rejected(capsys, command):
     assert "not strictly decreasing" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate", "hpoly", "graph"])
+def test_overflowing_weight_exits_2(capsys, command):
+    # a part too large for an index overflows as soon as the crystal is
+    # listed: that is an input error (exit 2), not a failed check (exit 1)
+    code, out, err = run_cli(capsys, command, "--rank", "2", "--lambda", "99999999999999999999,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bzl_internal_breach_exit_code(capsys, monkeypatch):
     import cscrystal.cli as cli_module
     from cscrystal.bzl import decorate_via_stats as real
@@ -252,9 +261,9 @@ def _one_more_rhs_term(monkeypatch):
     real = laurent.cs_rhs
 
     def one_more_term(lam, sums=None):
-        terms = dict(real(lam, sums).terms)
-        terms[(0,) * (lam.rank + 1)] = TPoly((1,))
-        return LaurentPoly(lam.rank, terms)
+        flat = dict(real(lam, sums).flat)
+        flat[(0,) * (lam.rank + 2)] = 1
+        return LaurentPoly(lam.rank, flat)
 
     monkeypatch.setattr(laurent, "cs_rhs", one_more_term)
 

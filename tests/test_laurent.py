@@ -1,10 +1,13 @@
+from itertools import product
+
 import pytest
 
 from conftest import suite_weights
 from oracles import content_histogram
+from cscrystal import laurent
+from cscrystal.cli import main
 from cscrystal.laurent import (
     LaurentPoly,
-    _gather,
     _times_deformed,
     cs_lhs,
     cs_rhs,
@@ -18,17 +21,18 @@ from frozen import CS_LHS_RHO_RANK2
 
 
 def LP(rank, d):
-    return LaurentPoly(rank, {e: TPoly(c) for e, c in d.items()})
+    """A LaurentPoly from {z-exponent: coefficients ascending in t}."""
+    return LaurentPoly(rank, {e + (k,): c for e, cs in d.items() for k, c in enumerate(cs) if c})
 
 
-def deformed_product(rank, reverse=False):
+def deformed_product(rank):
     """The shift-and-subtract passes applied to the constant 1."""
-    return _gather(rank, _times_deformed({(0,) * (rank + 2): 1}, rank, reverse))
+    return LaurentPoly(rank, _times_deformed({(0,) * (rank + 2): 1}, rank))
 
 
 def test_rank_mismatch_raises():
     with pytest.raises(ValueError):
-        LaurentPoly(1, {(1, 0, 0): TPoly((1,))})
+        LaurentPoly(1, {(1, 0, 0, 0): 1})
 
 
 def test_character_small():
@@ -61,12 +65,21 @@ def test_deformed_product():
 
 
 def test_positive_root_product_mirrors_deformed():
-    fwd = deformed_product(2, reverse=True)
+    # prod_{i<j} (1 - t z_i/z_j), expanded over the subsets of its
+    # factors, is the deformed product with its coordinates reversed
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    fwd: dict = {}
+    for taken in product((0, 1), repeat=len(pairs)):
+        key = [0, 0, 0, sum(taken)]
+        for (i, j), k in zip(pairs, taken):
+            key[i] += k
+            key[j] -= k
+        fwd[tuple(key)] = (-1) ** sum(taken)
     bwd = deformed_product(2)
     mirrored = LaurentPoly(
-        2, {tuple(reversed(e)): c for e, c in bwd.terms.items()}
+        2, {tuple(reversed(e[:-1])) + e[-1:]: c for e, c in bwd.flat.items()}
     )
-    assert fwd == mirrored
+    assert LaurentPoly(2, fwd) == mirrored
 
 
 def test_cs_lhs_rank1():
@@ -82,8 +95,8 @@ def test_cs_lhs_exponents_stay_nonnegative():
     for lam in suite_weights():
         if lam.rank > 2:
             continue
-        for exp, _ in sorted(cs_lhs(lam).terms.items()):
-            assert all(k >= 0 for k in exp)
+        for key in cs_lhs(lam).flat:
+            assert all(k >= 0 for k in key[:-1])
 
 
 def test_cs_rhs_top_coefficient_is_one():
@@ -116,6 +129,23 @@ def test_identity_across_suite(suite):
 def test_bn_form_across_suite(suite):
     for lam in suite:
         assert verify_bn_form(lam), lam
+
+
+def test_verify_expands_the_product_once(monkeypatch, capsys):
+    # the reversed form is the identity relabelled, so both checks read
+    # one product map
+    calls = []
+    real = laurent._times_deformed
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "_times_deformed", counted)
+    laurent._product.cache_clear()
+    assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
+    assert "reversed form: equal" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_bn_form_fails_when_one_weight_sum_changes():

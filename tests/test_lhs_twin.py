@@ -4,9 +4,11 @@ laurent builds z^rho s_lambda(z) prod_{i<j} (1 - t z_j/z_i) by
 shift-and-subtract passes over one integer term map.  The twin here
 expands the same product with sympy, taking s_lambda from the
 bialternant formula a_{lambda+rho} / a_rho, so it shares nothing with
-the package but the weight.  The reversed product s_lambda(z)
-prod_{i<j} (1 - t z_i/z_j) of the reversed-form check is multiplied by
-z^(0, 1, ..., r) on both sides first, so that every exponent is >= 0.
+the package but the weight.  The reversed-form check relies on the
+bijection e -> reversed(e - rho), which carries that product to
+s_lambda(z) prod_{i<j} (1 - t z_i/z_j); the twin expands the reversed
+product too, and both are multiplied by z^(0, 1, ..., r) first, so that
+every exponent is >= 0.
 
 Only this module imports sympy; the package must not
 (test_cli.test_verify_does_not_import_sympy).
@@ -18,8 +20,8 @@ from math import prod
 import pytest
 import sympy
 
-from cscrystal.laurent import _histogram_terms, _times_deformed, cs_lhs
-from cscrystal.rootsys import lambda_from_fundamental
+from cscrystal.laurent import cs_lhs
+from cscrystal.rootsys import lambda_from_fundamental, rho
 
 T = sympy.Symbol("t")
 
@@ -58,17 +60,18 @@ def twin_terms(lam, reverse=False):
 
 
 def package_terms(lam):
-    return {
-        exp + (k,): c
-        for exp, poly in cs_lhs(lam).terms.items()
-        for k, c in enumerate(poly.coeffs)
-        if c
-    }
+    return cs_lhs(lam).flat
 
 
 def package_reversed_terms(lam):
-    r = lam.rank
-    return _times_deformed(_histogram_terms(lam, range(r + 1)), r, reverse=True)
+    """The package's product relabelled by e -> reversed(e - rho), the
+    bijection the reversed-form check relies on, times z^(0, 1, ..., r)."""
+    shift = rho(lam.rank).coords
+    out = {}
+    for key, c in package_terms(lam).items():
+        e = reversed([x - s for x, s in zip(key[:-1], shift)])
+        out[tuple(x + k for k, x in enumerate(e)) + key[-1:]] = c
+    return out
 
 
 TWIN_WEIGHTS = [

@@ -14,25 +14,28 @@ PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
 
 Both routes are read block by block from the tableau's Gelfand-Tsetlin
-(GT) rows: GT row j holds, per tableau row i, the number of entries
-<= j.  Column j of the triangle depends only on GT rows j and j+1.
-For the statistics this is one rule, _stats_block: a_{i,j} sums the
-(j+1)s of rows 1..i, and (i, j) is circled when GT rows j and j+1
-agree at i and boxed when row j+1 at i+1 equals row j at i.  For the
-walk it is a lemma: block j (letters j, ..., 1) reads only the letters
-<= j+1, which by then sit at the top of GT row j, with the (j+1)s where
-they started; _block_walk writes that block's word straight from the
-two rows and raises its letters, and it is the one walk.
+(GT) rows (tableaux.gt_rows, which is_strict reads too): GT row j
+holds, per tableau row i, the number of entries <= j.  Column j of the
+triangle depends only on GT rows j and j+1.  For the statistics this is
+one rule, _stats_block: a_{i,j} sums the (j+1)s of rows 1..i, and
+(i, j) is circled when GT rows j and j+1 agree at i and boxed when row
+j+1 at i+1 equals row j at i.  For the walk it is a lemma: block j
+(letters j, ..., 1) reads only the letters <= j+1, which by then sit
+at the top of GT row j, with the (j+1)s where they started;
+_block_walk writes that block's word straight from the two rows and
+raises its letters, and it is the one walk.
 
 One tableau (bzl_path, decorate_via_operators, decorate_via_stats)
 joins its blocks (_join_blocks).  A whole crystal is scored by
-crystal_scores, which applies _stats_block once per distinct pair of GT
-rows and sums the blocks' mark counts and weight coordinates per
-element; weight_sums sums C by weight over those scores, and verify
-checks block_agrees, the walk against the statistics, once per
-distinct block.  One memoized product, _c_product, gives both
-coefficients from the mark counts: C in t, and G = q^total C(1/q), the
-same product rewritten in q and shifted by the triangle's entry total.
+crystal_scores, which applies _stats_block once per distinct pair of
+GT rows and sums the blocks' mark counts and weight coordinates per
+element; weight_sums sums C by weight over those scores, and
+laurent.verify_bn_form checks block_agrees, the walk against the
+statistics, once per distinct block of that pass.  That check and the
+identity's are the whole verdict on the reversed form.  One memoized
+product, _c_product, gives both coefficients from the mark counts: C
+in t, and G = q^total C(1/q), the same product rewritten in q and
+shifted by the triangle's entry total.
 """
 
 from bisect import bisect_right
@@ -46,7 +49,7 @@ from .crystal import surviving_slots
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
 from .rootsys import Shape
-from .tableaux import DecoratedTriangle, Tableau
+from .tableaux import DecoratedTriangle, Tableau, gt_rows
 from .tpoly import QLaurent, TPoly
 
 
@@ -59,13 +62,11 @@ def _require_strict(shape: Shape, what: str) -> Shape:
 
 @lru_cache(maxsize=1)
 def _gt_rows(t: Tableau) -> tuple:
-    """GT rows 1..rank+1 of t, which must have strict shape: row j holds,
-    per tableau row 1..j, the number of entries <= j.  A bzl call
+    """tableaux.gt_rows of t, which must have strict shape.  A bzl call
     decorates one tableau by both routes, so one entry of memo makes it
     read and check the shape once."""
     _require_strict(t.shape, "tableau shape")
-    rows = t.rows + ((),)  # a strict shape has exactly rank nonempty rows
-    return tuple(tuple(bisect_right(row, j) for row in rows[:j]) for j in range(1, t.rank + 2))
+    return gt_rows(t)
 
 
 def _join_blocks(t: Tableau, block) -> list:

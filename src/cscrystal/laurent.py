@@ -10,14 +10,14 @@ side sums C by weight (bzl.weight_sums), each sum spread over its
 t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores).
 verify_identity compares the two maps, and looks for the first
 differing exponent only when they differ.  The reversed form is the
-identity relabelled by the bijection e -> reversed(e - rho), so
-verify_bn_form holds the same sums equal to the same product map, built
-once per verify (_product), after walking the scorer's memo of distinct
-Gelfand-Tsetlin blocks.  No floating point; the one division,
+identity relabelled by the bijection e -> reversed(e - rho), so its
+verdict is the identity's verdict plus the walk's: verify_bn_form walks
+the scorer's memo of distinct Gelfand-Tsetlin blocks and holds each
+equal to its statistics block, and compares no weight sums.  Each side
+is built once per verify.  No floating point; the one division,
 Freudenthal's, is exact and checked in rootsys.
 """
 
-from functools import lru_cache
 from operator import add
 
 from .bzl import block_agrees, crystal_scores, weight_sums
@@ -35,8 +35,7 @@ from .tpoly import TPoly
 
 class LaurentPoly:
     """One side of the identity: a flat map {(z-exponent..., t-degree): int}
-    with no zero values, held as given (it may be a memo's) and never
-    written to."""
+    with no zero values, held as given and never written to."""
 
     __slots__ = ("rank", "flat")
 
@@ -84,17 +83,11 @@ def _times_deformed(flat: dict, rank: int) -> dict:
     return flat
 
 
-@lru_cache(maxsize=1)  # verify reads it twice, in cs_lhs and verify_bn_form
-def _product(lam: GLWeight) -> dict:
-    """z^rho s_lam(z) prod_{i<j} (1 - t z_j/z_i) as a flat map, which
-    callers only read; every exponent is >= 0."""
-    r, shift = lam.rank, rho(lam.rank).coords
-    return _times_deformed({tuple(map(add, w, shift)) + (0,): n for w, n in character(lam).items()}, r)
-
-
 def cs_lhs(lam: GLWeight) -> LaurentPoly:
     """z^rho * s_lambda(z) * prod(1 - t z_j/z_i); all exponents end up >= 0."""
-    return LaurentPoly(lam.rank, _product(lam))
+    r, shift = lam.rank, rho(lam.rank).coords
+    flat = {tuple(map(add, w, shift)) + (0,): n for w, n in character(lam).items()}
+    return LaurentPoly(r, _times_deformed(flat, r))
 
 
 def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
@@ -106,21 +99,18 @@ def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
     return weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r), blocks)), blocks
 
 
-def _flat(sums: dict) -> dict:
-    """Weight sums {content: TPoly} spread over their t-degrees."""
-    return {w + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
-
-
 def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
-    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal.
+    """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal:
+    the weight sums {content: TPoly} spread over their t-degrees.
 
     A caller that already holds the sums of shifted_sums(lam) passes
-    them as sums, here and in verify_identity and verify_bn_form, so
-    that one verify scores B(lam+rho) once.
+    them as sums, here and in verify_identity, so that one verify
+    scores B(lam+rho) once.
     """
     if sums is None:
         sums, _ = shifted_sums(lam)
-    return LaurentPoly(lam.rank, _flat(sums))
+    flat = {w + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
+    return LaurentPoly(lam.rank, flat)
 
 
 class IdentityReport(Record):
@@ -142,19 +132,17 @@ def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:
     return IdentityReport(mismatch is None, lhs.num_terms(), rhs.num_terms(), mismatch)
 
 
-def verify_bn_form(lam: GLWeight, sums: dict | None = None, blocks: dict | None = None) -> bool:
-    """Check the reversed-coordinate form against the walk route.
+def verify_bn_form(blocks: dict) -> bool:
+    """The walk's half of the reversed-coordinate form: every distinct
+    Gelfand-Tsetlin block in blocks, the memo of one shifted_sums, is
+    walked once and must equal the statistics block cell by cell
+    (block_agrees).
 
-    Every distinct Gelfand-Tsetlin block of B(lam+rho) is walked once,
-    and must equal the statistics block cell by cell (block_agrees).
-    Every element's walk then equals its statistics triangle, so the
+    Then every element's walk equals its statistics triangle, so the
     bridge G q^(-total) = C(1/q) holds per element.  The reversed form,
     s_lambda(z) * prod(1 - t z_i/z_j) = sum of C(b) z^reversed(wt(b) - rho),
     is the identity with every exponent e sent to reversed(e - rho) on
-    both sides (s_lambda is symmetric), and that is a bijection; so the
-    statistics side's weight sums must equal the product map itself.
-    sums and blocks are one shifted_sums(lam), when the caller holds it.
+    both sides (s_lambda is symmetric), and that is a bijection; so it
+    holds exactly when verify_identity does and this returns True.
     """
-    if sums is None or blocks is None:
-        sums, blocks = shifted_sums(lam)
-    return all(block_agrees(*key) for key in blocks) and _flat(sums) == _product(lam)
+    return all(block_agrees(*key) for key in blocks)

@@ -97,12 +97,9 @@ class Shape(Record):
     def rank(self) -> int:
         return len(self.parts) - 1
 
-    def is_strict(self) -> bool:
-        """Strictly decreasing through part r, with the last part zero."""
-        return self.strictness_defect() is None
-
     def strictness_defect(self) -> str | None:
-        """Which rule of is_strict the shape breaks, or None when strict.
+        """Which rule of a strict shape (strictly decreasing through part
+        r, with the last part zero) it breaks, or None when strict.
 
         The message names the parts, so an error built on it says why a
         shape like (4, 2, 1), strictly decreasing but ending in 1, fails.

@@ -32,14 +32,6 @@ class Tableau(Record):
         parts += [0] * (self.rank + 1 - len(parts))
         return Shape(tuple(parts))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at row i, column j; 0 for positions outside the shape."""
-        if i < 1 or j < 1:
-            raise ValueError("tableau positions are 1-indexed")
-        if i > len(self.rows) or j > len(self.rows[i - 1]):
-            return 0
-        return self.rows[i - 1][j - 1]
-
     def to_text(self) -> str:
         """One-line form, rows joined by ' / '; the empty tableau is '∅'."""
         if not self.rows:
@@ -161,11 +153,6 @@ class DecoratedTriangle(Record):
             return self.grid[i - 1][j - i]
         return 0
 
-    def items(self):
-        for i, row in enumerate(self.grid, start=1):
-            for j, a in enumerate(row, start=i):
-                yield (i, j), a
-
     def total(self) -> int:
         return sum(map(sum, self.grid))
 
@@ -226,29 +213,22 @@ def content(t: Tableau) -> GLWeight:
     return GLWeight(tuple(counts))
 
 
-def is_strict(t: Tableau) -> bool:
-    """Every entries-at-most-k truncation has strictly decreasing parts.
-
-    For each threshold k, the counts of entries <= k in rows 1..k must
-    strictly decrease.  This is the condition under which the tableau's
-    coefficient in the deformed character sum survives; comparing row
-    maxima is close but not equivalent (a lone large entry in a long row
-    can dominate the next row without pinching any truncation shape).
-    """
-    return first_strictness_violation(t) is None
-
-
-def first_strictness_violation(t: Tableau) -> int | None:
-    """Smallest row index i whose pair (i, i+1) pinches a truncation.
-
-    Returns the 1-indexed i such that rows i and i+1 hold equally many
-    entries <= k for some threshold k with i < k <= rank+1, or None when
-    the tableau is strict.  Absent rows read as empty; rows are sorted,
-    so each count is one bisection.
-    """
+def gt_rows(t: Tableau) -> tuple:
+    """Gelfand-Tsetlin rows 1..rank+1 of t: row j holds, per tableau row
+    1..j, the number of entries <= j.  Absent rows read as empty; rows
+    are sorted, so each count is one bisection."""
     rows = t.rows + ((),) * (t.rank + 1 - len(t.rows))
-    for i in range(1, t.rank + 1):
-        row, below = rows[i - 1], rows[i]
-        if any(bisect_right(row, k) == bisect_right(below, k) for k in range(i + 1, t.rank + 2)):
-            return i
-    return None
+    return tuple([tuple([bisect_right(row, j) for row in rows[:j]]) for j in range(1, t.rank + 2)])
+
+
+def is_strict(t: Tableau) -> bool:
+    """Every GT row strictly decreases.
+
+    GT row k holds the counts of entries <= k in rows 1..k, so this is
+    the truncation shape of every threshold k being strict.  It is the
+    condition under which the tableau's coefficient in the deformed
+    character sum survives; comparing row maxima is close but not
+    equivalent (a lone large entry in a long row can dominate the next
+    row without pinching any truncation shape).
+    """
+    return all(a > b for row in gt_rows(t) for a, b in zip(row, row[1:]))

@@ -11,11 +11,16 @@ reference for the triangles of worked examples.  The decoration
 product G is kept here too, one factor per entry multiplied out on plain
 {power: coefficient} dicts, as the twin of bzl.g_from_triangle, which
 reads it from the mark counts.  So is the strictness scan over every
-threshold and row pair, the twin of tableaux.first_strictness_violation.
+threshold and row pair, whose None is the twin of tableaux.is_strict.
 """
 
 from cscrystal.tableaux import DecoratedTriangle
 from cscrystal.tpoly import QLaurent
+
+
+def cells(rank):
+    """The triangle's index set, (i, j) for 1 <= i <= j <= rank, row by row."""
+    return [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
 
 
 def _triangle(rank, count):
@@ -57,7 +62,7 @@ def twin_decoration(rank, rows):
     theta = [lengths[i] - lengths[i + 1] for i in range(rank)]
     a = twin_stats_a(rank, rows)
     b = twin_stats_b(rank, rows)
-    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    index = cells(rank)
     boxed = frozenset(
         (i, j) for i, j in index if b.entry(i, j) >= theta[i - 1] + b.entry(i + 1, j + 1)
     )
@@ -68,8 +73,7 @@ def twin_decoration(rank, rows):
 def twin_counts(rank, rows):
     """(no doubly marked entry, boxed count, unmarked count), entry by entry."""
     _, circled, boxed = twin_decoration(rank, rows)
-    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
-    non = sum(1 for pair in index if pair not in circled and pair not in boxed)
+    non = sum(1 for pair in cells(rank) if pair not in circled and pair not in boxed)
     return not (circled & boxed), len(boxed), non
 
 
@@ -77,7 +81,8 @@ def twin_g_from_triangle(tri):
     """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
     unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
     result = {0: 1}
-    for (i, j), a in tri.items():
+    for i, j in cells(tri.rank):
+        a = tri.entry(i, j)
         circ, box = (i, j) in tri.circled, (i, j) in tri.boxed
         if circ and box:
             return QLaurent.zero()

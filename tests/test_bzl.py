@@ -52,7 +52,7 @@ def test_bzl_path_values():
 def test_bzl_path_of_highest_weight_is_zero():
     hw = highest_weight_tableau(Shape((3, 2, 0)), 2)
     tri = bzl_path(hw)
-    assert all(v == 0 for _, v in tri.items())
+    assert all(v == 0 for row in tri.grid for v in row)
 
 
 def test_bzl_path_requires_strict_shape():

@@ -13,6 +13,7 @@ from cscrystal.hpoly import HTable, h_table
 from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import lambda_from_fundamental
 from cscrystal.tableaux import tableau_from_json, triangle_from_json
+from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2
 
 
@@ -211,24 +212,31 @@ def test_verify_json(capsys):
 def test_verify_exits_1_when_one_element_breaks_the_bridge(capsys, monkeypatch):
     # one extra box in one live block's walk breaks the walk of the
     # elements that share that block; the weight sums still come from
-    # the statistics, so only the block check can notice
+    # the statistics, so only the block check can notice, and stderr
+    # names that block.  A block's walk is a function of its two GT
+    # rows, so the tamper picks one block and changes it on every walk
     real = bzl._block_walk
     tampered = []
 
     def one_extra_box(lower, upper):
         entries, boxed = real(lower, upper)
         free = [cell for cell in entries if cell not in boxed]
-        if tampered or not free or bzl._circled(entries) & boxed:
+        if tampered == [] and free and not bzl._circled(entries) & boxed:
+            tampered.append((lower, upper))
+        if tampered != [(lower, upper)]:
             return entries, boxed
-        tampered.append((lower, upper))
         return entries, boxed | {free[0]}
 
     monkeypatch.setattr(bzl, "_block_walk", one_extra_box)
-    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+    code, out, err = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
     assert len(tampered) == 1
     assert code == 1
     assert "identity: equal" in out
     assert "reversed form: MISMATCH" in out
+    (lower, upper), = tampered
+    block = (len(lower), lower, upper)
+    assert f"walk and statistics differ at block (j, GT row j, GT row j+1) = {block}\n" in err
+    assert "walk and statistics" not in out
 
 
 def test_verify_exits_1_when_one_step_count_changes(capsys, monkeypatch):
@@ -240,19 +248,22 @@ def test_verify_exits_1_when_one_step_count_changes(capsys, monkeypatch):
 
     def one_more_step(lower, upper):
         entries, boxed = real(lower, upper)
-        if tampered or len(lower) != 1 or not entries[(1, 1)]:
+        if tampered == [] and len(lower) == 1 and entries[(1, 1)]:
+            tampered.append((lower, upper))
+        if tampered != [(lower, upper)]:
             return entries, boxed
-        tampered.append((lower, upper))
         changed = {**entries, (1, 1): entries[(1, 1)] + 1}
         assert (bzl._circled(changed), boxed) == (bzl._circled(entries), boxed)
         return changed, boxed
 
     monkeypatch.setattr(bzl, "_block_walk", one_more_step)
-    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+    code, out, err = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
     assert len(tampered) == 1
     assert code == 1
     assert "identity: equal" in out
     assert "reversed form: MISMATCH" in out
+    (lower, upper), = tampered
+    assert f"= {(1, lower, upper)}\n" in err
 
 
 def _one_more_rhs_term(monkeypatch):
@@ -274,7 +285,8 @@ def test_verify_exits_1_when_the_identity_fails(capsys, monkeypatch):
     assert code == 1
     assert "identity: MISMATCH" in out
     assert "first mismatch at z^(0, 0, 0): lhs 0 vs rhs 1" in out
-    assert "reversed form: equal" in out
+    # the reversed form is the identity relabelled: it fails with it
+    assert "reversed form: MISMATCH" in out
 
 
 def test_verify_json_reports_the_first_mismatch(capsys, monkeypatch):
@@ -286,7 +298,54 @@ def test_verify_json_reports_the_first_mismatch(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["identity_equal"] is False
     assert payload["first_mismatch"] == {"exp": [0, 0, 0], "lhs": [], "rhs": [1]}
-    assert payload["reversed_form_equal"] is True
+    assert payload["reversed_form_equal"] is False
+
+
+def _verdicts(out):
+    """The identity and reversed-form lines of a text verify."""
+    lines = out.splitlines()
+    return [line.split(" (")[0] for line in lines if line.startswith(("identity:", "reversed form:"))]
+
+
+@pytest.mark.parametrize("tamper", ["none", "cs_rhs"])
+def test_reversed_form_is_equal_only_with_the_identity(capsys, monkeypatch, suite, tamper):
+    if tamper == "cs_rhs":
+        _one_more_rhs_term(monkeypatch)
+    for lam in suite:
+        args = ["verify", "--rank", str(lam.rank), "--partition", ",".join(map(str, lam.coords))]
+        code, out, err = run_cli(capsys, *args)
+        verdicts = _verdicts(out)
+        want = "equal" if tamper == "none" else "MISMATCH"
+        assert verdicts == [f"identity: {want}", f"reversed form: {want}"], (lam, out)
+        assert code == (0 if tamper == "none" else 1)
+        assert "walk and statistics" not in err
+
+
+def _one_changed_weight_sum(monkeypatch, change):
+    """Make verify's shifted_sums return the sums with one weight's sum
+    changed; the block memo is untouched, so every block agrees."""
+    import cscrystal.cli as cli_module
+
+    real = cli_module.shifted_sums
+
+    def tampered(lam):
+        sums, blocks = real(lam)
+        w, p = next((w, p) for w, p in sums.items() if p.coeffs)
+        return {**sums, w: TPoly(change(p.coeffs))}, blocks
+
+    monkeypatch.setattr(cli_module, "shifted_sums", tampered)
+
+
+def test_verify_sees_one_changed_weight_sum(capsys, monkeypatch):
+    # every block's walk still agrees with its statistics, so only the
+    # identity sees the change, and the reversed form fails with it
+    for change in (lambda c: c + (1,), lambda c: (c[0] + 1,) + c[1:]):
+        with monkeypatch.context() as patch:
+            _one_changed_weight_sum(patch, change)
+            code, out, err = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0")
+        assert code == 1
+        assert _verdicts(out) == ["identity: MISMATCH", "reversed form: MISMATCH"]
+        assert "walk and statistics" not in err
 
 
 def test_verify_does_not_import_sympy():

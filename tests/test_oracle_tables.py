@@ -182,8 +182,8 @@ def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
 
 
 def test_verify_lists_only_b_lambda_plus_rho(capsys, monkeypatch):
-    # cs_lhs and verify_bn_form read s_lambda from the root system, so
-    # B(lambda+rho), listed once for both checks, is the one crystal
+    # cs_lhs reads s_lambda from the root system, so B(lambda+rho),
+    # listed once for both checks, is the one crystal
     calls = _count_listings(monkeypatch)
     assert cli.main(["verify", "--rank", "3", "--lambda", "1,0,1"]) == 0
     lam = lambda_from_fundamental((1, 0, 1), 3)

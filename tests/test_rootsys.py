@@ -48,10 +48,10 @@ def test_shape_validation():
         Shape((2, 3, 0))
     with pytest.raises(ValueError):
         Shape((2, -1))
-    assert Shape((3, 2, 0)).is_strict()
-    assert not Shape((3, 3, 0)).is_strict()
-    assert not Shape((3, 2, 1)).is_strict()
-    assert Shape((1, 0)).is_strict()
+    assert Shape((3, 2, 0)).strictness_defect() is None
+    assert Shape((3, 3, 0)).strictness_defect() is not None
+    assert Shape((3, 2, 1)).strictness_defect() is not None
+    assert Shape((1, 0)).strictness_defect() is None
 
 
 def test_alpha_gl_conversion():

@@ -43,12 +43,14 @@ from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, r
 from cscrystal.tableaux import (
     DecoratedTriangle,
     content,
-    first_strictness_violation,
+    gt_rows,
+    is_strict,
     make_tableau,
 )
 from cscrystal.tpoly import TPoly
 from oracles import c_product_twin, list_add
 from stats_twin import (
+    cells,
     twin_counts,
     twin_decoration,
     twin_first_strictness_violation,
@@ -56,6 +58,7 @@ from stats_twin import (
     twin_stats_a,
     twin_stats_b,
 )
+from test_block_walk import gt_row, partitions
 from test_word_kernel import any_shape_tableaux, fill_shape, strict_shape_tableaux
 
 
@@ -115,7 +118,7 @@ def marked_triangles(draw):
     """A triangle of entries 0..3 at rank 1..4 with arbitrary marks,
     doubly marked entries included."""
     rank = draw(st.integers(1, 4))
-    index = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    index = cells(rank)
     grid = tuple(
         tuple(draw(st.integers(0, 3)) for _ in range(i, rank + 1)) for i in range(1, rank + 1)
     )
@@ -161,8 +164,16 @@ def test_stats_match_twin_on_any_shape(t):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(any_shape_tableaux(), strict_shape_tableaux(1, 5)))
 def test_strictness_scan_matches_twin(t):
-    want = twin_first_strictness_violation(t.rank, t.rows)
-    assert first_strictness_violation(t) == want
+    assert is_strict(t) == (twin_first_strictness_violation(t.rank, t.rows) is None)
+
+
+def test_gt_rows_and_strictness_match_twins_exhaustively():
+    # the shapes of the exhaustive block-walk check: 7752 tableaux
+    for rank, longest in [(1, 6), (2, 5), (3, 4), (4, 3)]:
+        for parts in partitions(rank + 1, longest):
+            for t in enumerate_crystal(Shape(parts), rank):
+                assert gt_rows(t) == tuple(gt_row(t, j) for j in range(1, rank + 2)), t
+                assert is_strict(t) == (twin_first_strictness_violation(rank, t.rows) is None), t
 
 
 def _kernel_crystals():
@@ -228,7 +239,7 @@ def test_kernel_counts_match_triangle_at_rank_5(sample):
 
 def _assert_circles_read_row(t):
     tri = decorate_via_stats(t)
-    for (i, j), _ in tri.items():
+    for i, j in cells(t.rank):
         assert ((i, j) in tri.circled) == (j + 1 not in t.rows[i - 1])
 
 

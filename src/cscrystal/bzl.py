@@ -14,16 +14,18 @@ PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
 
 Both routes are read block by block from the tableau's Gelfand-Tsetlin
-(GT) rows (tableaux.gt_rows, which is_strict reads too): GT row j
-holds, per tableau row i, the number of entries <= j.  Column j of the
+(GT) rows (tableaux.gt_rows, which keeps the last tableau it read, so
+a bzl call's is_strict reads the same rows): GT row j holds, per
+tableau row i, the number of entries <= j.  Column j of the
 triangle depends only on GT rows j and j+1.  For the statistics this is
 one rule, _stats_block: a_{i,j} sums the (j+1)s of rows 1..i, and
 (i, j) is circled when GT rows j and j+1 agree at i and boxed when row
 j+1 at i+1 equals row j at i.  For the walk it is a lemma: block j
 (letters j, ..., 1) reads only the letters <= j+1, which by then sit
-at the top of GT row j, with the (j+1)s where they started;
-_block_walk writes that block's word straight from the two rows and
-raises its letters, and it is the one walk.
+at the top of GT row j, with the (j+1)s where they started.  The rows
+interlace, so each column of that block holds 1..g and at most one
+letter below; _block_walk reads one sign per column straight from the
+two rows and raises those letters, and it is the one walk.
 
 One tableau (bzl_path, decorate_via_operators, decorate_via_stats)
 joins its blocks (_join_blocks).  A whole crystal is scored by
@@ -39,9 +41,9 @@ shifted by the triangle's entry total.
 """
 
 from bisect import bisect_right
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
-from operator import getitem, or_
+from operator import getitem
 
 from .crystal import surviving_slots
 
@@ -60,20 +62,21 @@ def _require_strict(shape: Shape, what: str) -> Shape:
     return shape
 
 
-@lru_cache(maxsize=1)
 def _gt_rows(t: Tableau) -> tuple:
-    """tableaux.gt_rows of t, which must have strict shape.  A bzl call
-    decorates one tableau by both routes, so one entry of memo makes it
-    read and check the shape once."""
+    """tableaux.gt_rows of t, which must have strict shape."""
     _require_strict(t.shape, "tableau shape")
     return gt_rows(t)
 
 
-def _join_blocks(t: Tableau, block) -> list:
+def _join_blocks(t: Tableau, block) -> tuple:
     """block(GT row j, GT row j+1) for j = 1..rank, its dicts and sets
-    merged across blocks."""
+    merged in place into block 1's."""
     gt = _gt_rows(t)
-    return [reduce(or_, parts) for parts in zip(*map(block, gt, gt[1:]))]
+    joined = block(gt[0], gt[1])
+    for parts in map(block, gt[1:], gt[2:]):
+        for acc, part in zip(joined, parts):
+            acc |= part
+    return joined
 
 
 def _grid(rank, entries):
@@ -193,33 +196,45 @@ def _block_walk(lower: tuple, upper: tuple):
 
     Before block j the letters <= j sit at the top of shape lower, and
     the (j+1)s still fill upper/lower; block j reads no other letter.
-    So its reading word, columns right to left, has column c hold 1..g
-    and then j+1 down to height h, for the heights g and h of column c
-    in lower and upper.  A stage changes every surviving '-' of its
-    letter to the letter (e_i until it dies), and the word must end at
-    the top, where row i holds only i.
+    The rows interlace, so in the reading word (columns right to left,
+    each top to bottom) a column of height g in lower holds 1..g and at
+    most one more box, its mover, which starts as j+1.  Right to left,
+    for g = 0..j, come lower_g - upper_{g+1} columns of height g with no
+    mover (none for g = 0), then upper_{g+1} - lower_{g+1} with one; a
+    negative run means the rows do not interlace.
+
+    At stage i a column taller than i holds i right above i+1, a "+-"
+    pair that cancels, so the stage reads only the columns of height
+    <= i, a prefix.  One of height i gives '+' unless its mover is i+1;
+    a shorter one gives '-' when its mover is i+1.  The surviving '-'
+    movers become i (e_i until it dies), a stage with no surviving '+'
+    is boxed, and the walk must end at the top, every mover at g+1.
     """
     j = len(lower)
-    lower, upper = lower + (0,), upper + (0,)
-    word, top = [], []
-    g = h = 0
-    for c in range(upper[0] - 1, -1, -1):
-        while upper[h] > c:
-            h += 1
-        while lower[g] > c:
-            g += 1
-        word += range(1, g + 1)
-        word += [j + 1] * (h - g)
-        top += range(1, h + 1)
+    bounds = (upper[0],) + lower + (0,)  # lower_0 = upper_1, lower_{j+1} = 0
+    mover, top, first = [], [], []  # first[g]: the first column of height g
+    for g in range(j + 1):
+        bare, moving = bounds[g] - upper[g], upper[g] - bounds[g + 1]
+        if bare < 0 or moving < 0:
+            raise RuntimeError(f"GT rows {lower} and {upper} do not interlace")
+        first.append(len(mover))
+        mover += [0] * bare + [j + 1] * moving
+        top += [0] * bare + [g + 1] * moving
+    first.append(len(mover))
     entries, boxed = {}, set()
-    for letter in range(j, 0, -1):
-        minus, plus = surviving_slots(word, letter)
+    for i in range(j, 0, -1):
+        # a shorter column's mover (0 for none) is its own sign: it is
+        # never i yet, and only i+1 is a '-'
+        a, b = first[i], first[i + 1]
+        signs = mover[:a]
+        signs += [0 if m == i + 1 else i for m in mover[a:b]]
+        minus, plus = surviving_slots(signs, i)
         if not plus:
-            boxed.add((letter, j))
+            boxed.add((i, j))
         for k in minus:
-            word[k] = letter
-        entries[(letter, j)] = len(minus)
-    if word != top:
+            mover[k] = i
+        entries[(i, j)] = len(minus)
+    if mover != top:
         raise RuntimeError("walk did not finish at the highest-weight tableau")
     return entries, boxed
 

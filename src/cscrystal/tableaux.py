@@ -160,8 +160,9 @@ class DecoratedTriangle(Record):
         """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
         '(2; 2□, 0◯)' for the same triangle in BZL."""
         rows: dict = {}
+        grid = self.grid
         for (i, _), cell in _print_cells(self.rank, layout):
-            text = str(self.entry(*cell))
+            text = str(grid[cell[0] - 1][cell[1] - cell[0]])
             if cell in self.circled:
                 text += "◯"
             if cell in self.boxed:
@@ -213,10 +214,13 @@ def content(t: Tableau) -> GLWeight:
     return GLWeight(tuple(counts))
 
 
+@lru_cache(maxsize=1)
 def gt_rows(t: Tableau) -> tuple:
     """Gelfand-Tsetlin rows 1..rank+1 of t: row j holds, per tableau row
     1..j, the number of entries <= j.  Absent rows read as empty; rows
-    are sorted, so each count is one bisection."""
+    are sorted, so each count is one bisection.  One entry of memo: a
+    bzl call reads its tableau's rows once for both decoration routes
+    and is_strict, and no more than that one tableau is kept."""
     rows = t.rows + ((),) * (t.rank + 1 - len(t.rows))
     return tuple([tuple([bisect_right(row, j) for row in rows[:j]]) for j in range(1, t.rank + 2)])
 

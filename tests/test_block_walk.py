@@ -12,9 +12,17 @@ at its own top.  They also hold the per-element sums of the whole-crystal
 scorer's blocks equal to the marks of decorate_via_operators on every
 crystal of the verification suite, and every block of its memo equal to
 the statistics block (bzl.block_agrees), cell by cell.
+
+bzl._block_walk reads one sign per column; its twin word_block_walk
+raises the block's whole reading word.  The two must agree on every
+interlacing pair of GT rows up to a size, and the column form must
+refuse rows that do not interlace, where it would drop columns.
 """
 
+import pytest
+
 from bisect import bisect_right
+from itertools import product
 
 from hypothesis import given, settings
 
@@ -22,7 +30,7 @@ from conftest import shifted_elements
 from cscrystal.bzl import _block_walk, _mark_counts, block_agrees, crystal_scores, decorate_via_operators
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, rho
-from operator_walk import operator_walk
+from operator_walk import operator_walk, word_block_walk
 from test_word_kernel import any_shape_tableaux
 
 
@@ -86,3 +94,32 @@ def test_walk_counts_match_operator_marks_on_suite(suite):
         assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
         assert blocks.keys() == {key for t in elements for key in gt_pairs(t)}, lam
         assert all(block_agrees(*key) for key in blocks), lam
+
+
+def interlacing_pairs(j, largest):
+    """Every (lower, upper) with len(upper) = j+1, entries <= largest,
+    and upper_1 >= lower_1 >= upper_2 >= ... >= lower_j >= upper_{j+1}."""
+    for upper in partitions(j + 1, largest):
+        for lower in product(*(range(b, a + 1) for a, b in zip(upper, upper[1:]))):
+            yield lower, upper
+
+
+@pytest.mark.parametrize("largest_j, largest, count", [(4, 7, 15784), (5, 5, 7470)])
+def test_column_walk_matches_word_walk(largest_j, largest, count):
+    pairs = [p for j in range(1, largest_j + 1) for p in interlacing_pairs(j, largest)]
+    assert len(pairs) == count
+    for lower, upper in pairs:
+        assert _block_walk(lower, upper) == word_block_walk(lower, upper), (lower, upper)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ((3,), (2, 0)),  # lower_1 > upper_1
+        ((1,), (2, 2)),  # upper_2 > lower_1
+        ((2, 1), (3, 2, 2)),  # upper_3 > lower_2
+    ],
+)
+def test_block_walk_refuses_rows_that_do_not_interlace(lower, upper):
+    with pytest.raises(RuntimeError, match="do not interlace"):
+        _block_walk(lower, upper)

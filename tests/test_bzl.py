@@ -109,6 +109,17 @@ def test_top_check_runs_in_bzl_command(capsys, monkeypatch):
     assert "internal invariant breach: walk did not finish" in capsys.readouterr().err
 
 
+def test_bzl_command_reads_gt_rows_once():
+    # both decoration routes and is_strict share one reading of the
+    # tableau's GT rows
+    from cscrystal import tableaux
+    from cscrystal.cli import main
+
+    tableaux.gt_rows.cache_clear()
+    assert main(["bzl", "--rank", "3", "--tableau", "1 1 2 4 / 2 3 4 / 3 4"]) == 0
+    assert tableaux.gt_rows.cache_info().misses == 1
+
+
 def test_path_total_equals_simple_root_drop():
     for lam in suite_weights():
         if lam.rank > 2:

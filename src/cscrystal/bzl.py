@@ -14,18 +14,17 @@ PATH layout, one row per block, is a way of printing that triangle
 (tableaux.BZL_LAYOUT), not a second coordinate system.
 
 Both routes are read block by block from the tableau's Gelfand-Tsetlin
-(GT) rows (tableaux.gt_rows, which keeps the last tableau it read, so
-a bzl call's is_strict reads the same rows): GT row j holds, per
-tableau row i, the number of entries <= j.  Column j of the
-triangle depends only on GT rows j and j+1.  For the statistics this is
-one rule, _stats_block: a_{i,j} sums the (j+1)s of rows 1..i, and
-(i, j) is circled when GT rows j and j+1 agree at i and boxed when row
-j+1 at i+1 equals row j at i.  For the walk it is a lemma: block j
-(letters j, ..., 1) reads only the letters <= j+1, which by then sit
-at the top of GT row j, with the (j+1)s where they started.  The rows
-interlace, so each column of that block holds 1..g and at most one
-letter below; _block_walk reads one sign per column straight from the
-two rows and raises those letters, and it is the one walk.
+(GT) rows (tableaux.gt_rows, which keeps the last tableau it read, so a
+bzl call's is_strict reads the same rows): GT row j holds, per tableau
+row i, the number of entries <= j.  Column j of the triangle depends
+only on GT rows j and j+1.  For the statistics this is one rule,
+_stats_block: a_{i,j} sums the (j+1)s of rows 1..i, and (i, j) is
+circled when GT rows j and j+1 agree at i and boxed when row j+1 at i+1
+equals row j at i.  For the walk it is a lemma: block j (letters j,
+..., 1) reads only the letters <= j+1, which by then sit at the top of
+GT row j, with the (j+1)s where they started.  The rows interlace, so
+the block's columns fall into at most 2(j+1) runs of equal columns;
+_block_walk raises those runs, and it is the one walk.
 
 One tableau (bzl_path, decorate_via_operators, decorate_via_stats)
 joins its blocks (_join_blocks).  A whole crystal is scored by
@@ -45,8 +44,6 @@ from functools import lru_cache
 from math import comb
 from operator import getitem
 
-from .crystal import surviving_slots
-
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
 from .crystal import e_op, phi  # noqa: F401
@@ -55,17 +52,18 @@ from .tableaux import DecoratedTriangle, Tableau, gt_rows
 from .tpoly import QLaurent, TPoly
 
 
-def _require_strict(shape: Shape, what: str) -> Shape:
-    defect = shape.strictness_defect()
-    if defect is not None:
-        raise ValueError(f"{what} {defect}")
-    return shape
+def _require_strict(parts: tuple, what: str) -> None:
+    """ValueError unless the shape parts decrease strictly to a last 0;
+    a Shape is built only to say why not."""
+    if parts[-1] or any(a <= b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"{what} {Shape(parts).strictness_defect()}")
 
 
 def _gt_rows(t: Tableau) -> tuple:
-    """tableaux.gt_rows of t, which must have strict shape."""
-    _require_strict(t.shape, "tableau shape")
-    return gt_rows(t)
+    """tableaux.gt_rows of t, whose last row, t's shape, must be strict."""
+    gt = gt_rows(t)
+    _require_strict(gt[-1], "tableau shape")
+    return gt
 
 
 def _join_blocks(t: Tableau, block) -> tuple:
@@ -158,7 +156,7 @@ def crystal_scores(shape: Shape, rank: int, elements, blocks: dict | None = None
     """
     if shape.rank != rank:
         raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
-    _require_strict(shape, "crystal shape")
+    _require_strict(shape.parts, "crystal shape")
     size = rank * (rank + 1) // 2
     blocks = {} if blocks is None else blocks
     caps = range(1, rank + 1)
@@ -191,8 +189,7 @@ def crystal_scores(shape: Shape, rank: int, elements, blocks: dict | None = None
 
 def _block_walk(lower: tuple, upper: tuple):
     """Block j = len(lower) of the walk, as ({(i, j): step count},
-    {boxed (i, j)}), for every tableau whose Gelfand-Tsetlin rows j and
-    j+1 (per tableau row, the entries <= j and <= j+1) are lower and upper.
+    {boxed (i, j)}), for every tableau whose GT rows j, j+1 are lower, upper.
 
     Before block j the letters <= j sit at the top of shape lower, and
     the (j+1)s still fill upper/lower; block j reads no other letter.
@@ -201,42 +198,56 @@ def _block_walk(lower: tuple, upper: tuple):
     most one more box, its mover, which starts as j+1.  Right to left,
     for g = 0..j, come lower_g - upper_{g+1} columns of height g with no
     mover (none for g = 0), then upper_{g+1} - lower_{g+1} with one; a
-    negative run means the rows do not interlace.
-
-    At stage i a column taller than i holds i right above i+1, a "+-"
-    pair that cancels, so the stage reads only the columns of height
-    <= i, a prefix.  One of height i gives '+' unless its mover is i+1;
-    a shorter one gives '-' when its mover is i+1.  The surviving '-'
-    movers become i (e_i until it dies), a stage with no surviving '+'
-    is boxed, and the walk must end at the top, every mover at g+1.
+    negative count means the rows do not interlace.  The walk raises
+    these runs, (g, mover or 0, count), with _raise_runs and must end at
+    the top, every mover at g+1.
     """
     j = len(lower)
     bounds = (upper[0],) + lower + (0,)  # lower_0 = upper_1, lower_{j+1} = 0
-    mover, top, first = [], [], []  # first[g]: the first column of height g
+    runs = []
     for g in range(j + 1):
         bare, moving = bounds[g] - upper[g], upper[g] - bounds[g + 1]
         if bare < 0 or moving < 0:
             raise RuntimeError(f"GT rows {lower} and {upper} do not interlace")
-        first.append(len(mover))
-        mover += [0] * bare + [j + 1] * moving
-        top += [0] * bare + [g + 1] * moving
-    first.append(len(mover))
+        if bare:
+            runs.append((g, 0, bare))
+        if moving:
+            runs.append((g, j + 1, moving))
     entries, boxed = {}, set()
     for i in range(j, 0, -1):
-        # a shorter column's mover (0 for none) is its own sign: it is
-        # never i yet, and only i+1 is a '-'
-        a, b = first[i], first[i + 1]
-        signs = mover[:a]
-        signs += [0 if m == i + 1 else i for m in mover[a:b]]
-        minus, plus = surviving_slots(signs, i)
+        entries[(i, j)], plus = _raise_runs(runs, i)
         if not plus:
             boxed.add((i, j))
-        for k in minus:
-            mover[k] = i
-        entries[(i, j)] = len(minus)
-    if mover != top:
+    if any(m and m != g + 1 for g, m, _ in runs):
         raise RuntimeError("walk did not finish at the highest-weight tableau")
     return entries, boxed
+
+
+def _raise_runs(runs: list, i: int) -> tuple[int, int]:
+    """Stage i of a block walk: e_i as far as it goes, in place on runs.
+    Returns (the step count, the surviving '+' count).
+
+    A column taller than i holds i over i+1, a "+-" pair that cancels,
+    and a mover above i+1.  A run of height i is '+' unless its mover is
+    i+1, a shorter one '-' when its mover is i+1 (never i yet).  A '-'
+    run's first min(count, open) columns cancel against the '+' still
+    open to its left, and its other movers become i.  Runs may come in
+    any order; the walk's go up in height, so on interlacing rows no '+'
+    is open at a '-' run, which block_agrees checks rather than assumes.
+    """
+    raised = plus = 0
+    for k, (g, m, n) in enumerate(runs):
+        if g == i and m != i + 1:
+            plus += n
+        elif g < i and m == i + 1:
+            kept = min(n, plus)
+            plus -= kept
+            raised += n - kept
+            if kept < n:
+                runs[k] = (g, i, n - kept)
+                if kept:  # the loop meets the raised part next: no sign
+                    runs.insert(k, (g, m, kept))
+    return raised, plus
 
 
 def block_agrees(lower: tuple, upper: tuple) -> bool:

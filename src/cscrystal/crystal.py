@@ -7,10 +7,9 @@ surviving signs are all '-' followed by all '+'.  The lowering operator
 acts at the leftmost surviving '+', the raising operator at the
 rightmost surviving '-'.
 
-The rule is a pure word operation, done by surviving_slots.  The walk
-in bzl shares it: there the word is one sign per column of a
-Gelfand-Tsetlin block, since a column's other "+-" pairs are adjacent
-and cancel.  The operators read a tableau's word through the
+The rule is a pure word operation, done by surviving_slots for the
+operators (bzl's block walk applies it to runs of equal columns
+instead).  The operators read a tableau's word through the
 per-shape reading order, and a changed word becomes a Tableau again
 through the same order.  Changing the letter at a surviving slot keeps
 rows weakly increasing and columns strictly increasing, so those
@@ -70,8 +69,8 @@ def tableau_from_word(t: Tableau, word) -> Tableau:
 
 def surviving_slots(word, i: int) -> tuple[list[int], list[int]]:
     """Slots of the '-' signs (letter i+1) and '+' signs (letter i) of
-    word that survive cancellation, each list in reading order.  Other
-    letters are no sign; bzl's walk passes one sign per column.
+    word that survive cancellation, each list in reading order (other
+    letters are no sign).  bzl's walk applies the rule to column runs.
 
     Stack scan; a '-' consumes the nearest unmatched '+' to its left.
     """

@@ -16,7 +16,7 @@ rootsys.Record value classes.
 from bisect import bisect_right
 from functools import lru_cache
 
-from .rootsys import GLWeight, Record, Shape
+from .rootsys import GLWeight, Record
 
 
 class Tableau(Record):
@@ -25,12 +25,6 @@ class Tableau(Record):
     def __init__(self, rank: int, rows: tuple[tuple[int, ...], ...]):
         self.rank = rank
         self.rows = rows
-
-    @property
-    def shape(self) -> Shape:
-        parts = [len(row) for row in self.rows]
-        parts += [0] * (self.rank + 1 - len(parts))
-        return Shape(tuple(parts))
 
     def to_text(self) -> str:
         """One-line form, rows joined by ' / '; the empty tableau is '∅'."""

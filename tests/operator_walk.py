@@ -9,9 +9,9 @@ tableau.
 
 word_block_walk is the block walk read straight off the block lemma:
 it writes the block's whole reading word from two GT rows and raises
-it letter by letter, where bzl._block_walk reads one sign per column.
-Tests hold the two equal on every interlacing pair of GT rows up to a
-size.
+it letter by letter with crystal.surviving_slots, where bzl._block_walk
+raises runs of equal columns.  Tests hold the two equal on every
+interlacing pair of GT rows up to a size and on random longer rows.
 """
 
 from cscrystal.crystal import e_op, phi, surviving_slots

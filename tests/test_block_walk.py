@@ -13,10 +13,14 @@ scorer's blocks equal to the marks of decorate_via_operators on every
 crystal of the verification suite, and every block of its memo equal to
 the statistics block (bzl.block_agrees), cell by cell.
 
-bzl._block_walk reads one sign per column; its twin word_block_walk
-raises the block's whole reading word.  The two must agree on every
-interlacing pair of GT rows up to a size, and the column form must
-refuse rows that do not interlace, where it would drop columns.
+bzl._block_walk raises runs of equal columns, so its cost does not
+grow with row length; its twin word_block_walk raises the block's whole
+reading word.  The two must agree on every interlacing pair of GT rows
+up to a size and on random pairs with rows up to 60 long, the run walk
+must equal the statistics block on random pairs with rows up to 10^6
+long, and it must refuse rows that do not interlace, where it would
+drop columns.  Its stage, bzl._raise_runs, must apply the signature
+rule of crystal.surviving_slots to runs given in any order.
 """
 
 import pytest
@@ -24,11 +28,18 @@ import pytest
 from bisect import bisect_right
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import shifted_elements
-from cscrystal.bzl import _block_walk, _mark_counts, block_agrees, crystal_scores, decorate_via_operators
-from cscrystal.crystal import enumerate_crystal
+from cscrystal.bzl import (
+    _block_walk,
+    _mark_counts,
+    _raise_runs,
+    block_agrees,
+    crystal_scores,
+    decorate_via_operators,
+)
+from cscrystal.crystal import enumerate_crystal, surviving_slots
 from cscrystal.rootsys import Shape, rho
 from operator_walk import operator_walk, word_block_walk
 from test_word_kernel import any_shape_tableaux
@@ -110,6 +121,61 @@ def test_column_walk_matches_word_walk(largest_j, largest, count):
     assert len(pairs) == count
     for lower, upper in pairs:
         assert _block_walk(lower, upper) == word_block_walk(lower, upper), (lower, upper)
+
+
+@st.composite
+def interlacing_pair(draw, largest_j, largest):
+    """A random (lower, upper) as in interlacing_pairs, with j <= largest_j."""
+    j = draw(st.integers(1, largest_j))
+    parts = draw(st.lists(st.integers(0, largest), min_size=j + 1, max_size=j + 1))
+    upper = tuple(sorted(parts, reverse=True))
+    lower = tuple(draw(st.integers(b, a)) for a, b in zip(upper, upper[1:]))
+    return lower, upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(interlacing_pair(7, 60))
+def test_run_walk_matches_word_walk_on_long_rows(pair):
+    assert _block_walk(*pair) == word_block_walk(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interlacing_pair(8, 10**6))
+def test_run_walk_matches_statistics_on_very_long_rows(pair):
+    # the word walk would take seconds per pair here; the run walk's
+    # cost does not depend on the row lengths
+    assert block_agrees(*pair)
+
+
+@st.composite
+def stage_runs(draw):
+    """A stage i and runs (height, mover, count) in any order, with
+    heights near i and movers among 0, i, i+1, i+2, so that every kind
+    of sign turns up."""
+    i = draw(st.integers(1, 5))
+    run = st.tuples(st.integers(0, i + 1), st.sampled_from([0, i, i + 1, i + 2]), st.integers(1, 4))
+    return i, draw(st.lists(run, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_runs())
+def test_raise_runs_is_the_signature_rule_on_runs(stage):
+    # runs in any order, not only the walk's rising heights: a '-' run
+    # met by open '+' columns must split where surviving_slots says
+    i, runs = stage
+
+    def sign(g, m):
+        if g == i and m != i + 1:
+            return i
+        return i + 1 if g < i and m == i + 1 else 0
+
+    columns = [(g, m) for g, m, n in runs for _ in range(n)]
+    minus, plus = surviving_slots([sign(g, m) for g, m in columns], i)
+    for k in minus:
+        columns[k] = (columns[k][0], i)
+    assert _raise_runs(runs, i) == (len(minus), len(plus))
+    assert [(g, m) for g, m, n in runs for _ in range(n)] == columns
+    assert all(n > 0 for _, _, n in runs)
 
 
 @pytest.mark.parametrize(

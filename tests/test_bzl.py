@@ -61,17 +61,39 @@ def test_bzl_path_requires_strict_shape():
         bzl_path(column)
 
 
+def test_non_strict_shape_message_names_the_shape(capsys):
+    # strictness is read from the last GT row; the message still comes
+    # from the shape
+    from cscrystal.cli import main
+
+    message = "tableau shape (1, 1, 0) is not strictly decreasing"
+    column = make_tableau(2, [[1], [2]])
+    for route in (bzl_path, decorate_via_operators, decorate_via_stats):
+        with pytest.raises(ValueError) as err:
+            route(column)
+        assert str(err.value) == message
+    assert main(["bzl", "--rank", "2", "--tableau", "1 / 2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _stop_one_raise_short(monkeypatch):
-    """Make every stage of the block walk that raises skip its last '-'."""
+    """Make every stage of the block walk that raises leave its last
+    raised column's mover at i+1, and count one step fewer."""
     from cscrystal import bzl
 
-    real = bzl.surviving_slots
+    real = bzl._raise_runs
 
-    def short(word, i):
-        minus, plus = real(word, i)
-        return minus[:-1], plus
+    def short(runs, i):
+        raised, plus = real(runs, i)
+        if raised:
+            # only this stage's raised columns have mover i; the last in
+            # word order gives its last column back
+            k = max(k for k, run in enumerate(runs) if run[1] == i)
+            g, _, n = runs[k]
+            runs[k : k + 1] = [(g, i, n - 1)] * (n > 1) + [(g, i + 1, 1)]
+        return raised - bool(raised), plus
 
-    monkeypatch.setattr(bzl, "surviving_slots", short)
+    monkeypatch.setattr(bzl, "_raise_runs", short)
 
 
 def test_top_check_runs_for_every_element(monkeypatch):

@@ -488,7 +488,7 @@ def test_graph_is_deterministic(capsys):
     _, out2, _ = run_cli(capsys, "graph", "--rank", "2", "--lambda", "0,1", "--shifted")
     assert out1 == out2
     from cscrystal.crystal import enumerate_crystal, f_op
-    from cscrystal.tableaux import Shape
+    from cscrystal.rootsys import Shape
 
     expected = sum(
         1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cscrystal.rootsys import GLWeight, Shape
+from cscrystal.rootsys import GLWeight
 from cscrystal.tableaux import (
     BZL_LAYOUT,
     DecoratedTriangle,
@@ -18,7 +18,6 @@ from stats_twin import twin_stats_a, twin_stats_b
 def test_make_tableau_valid():
     t = make_tableau(2, [[1, 1, 2], [2, 3]])
     assert t.rank == 2
-    assert t.shape == Shape((3, 2, 0))
     assert t.rows == ((1, 1, 2), (2, 3))
     assert sum(map(len, t.rows)) == 5
 

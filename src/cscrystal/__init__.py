@@ -14,14 +14,7 @@ from .bzl import (
     decorate_via_stats,
     g_coefficient,
 )
-from .crystal import (
-    e_op,
-    enumerate_crystal,
-    epsilon,
-    f_op,
-    phi,
-    reading_word,
-)
+from .crystal import e_op, enumerate_crystal, f_op, phi
 from .hpoly import (
     HTable,
     SpecPoint,

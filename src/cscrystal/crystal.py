@@ -1,24 +1,25 @@
 """Raising and lowering operators on tableaux via the signature rule.
 
-The reading word scans columns right to left, each column top to
-bottom.  For a letter i, every box holding i contributes '+' and every
-box holding i+1 contributes '-'; adjacent "+-" pairs cancel until the
+For a letter i the operators read the boxes holding i or i+1 row by
+row from the top, each row right to left: its (i+1)s, then its is.  An
+i is a '+' and an i+1 a '-'; adjacent "+-" pairs cancel until the
 surviving signs are all '-' followed by all '+'.  The lowering operator
-acts at the leftmost surviving '+', the raising operator at the
-rightmost surviving '-'.
+turns the i of the leftmost surviving '+' (its row's last i) into i+1,
+the raising operator the i+1 of the rightmost surviving '-' (its row's
+first i+1) into i.  Any admissible reading gives these operators
+(Bump-Schilling, Crystal Bases, ch. 2); rows are sorted, so this one is
+found by bisection.  Both changes keep rows weakly increasing and
+columns strictly increasing, so the images are built without
+re-validation.  surviving_slots does the cancellation; bzl's block
+walk applies the same rule to runs of equal columns instead.
 
-The rule is a pure word operation, done by surviving_slots for the
-operators (bzl's block walk applies it to runs of equal columns
-instead).  The operators read a tableau's word through the
-per-shape reading order, and a changed word becomes a Tableau again
-through the same order.  Changing the letter at a surviving slot keeps
-rows weakly increasing and columns strictly increasing, so those
-tableaux are built without re-validation.  The enumeration needs no
-operator: it fills the rows of the shape directly, memoizing per call
-the rows that fit under each (row index, row above), so every tableau
-of one listing shares the tuple of each distinct row.
+The enumeration needs no operator: it fills the rows of the shape
+directly, memoizing per call the rows that fit under each (row index,
+row above), so every tableau of one listing shares the tuple of each
+distinct row.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import gt
@@ -27,50 +28,25 @@ from .rootsys import Shape
 from .tableaux import Tableau
 
 
-@lru_cache(maxsize=16)
-def _reading_order(lengths: tuple[int, ...]):
-    """(box of each word slot, word slots of each row) for the row lengths.
-
-    Boxes are 0-indexed (row, col); each row lists its slots left to
-    right.  Only the operators read it, and the operators over one
-    crystal (graph's f_op) touch one shape, so a few entries serve every
-    hit; the bound keeps a process that meets many one-off shapes from
-    holding an order for each of them.
-    """
-    width = lengths[0] if lengths else 0
-    boxes = tuple(
-        (row, col)
-        for col in range(width - 1, -1, -1)
-        for row, n in enumerate(lengths)
-        if n > col
-    )
-    slot_of = {box: k for k, box in enumerate(boxes)}
-    rows = tuple(tuple(slot_of[(row, col)] for col in range(n)) for row, n in enumerate(lengths))
-    return boxes, rows
-
-
-def _order_of(t: Tableau):
-    return _reading_order(tuple(len(row) for row in t.rows))
-
-
-def reading_word(t: Tableau) -> tuple[int, ...]:
-    rows = t.rows
-    return tuple(rows[row][col] for row, col in _order_of(t)[0])
-
-
-def tableau_from_word(t: Tableau, word) -> Tableau:
-    """The tableau of t's rank and shape whose reading word is `word`.
-
-    Not validated: callers pass t's own word, changed only at surviving
-    signature slots.
-    """
-    return Tableau(t.rank, tuple(tuple([word[k] for k in slots]) for slots in _order_of(t)[1]))
+def signature(t: Tableau, i: int) -> tuple[list[int], list[int]]:
+    """(word, row of each slot): the letters i+1 and i of t, read row by
+    row from the top, each row right to left.  Row r holds no entry
+    below r+1, so rows past the (i+1)th hold neither letter."""
+    word, where = [], []
+    j = i + 1
+    for r, row in enumerate(t.rows[:j]):
+        lo = bisect_left(row, i)
+        mid = bisect_left(row, j, lo)
+        hi = bisect_left(row, j + 1, mid)
+        word += [j] * (hi - mid) + [i] * (mid - lo)
+        where += [r] * (hi - lo)
+    return word, where
 
 
 def surviving_slots(word, i: int) -> tuple[list[int], list[int]]:
     """Slots of the '-' signs (letter i+1) and '+' signs (letter i) of
     word that survive cancellation, each list in reading order (other
-    letters are no sign).  bzl's walk applies the rule to column runs.
+    letters are no sign).
 
     Stack scan; a '-' consumes the nearest unmatched '+' to its left.
     """
@@ -87,38 +63,38 @@ def surviving_slots(word, i: int) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
+def _with_entry(t: Tableau, r: int, c: int, x: int) -> Tableau:
+    """t with box (r, c) set to x; not validated."""
+    row = t.rows[r]
+    return Tableau(t.rank, t.rows[:r] + (row[:c] + (x,) + row[c + 1 :],) + t.rows[r + 1 :])
+
+
 def f_op(t: Tableau, i: int) -> Tableau | None:
     """Lowering operator: turn an i into i+1, or None when no '+' survives."""
     _check_letter(t.rank, i)
-    word = list(reading_word(t))
+    word, where = signature(t, i)
     plus = surviving_slots(word, i)[1]
     if not plus:
         return None
-    word[plus[0]] = i + 1
-    return tableau_from_word(t, word)
+    r = where[plus[0]]
+    return _with_entry(t, r, bisect_left(t.rows[r], i + 1) - 1, i + 1)
 
 
 def e_op(t: Tableau, i: int) -> Tableau | None:
     """Raising operator: turn an i+1 into i, or None when no '-' survives."""
     _check_letter(t.rank, i)
-    word = list(reading_word(t))
+    word, where = signature(t, i)
     minus = surviving_slots(word, i)[0]
     if not minus:
         return None
-    word[minus[-1]] = i
-    return tableau_from_word(t, word)
-
-
-def epsilon(t: Tableau, i: int) -> int:
-    """Largest k with e_op applicable k times (surviving '-' count)."""
-    _check_letter(t.rank, i)
-    return len(surviving_slots(reading_word(t), i)[0])
+    r = where[minus[-1]]
+    return _with_entry(t, r, bisect_left(t.rows[r], i + 1), i)
 
 
 def phi(t: Tableau, i: int) -> int:
     """Largest k with f_op applicable k times (surviving '+' count)."""
     _check_letter(t.rank, i)
-    return len(surviving_slots(reading_word(t), i)[1])
+    return len(surviving_slots(signature(t, i)[0], i)[1])
 
 
 def _check_letter(rank, i):

@@ -22,10 +22,9 @@ from cscrystal.cli import main
 from cscrystal.crystal import (
     e_op,
     enumerate_crystal,
-    epsilon,
     f_op,
     phi,
-    reading_word,
+    signature,
     surviving_slots,
 )
 from cscrystal.hpoly import (
@@ -47,6 +46,7 @@ from cscrystal.rootsys import (
 )
 from cscrystal.tableaux import is_strict, make_tableau
 from frozen import CRYSTAL_SIZES, H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
+from operator_walk import reading_word, word_epsilon
 from oracles import h_direct, h_tensor
 from stats_twin import twin_stats_a
 
@@ -183,7 +183,8 @@ def test_08_operator_fixture():
         t = make_tableau(4, [[1, 3, 3], [3, 4], [5]])
         assert reading_word(t) == (3, 3, 4, 1, 3, 5)
         assert surviving_slots(reading_word(t), 3) == ([], [0, 4])
-        assert epsilon(t, 3) == 0 and phi(t, 3) == 2
+        assert signature(t, 3) == ([3, 3, 4, 3], [0, 0, 1, 1])
+        assert word_epsilon(t, 3) == 0 and phi(t, 3) == 2
         assert e_op(t, 3) is None
         assert f_op(t, 3) == make_tableau(4, [[1, 3, 4], [3, 4], [5]])
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -497,6 +498,35 @@ def test_graph_is_deterministic(capsys):
         if f_op(t, i) is not None
     )
     assert out1.count("->") == expected == 18
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--rank", "3", "--lambda", "0,0,0", "--shifted"],
+            "3ab3d9d45cba06a2de7fd598151ecdf548f410639380a9103a2ae621e0861072",
+        ),
+        (
+            ["--rank", "3", "--lambda", "1,1,0", "--shifted"],
+            "469103f4644977d8d22c6f3e15e29ded8d84c52d81e29becd5bf8df40952c0d6",
+        ),
+        (
+            ["--rank", "4", "--lambda", "1,0,0,0", "--shifted"],
+            "0910053e4e449a22d1de6001e9cd78682c3d5ac12e4feea3f1cdd00caf612edd",
+        ),
+        (
+            ["--rank", "4", "--lambda", "0,1,0,1"],
+            "df6237a586873f926df2d193933feab6735a940a68fe98d01a79c9099b75d0ab",
+        ),
+    ],
+)
+def test_graph_bytes_are_pinned(capsys, argv, digest):
+    # graphs past rank 2, where signatures span several rows and columns:
+    # the DOT text, edges and their order, must not change
+    code, out, _ = run_cli(capsys, "graph", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _package_path():

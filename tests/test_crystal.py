@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,15 +8,15 @@ from conftest import shifted_elements, suite_weights
 from cscrystal.crystal import (
     e_op,
     enumerate_crystal,
-    epsilon,
     f_op,
     phi,
-    reading_word,
+    signature,
     surviving_slots,
 )
 from cscrystal.rootsys import GLWeight, Shape
 from cscrystal.tableaux import content, make_tableau
 from frozen import CRYSTAL_SIZES
+from operator_walk import reading_word, word_e_op, word_epsilon, word_f_op, word_phi
 
 
 def test_reading_word():
@@ -31,7 +33,9 @@ def test_signature_fixture():
     word = reading_word(t)
     assert word == (3, 3, 4, 1, 3, 5)
     assert surviving_slots(word, 3) == ([], [0, 4])
-    assert epsilon(t, 3) == 0 and phi(t, 3) == 2
+    # the operators read only the 3s and 4s, row by row, each right to left
+    assert signature(t, 3) == ([3, 3, 4, 3], [0, 0, 1, 1])
+    assert word_epsilon(t, 3) == 0 and phi(t, 3) == 2
     assert e_op(t, 3) is None
     assert f_op(t, 3) == make_tableau(4, [[1, 3, 4], [3, 4], [5]])
 
@@ -52,7 +56,7 @@ def test_operators_on_single_boxes():
     assert f_op(three, 2) is None
     assert e_op(two, 1) == one
     assert e_op(one, 1) is None
-    assert epsilon(two, 1) == 1 and phi(two, 1) == 0
+    assert word_epsilon(two, 1) == 1 and phi(two, 1) == 0
     assert phi(two, 2) == 1
 
 
@@ -64,6 +68,30 @@ def test_letter_range_errors():
         f_op(t, 3)
     with pytest.raises(ValueError):
         e_op(t, -1)
+
+
+def test_operators_match_column_word_twins_on_small_shapes():
+    # every (element, letter) pair of every shape up to rank 4 with parts
+    # at most 4: the row reading and the column word give the same
+    # operators, and every image the operators build unvalidated is a
+    # semistandard tableau
+    pairs = 0
+    sweep = [
+        (parts, rank)
+        for rank in range(1, 5)
+        for parts in combinations_with_replacement(range(4, -1, -1), rank + 1)
+    ]
+    for parts, rank in sweep:
+        for t in enumerate_crystal(Shape(parts), rank):
+            for i in range(1, rank + 1):
+                pairs += 1
+                assert phi(t, i) == word_phi(t, i)
+                for op, twin in ((f_op, word_f_op), (e_op, word_e_op)):
+                    image = op(t, i)
+                    assert image == twin(t, i)
+                    if image is not None:
+                        assert image == make_tableau(rank, image.rows)
+    assert pairs == 122195
 
 
 def test_highest_weight_tableau():
@@ -172,7 +200,7 @@ def test_crystal_axioms_on_suite():
                     assert content(up) == wt + alpha
                     assert f_op(up, i) == t
                 pairing = wt.coords[i - 1] - wt.coords[i]
-                assert phi(t, i) - epsilon(t, i) == pairing
+                assert phi(t, i) - word_epsilon(t, i) == pairing
 
 
 def test_epsilon_phi_count_applications():
@@ -181,7 +209,7 @@ def test_epsilon_phi_count_applications():
             walker, n = t, 0
             while (nxt := e_op(walker, i)) is not None:
                 walker, n = nxt, n + 1
-            assert n == epsilon(t, i)
+            assert n == word_epsilon(t, i)
             walker, n = t, 0
             while (nxt := f_op(walker, i)) is not None:
                 walker, n = nxt, n + 1

@@ -1,17 +1,18 @@
-"""Property tests of the word kernel at ranks 4 and 5.
+"""Property tests of the word kernel at ranks 4 to 7.
 
-Tableaux are drawn from random strict shapes, past the ranks the
-exhaustive suite covers, and the kernel is held against its slow twins:
-the operator walk built from public e_op/phi calls, the statistics
-route, and full validation of every operator image.
+Tableaux are drawn from random shapes, past the ranks the exhaustive
+suite covers, and the kernel is held against its slow twins: the
+operator walk built from the column-word e_op/phi, the statistics
+route, the column-word operators themselves, and full validation of
+every operator image.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from cscrystal.bzl import bzl_path, decorate_via_operators, decorate_via_stats
-from cscrystal.crystal import e_op, epsilon, f_op, phi
+from cscrystal.crystal import e_op, f_op, phi
 from cscrystal.tableaux import DecoratedTriangle, make_tableau
-from operator_walk import operator_walk
+from operator_walk import operator_walk, word_e_op, word_epsilon, word_f_op, word_phi
 from stats_twin import twin_stats_a
 
 
@@ -93,4 +94,17 @@ def test_operator_images_are_valid_and_inverse(t):
             assert make_tableau(t.rank, up.rows) == up
             assert f_op(up, i) == t
         assert (down is None) == (phi(t, i) == 0)
-        assert (up is None) == (epsilon(t, i) == 0)
+        assert (up is None) == (word_epsilon(t, i) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_shape_tableaux(low=5, high=7))
+def test_operators_match_column_word_twins_at_ranks_5_to_7(t):
+    # past the exhaustive sweep of test_crystal: any shape, every letter
+    for i in range(1, t.rank + 1):
+        assert phi(t, i) == word_phi(t, i)
+        for op, twin in ((f_op, word_f_op), (e_op, word_e_op)):
+            image = op(t, i)
+            assert image == twin(t, i)
+            if image is not None:
+                assert make_tableau(t.rank, image.rows) == image

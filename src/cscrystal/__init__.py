@@ -48,8 +48,6 @@ from .tableaux import (
     is_strict,
     make_tableau,
     parse_tableau,
-    tableau_from_json,
-    triangle_from_json,
 )
 from .tpoly import QLaurent, TPoly
 

@@ -291,26 +291,20 @@ def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
 def g_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> QLaurent:
     """Decoration product of t, computed from the statistics route.
 
-    A caller that already holds decorate_via_stats(t) passes it as
-    stats, here and in the c_* functions below, to skip rebuilding it.
+    A caller holding decorate_via_stats(t) passes it as stats, here and
+    in c_coefficient and c_factored_string, to skip rebuilding it.
     """
     return g_from_triangle(stats or decorate_via_stats(t))
 
 
-def c_counts(t: Tableau, *, stats: DecoratedTriangle | None = None) -> tuple[bool, int, int]:
-    """(no doubly marked entry, boxed count, unmarked count).
-
-    The first component agrees with is_strict(t) on every shifted
-    crystal we enumerate (the strictness lemma); both are exposed so the
-    tests can check that equivalence rather than assume it.
-    """
-    return _mark_counts(stats or decorate_via_stats(t))
-
-
 def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPoly:
     """Per-entry product: boxed gives -t, unmarked gives 1-t, circled
-    gives 1, and an entry both circled and boxed kills the product."""
-    alive, box, non = c_counts(t, stats=stats)
+    gives 1, and an entry both circled and boxed kills the product.
+
+    On every shifted crystal we enumerate, C is nonzero exactly when
+    is_strict(t) (the strictness lemma, which the tests check).
+    """
+    alive, box, non = _mark_counts(stats or decorate_via_stats(t))
     if not alive:
         return TPoly.zero()
     return _c_product(box, non)
@@ -347,7 +341,7 @@ def weight_sums(scores) -> dict:
 
 def c_factored_string(t: Tableau, *, stats: DecoratedTriangle | None = None) -> str:
     """Human-readable factored form of c_coefficient, e.g. '-t(1-t)'."""
-    alive, box, non = c_counts(t, stats=stats)
+    alive, box, non = _mark_counts(stats or decorate_via_stats(t))
     if not alive:
         return "0"
     sign = "-" if box % 2 else ""

@@ -105,14 +105,6 @@ class HTable(Record):
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HTable":
-        rows = {
-            AlphaVector(tuple(row["mu"])): TPoly(tuple(row["coeffs"]))
-            for row in obj["rows"]
-        }
-        return cls(lam=GLWeight(tuple(obj["lambda"])), rank=obj["rank"], rows=rows)
-
 
 def format_mu(mu: AlphaVector, root: str) -> str:
     """sum c_i alpha_i with alpha_i written root + i: 'a1+2a2' for root 'a',

@@ -95,14 +95,6 @@ def parse_tableau(rank: int, text: str) -> Tableau:
     return make_tableau(rank, rows)
 
 
-def tableau_from_json(obj) -> Tableau:
-    if not isinstance(obj, dict) or set(obj) != {"rank", "rows"}:
-        raise ValueError("tableau JSON must have exactly the keys 'rank' and 'rows'")
-    if not isinstance(obj["rows"], list) or not all(isinstance(r, list) for r in obj["rows"]):
-        raise ValueError("tableau JSON 'rows' must be a list of lists")
-    return make_tableau(obj["rank"], obj["rows"])
-
-
 STATS_LAYOUT = "STATS"
 BZL_LAYOUT = "BZL"
 
@@ -179,24 +171,6 @@ class DecoratedTriangle(Record):
                 for (i, j), cell in _print_cells(self.rank, layout)
             ],
         }
-
-
-def triangle_from_json(obj: dict) -> DecoratedTriangle:
-    """Inverse of DecoratedTriangle.to_json_dict, in either layout."""
-    rank = obj["rank"]
-    cell_of = dict(_print_cells(rank, obj["layout"]))
-    labelled = {(e["i"], e["j"]): e for e in obj["entries"]}
-    if labelled.keys() != cell_of.keys():
-        raise ValueError("triangle JSON does not cover the index set exactly")
-    cells = {cell_of[label]: e for label, e in labelled.items()}
-    return DecoratedTriangle(
-        rank=rank,
-        grid=tuple(
-            tuple(cells[(i, j)]["a"] for j in range(i, rank + 1)) for i in range(1, rank + 1)
-        ),
-        circled=frozenset(c for c, e in cells.items() if e["circled"]),
-        boxed=frozenset(c for c, e in cells.items() if e["boxed"]),
-    )
 
 
 def content(t: Tableau) -> GLWeight:

@@ -2,6 +2,7 @@ import pytest
 
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import Shape, lambda_from_fundamental, rho
+from cscrystal.tableaux import STATS_LAYOUT
 
 
 def suite_weights():
@@ -21,6 +22,26 @@ def shifted_elements(lam):
     """All tableaux of the rho-shifted crystal of lam."""
     shifted = lam + rho(lam.rank)
     return enumerate_crystal(Shape(shifted.coords), lam.rank)
+
+
+def check_triangle_json(payload, tri, layout):
+    """A triangle's parsed JSON against the triangle, with no reader: the
+    payload is tri.to_json_dict(layout), and its labels map one to one
+    onto the triangle's cells by the layout rule (STATS label (i, j) is
+    cell (i, j), BZL label (i, j) is cell (i-j+1, i)), each entry showing
+    its cell's value and marks.  So the JSON loses nothing."""
+    assert payload == tri.to_json_dict(layout)
+    assert (payload["rank"], payload["layout"]) == (tri.rank, layout)
+    cells = []
+    for e in payload["entries"]:
+        i, j = e["i"], e["j"]
+        cell = (i, j) if layout == STATS_LAYOUT else (i - j + 1, i)
+        assert (e["a"], e["circled"], e["boxed"]) == (
+            tri.entry(*cell), cell in tri.circled, cell in tri.boxed
+        )
+        cells.append(cell)
+    r = tri.rank
+    assert sorted(cells) == [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
 
 
 @pytest.fixture(scope="session")

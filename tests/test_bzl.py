@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import shifted_elements, suite_weights
+from conftest import check_triangle_json, shifted_elements, suite_weights
 from cscrystal.bzl import (
+    _mark_counts,
     bzl_path,
     c_coefficient,
-    c_counts,
     c_factored_string,
     decorate_via_operators,
     decorate_via_stats,
@@ -22,7 +22,6 @@ from cscrystal.tableaux import (
     content,
     is_strict,
     make_tableau,
-    triangle_from_json,
 )
 from cscrystal.tpoly import QLaurent, TPoly
 from oracles import highest_weight_tableau
@@ -177,18 +176,13 @@ def test_stats_route_decorations():
 
 def test_layout_conversion_is_inverse():
     # a print layout only relabels cells: PATH label (i, j) shows cell
-    # (i-j+1, i), and reading either layout back gives the triangle
+    # (i-j+1, i), and either layout's labels cover each cell once
     for rows in (B1, B2, B5, B6):
         ops = decorate_via_operators(make_tableau(2, rows))
         for layout in (BZL_LAYOUT, STATS_LAYOUT):
-            assert triangle_from_json(ops.to_json_dict(layout)) == ops
+            check_triangle_json(ops.to_json_dict(layout), ops, layout)
         path = ops.to_json_dict(BZL_LAYOUT)["entries"]
         assert [(e["i"], e["j"]) for e in path] == [(1, 1), (2, 1), (2, 2)]
-        for e in path:
-            cell = (e["i"] - e["j"] + 1, e["i"])
-            assert (e["a"], (e["circled"], e["boxed"])) == (
-                ops.entry(*cell), (cell in ops.circled, cell in ops.boxed)
-            )
 
 
 def test_decoration_routes_agree_on_examples():
@@ -262,16 +256,16 @@ def test_c_values():
     assert c_coefficient(make_tableau(2, B6)) == TPoly((0, 0, 0, -1))
 
 
-def test_c_counts_and_factored_form():
-    assert c_counts(make_tableau(2, [[1, 2], [3]])) == (True, 1, 1)
-    assert c_counts(make_tableau(2, B4))[0] is False
+def test_mark_counts_and_factored_form():
+    assert _mark_counts(decorate_via_stats(make_tableau(2, [[1, 2], [3]]))) == (True, 1, 1)
+    assert _mark_counts(decorate_via_stats(make_tableau(2, B4)))[0] is False
     assert c_factored_string(make_tableau(2, [[1, 2], [3]])) == "-t(1-t)"
     assert c_factored_string(make_tableau(2, B5)) == "t^2"
     assert c_factored_string(make_tableau(2, B6)) == "-t^3"
     assert c_factored_string(make_tableau(2, B4)) == "0"
     # every entry of the highest-weight path is zero and circled
     hw = highest_weight_tableau(Shape((2, 1, 0)), 2)
-    assert c_counts(hw) == (True, 0, 0)
+    assert _mark_counts(decorate_via_stats(hw)) == (True, 0, 0)
     assert c_factored_string(hw) == "1"
     assert c_coefficient(hw) == TPoly((1,))
 
@@ -366,8 +360,7 @@ def test_triangle_json_roundtrip():
     ):
         for layout in (BZL_LAYOUT, STATS_LAYOUT):
             blob = json.dumps(tri.to_json_dict(layout))
-            assert json.loads(blob)["layout"] == layout
-            assert triangle_from_json(json.loads(blob)) == tri
+            check_triangle_json(json.loads(blob), tri, layout)
 
 
 def test_triangle_entry_out_of_range_reads_zero():

@@ -8,13 +8,15 @@ import pytest
 
 import cscrystal
 from cscrystal import bzl, laurent
+from cscrystal.bzl import decorate_via_stats
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
-from cscrystal.hpoly import HTable, h_table
+from cscrystal.hpoly import h_table
 from cscrystal.laurent import LaurentPoly
-from cscrystal.rootsys import lambda_from_fundamental
-from cscrystal.tableaux import tableau_from_json, triangle_from_json
+from cscrystal.rootsys import Shape, lambda_from_fundamental
+from cscrystal.tableaux import BZL_LAYOUT, STATS_LAYOUT, content, make_tableau
 from cscrystal.tpoly import TPoly
+from conftest import check_triangle_json
 from frozen import H_TABLE_OMEGA2
 
 
@@ -69,9 +71,10 @@ def test_enumerate_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 8 == len(payload["tableaux"])
-    for item in payload["tableaux"]:
-        t = tableau_from_json({"rank": item["rank"], "rows": item["rows"]})
-        assert list(map(sum, [item["content"]])) == [sum(map(len, t.rows))]
+    elements = enumerate_crystal(Shape((2, 1, 0)), 2)
+    assert payload["tableaux"] == [
+        {**t.to_json_dict(), "content": list(content(t).coords)} for t in elements
+    ]
 
 
 def test_enumerate_rejects_wrong_coeff_count(capsys):
@@ -136,9 +139,9 @@ def test_bzl_json_roundtrip(capsys):
     payload = json.loads(out)
     assert payload["path"]["layout"] == "BZL"
     assert payload["stats"]["layout"] == "STATS"
-    path = triangle_from_json(payload["path"])
-    stats = triangle_from_json(payload["stats"])
-    assert path == stats
+    tri = decorate_via_stats(make_tableau(2, [[1, 2, 3], [2, 3]]))
+    check_triangle_json(payload["path"], tri, BZL_LAYOUT)
+    check_triangle_json(payload["stats"], tri, STATS_LAYOUT)
     assert payload["g"] == [[2, 1], [1, -1]]
     assert payload["c_coeffs"] == [0, 0, 1, -1]
 
@@ -416,9 +419,9 @@ def test_hpoly_json_roundtrip(capsys):
         capsys, "hpoly", "--rank", "2", "--lambda", "0,1", "--format", "json"
     )
     assert code == 0
-    table = HTable.from_json_dict(json.loads(out))
-    assert table.rows == h_table(lambda_from_fundamental((0, 1), 2)).rows
-    got = {mu.c: poly.coeffs for mu, poly in table.rows.items()}
+    payload = json.loads(out)
+    assert payload == h_table(lambda_from_fundamental((0, 1), 2)).to_json_dict()
+    got = {tuple(row["mu"]): tuple(row["coeffs"]) for row in payload["rows"]}
     assert got == {mu: tuple(c) for mu, c in H_TABLE_OMEGA2.items()}
 
 
@@ -471,6 +474,28 @@ def test_hpoly_specialization_csv_has_oracle_column(capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+def test_hpoly_exits_1_when_two_rows_miss_their_oracle(capsys, monkeypatch, fmt):
+    # the q = 1 oracle, off by one on the two rows with |mu| = 1 (a1 and
+    # a2): every format exits 1, and says which rows failed
+    import cscrystal.cli as cli_module
+
+    real = cli_module.dot_orbit_sign
+    monkeypatch.setattr(
+        cli_module, "dot_orbit_sign", lambda lam, mu: real(lam, mu) + (mu.degree() == 1)
+    )
+    code, out, err = run_cli(
+        capsys, "hpoly", "--rank", "2", "--lambda", "0,1", "--at", "1", "--format", fmt
+    )
+    assert code == 1
+    if fmt in ("text", "csv"):
+        assert out.count("FAIL") == 2
+    elif fmt == "json":
+        assert [row["ok"] for row in json.loads(out)["specialized"]].count(False) == 2
+    else:
+        assert err == "2 specialization mismatches\n"
+
+
 def test_graph_chain(capsys):
     code, out, _ = run_cli(capsys, "graph", "--rank", "2", "--lambda", "1,0")
     assert code == 0
@@ -488,8 +513,7 @@ def test_graph_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "graph", "--rank", "2", "--lambda", "0,1", "--shifted")
     _, out2, _ = run_cli(capsys, "graph", "--rank", "2", "--lambda", "0,1", "--shifted")
     assert out1 == out2
-    from cscrystal.crystal import enumerate_crystal, f_op
-    from cscrystal.rootsys import Shape
+    from cscrystal.crystal import f_op
 
     expected = sum(
         1
@@ -525,6 +549,39 @@ def test_graph_bytes_are_pinned(capsys, argv, digest):
     # graphs past rank 2, where signatures span several rows and columns:
     # the DOT text, edges and their order, must not change
     code, out, _ = run_cli(capsys, "graph", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["enumerate", "--rank", "2", "--lambda", "1,0", "--shifted"],
+            "c4bcd2dca47cbe75b526339049f48108fce0b71cf32169fca264e6f3021d246e",
+        ),
+        (
+            ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"],
+            "fa433350e1a0a329cf6e3a873d4a783624d07c9f70f0a4264134948aa658be1d",
+        ),
+        (
+            ["bzl", "--rank", "2", "--tableau", "1 3 / 2"],
+            "a07eb211f8718e3cdb89d8b3853f553729e93111eedd6a8abeaf1576820a6721",
+        ),
+        (
+            ["verify", "--rank", "2", "--lambda", "1,1"],
+            "5bbf59d46c7190013dfd5700d8fc4e6c5aa9a30ff15f22772bc2230cd2b9dbfa",
+        ),
+        (
+            ["hpoly", "--rank", "2", "--lambda", "0,1", "--at", "-1"],
+            "8618c646d8778a328b2dc002412e4b87261aac6c95e3156f7ff4342f00c1a794",
+        ),
+    ],
+)
+def test_json_bytes_are_pinned(capsys, argv, digest):
+    # the JSON forms are output only, read back by nothing in the
+    # package: their bytes, keys and key order, must not change
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

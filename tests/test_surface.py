@@ -23,9 +23,6 @@ import cscrystal
 
 # Names kept without a caller in the package, each for its reason.
 ALLOWED = {
-    "tableau_from_json": "checks that the tableau JSON schema round-trips",
-    "triangle_from_json": "checks that the triangle JSON schema round-trips",
-    "HTable.from_json_dict": "checks that the H-table JSON schema round-trips",
     "TPoly.is_zero": "perfbench/child.py counts strict elements with it",
 }
 

@@ -28,6 +28,7 @@ from .laurent import (
     LaurentPoly,
     cs_lhs,
     cs_rhs,
+    shifted_sums,
     verify_bn_form,
     verify_identity,
 )

@@ -139,7 +139,7 @@ def _stats_block(lower: tuple, upper: tuple):
     return entries, circled, boxed
 
 
-def crystal_scores(shape: Shape, rank: int, elements, blocks: dict | None = None):
+def crystal_scores(shape: Shape, elements, blocks: dict):
     """Yield (content coordinates, alive, boxed count, unmarked count)
     for each element, all of the given shape.
 
@@ -147,18 +147,15 @@ def crystal_scores(shape: Shape, rank: int, elements, blocks: dict | None = None
     Column j of the triangle and content coordinate j+1 depend only on
     GT rows j and j+1 (_stats_block), so every element is scored as a
     sum over its blocks.  Strictness is checked once per crystal.  Each
-    distinct (GT row j, GT row j+1) is scored once, into blocks: a memo
-    that lives as long as the call, or the caller's dict, from which
-    verify_bn_form reads the distinct blocks afterwards.  GT rows are
-    read from each distinct tableau row's counts of entries <= 1..rank,
-    memoized too and transposed.  A strict shape has exactly rank
-    nonempty rows, and its parts are GT row rank+1.
+    distinct (GT row j, GT row j+1) is scored once, into the caller's
+    blocks, from which verify_bn_form reads the distinct blocks
+    afterwards.  GT rows are read from each distinct tableau row's
+    counts of entries <= 1..rank, memoized too and transposed.  A strict
+    shape has exactly rank nonempty rows, and its parts are GT row rank+1.
     """
-    if shape.rank != rank:
-        raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
     _require_strict(shape.parts, "crystal shape")
+    rank = shape.rank
     size = rank * (rank + 1) // 2
-    blocks = {} if blocks is None else blocks
     caps = range(1, rank + 1)
     cuts = [slice(j) for j in caps]  # GT row j keeps tableau rows 1..j
     counts: dict = {}
@@ -273,38 +270,31 @@ def _c_product(box: int, non: int) -> TPoly:
     return TPoly((0,) * box + tuple((-1) ** (box + k) * comb(non, k) for k in range(non + 1)))
 
 
-def g_from_triangle(tri: DecoratedTriangle) -> QLaurent:
-    """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
-    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product.
+def g_coefficient(stats: DecoratedTriangle) -> QLaurent:
+    """Product over the statistics triangle's marked entries: circled
+    gives q^a, boxed gives -q^(a-1), unmarked gives (q-1)q^(a-1), and a
+    doubly marked entry kills the product.
 
     The product depends only on the marks' counts and the entry total:
     (-1)^box q^(total - box - unmarked) (q-1)^unmarked, which is
     q^total C(1/q) for C = (-t)^box (1-t)^unmarked.  So G is C's
     memoized product rewritten in q and shifted by the total.
     """
-    alive, box, non = _mark_counts(tri)
+    alive, box, non = _mark_counts(stats)
     if not alive:
         return QLaurent.zero()
-    return _c_product(box, non).to_qlaurent().shift(tri.total())
+    return _c_product(box, non).to_qlaurent().shift(stats.total())
 
 
-def g_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> QLaurent:
-    """Decoration product of t, computed from the statistics route.
-
-    A caller holding decorate_via_stats(t) passes it as stats, here and
-    in c_coefficient and c_factored_string, to skip rebuilding it.
-    """
-    return g_from_triangle(stats or decorate_via_stats(t))
-
-
-def c_coefficient(t: Tableau, *, stats: DecoratedTriangle | None = None) -> TPoly:
-    """Per-entry product: boxed gives -t, unmarked gives 1-t, circled
-    gives 1, and an entry both circled and boxed kills the product.
+def c_coefficient(stats: DecoratedTriangle) -> TPoly:
+    """Per-entry product over the statistics triangle of a tableau t:
+    boxed gives -t, unmarked gives 1-t, circled gives 1, and an entry
+    both circled and boxed kills the product.
 
     On every shifted crystal we enumerate, C is nonzero exactly when
     is_strict(t) (the strictness lemma, which the tests check).
     """
-    alive, box, non = _mark_counts(stats or decorate_via_stats(t))
+    alive, box, non = _mark_counts(stats)
     if not alive:
         return TPoly.zero()
     return _c_product(box, non)
@@ -339,9 +329,9 @@ def weight_sums(scores) -> dict:
     }
 
 
-def c_factored_string(t: Tableau, *, stats: DecoratedTriangle | None = None) -> str:
+def c_factored_string(stats: DecoratedTriangle) -> str:
     """Human-readable factored form of c_coefficient, e.g. '-t(1-t)'."""
-    alive, box, non = _mark_counts(stats or decorate_via_stats(t))
+    alive, box, non = _mark_counts(stats)
     if not alive:
         return "0"
     sign = "-" if box % 2 else ""

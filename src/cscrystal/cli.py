@@ -2,11 +2,14 @@
 
 Subcommands: enumerate, bzl, verify, hpoly, graph.  Exit codes: 0 on
 success, 1 when a mathematical check fails, 2 for usage or input
-errors, 3 when an internal invariant breaks.  Everything written to
-stdout is a pure function of the arguments; timings go to stderr.
+errors, 3 when an internal invariant breaks, 141 (128 + SIGPIPE) when
+the reader of stdout closes it early, as `head` does.  Everything
+written to stdout is a pure function of the arguments; timings go to
+stderr.
 """
 
 import argparse
+import os
 import sys
 import time
 from functools import lru_cache
@@ -112,8 +115,8 @@ def cmd_bzl(args) -> int:
             f"  statistics route: {stats_tri.inline()}\n"
         )
         return 3
-    g = g_coefficient(t, stats=stats_tri)
-    c = c_coefficient(t, stats=stats_tri)
+    g = g_coefficient(stats_tri)
+    c = c_coefficient(stats_tri)
     if args.format == "json":
         _emit_json(
             {
@@ -130,7 +133,7 @@ def cmd_bzl(args) -> int:
         _emit(f"path: {path_tri.inline(BZL_LAYOUT)}")
         _emit(f"stats: {stats_tri.inline()}")
         _emit(f"G = {g}")
-        _emit(f"C = {c_factored_string(t, stats=stats_tri)}  [{c}]")
+        _emit(f"C = {c_factored_string(stats_tri)}  [{c}]")
         _emit(f"strict: {'yes' if is_strict(t) else 'no'}")
     return 0
 
@@ -319,7 +322,13 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --rank must be >= 1\n")
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

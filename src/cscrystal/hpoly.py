@@ -4,8 +4,8 @@ For a dominant weight lambda, each weight drop mu (in simple-root
 coordinates) collects the coefficients of the rho-shifted crystal
 elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
-bzl.weight_sums over one bzl.crystal_scores pass, which scores each
-element from its Gelfand-Tsetlin blocks.  The same polynomial arises
+weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
+each element from its Gelfand-Tsetlin blocks.  The same polynomial arises
 from tensoring the plain lambda-crystal with the rho-crystal and only
 scoring the rho factor; tests/oracles.py keeps that route as a twin.
 
@@ -23,16 +23,13 @@ import enum
 from functools import lru_cache
 from itertools import combinations
 
-from .bzl import crystal_scores, weight_sums
-
-# No function here calls c_coefficient: the oracles read the root
-# system, not coefficients.  The name stays importable from this module
-# because perfbench/child.py traces it here.
+# Re-exports that perfbench/child.py traces at this module; no function
+# here calls them (laurent.shifted_sums lists and scores the crystal).
 from .bzl import c_coefficient  # noqa: F401
-from .crystal import enumerate_crystal
+from .crystal import enumerate_crystal  # noqa: F401
+from .laurent import shifted_sums
 from .rootsys import (
-    AlphaVector, GLWeight, Record, character, dominant_multiplicities, gl_to_alpha,
-    partition_shape, rho,
+    AlphaVector, GLWeight, Record, character, dominant_multiplicities, gl_to_alpha, rho,
 )
 from .tpoly import TPoly
 
@@ -123,13 +120,12 @@ def format_mu(mu: AlphaVector, root: str) -> str:
 def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
-    The row of mu is bzl.weight_sums of one scoring pass over B(lam+rho)
-    at weight lam + rho - mu, rows in weight_sums order.
+    The row of mu is the weight sum of laurent.shifted_sums at weight
+    lam + rho - mu, rows in weight_sums order.
     """
     r = lam.rank
     shifted = lam + rho(r)
-    shape = partition_shape(shifted)
-    sums = weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r)))
+    sums, _ = shifted_sums(lam)
     rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in sums.items()}
     return HTable(lam=lam, rank=r, rows=rows)
 

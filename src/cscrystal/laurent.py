@@ -22,12 +22,10 @@ from operator import add
 
 from .bzl import block_agrees, crystal_scores, weight_sums
 
-# No function here calls bzl_path, c_coefficient, decorate_via_operators
-# or g_from_triangle: verify_bn_form compares the walk with the
-# statistics per block, and the crystal is scored in one kernel pass.
-# The names stay importable from this module because perfbench/child.py
-# traces them here.
-from .bzl import bzl_path, c_coefficient, decorate_via_operators, g_from_triangle  # noqa: F401
+# Re-exports that perfbench/child.py traces at this module, g_coefficient
+# under its former name; no function here calls them.
+from .bzl import bzl_path, c_coefficient, decorate_via_operators  # noqa: F401
+from .bzl import g_coefficient as g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
 from .rootsys import GLWeight, Record, character, partition_shape, rho
 from .tpoly import TPoly
@@ -92,23 +90,18 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
 
 def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
     """(weight_sums, block memo) of one crystal_scores pass over
-    B(lam+rho), enumerated here."""
+    B(lam+rho), enumerated here: the one place the package lists and
+    scores the shifted crystal."""
     r = lam.rank
     shape = partition_shape(lam + rho(r))
     blocks: dict = {}
-    return weight_sums(crystal_scores(shape, r, enumerate_crystal(shape, r), blocks)), blocks
+    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, r), blocks)), blocks
 
 
-def cs_rhs(lam: GLWeight, sums: dict | None = None) -> LaurentPoly:
+def cs_rhs(lam: GLWeight, sums: dict) -> LaurentPoly:
     """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal:
-    the weight sums {content: TPoly} spread over their t-degrees.
-
-    A caller that already holds the sums of shifted_sums(lam) passes
-    them as sums, here and in verify_identity, so that one verify
-    scores B(lam+rho) once.
-    """
-    if sums is None:
-        sums, _ = shifted_sums(lam)
+    sums, the weight sums {content: TPoly} of shifted_sums(lam), spread
+    over their t-degrees."""
     flat = {w + (k,): c for w, p in sums.items() for k, c in enumerate(p.coeffs) if c}
     return LaurentPoly(lam.rank, flat)
 
@@ -121,8 +114,9 @@ class IdentityReport(Record):
         self.first_mismatch = first_mismatch  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(lam: GLWeight, sums: dict | None = None) -> IdentityReport:
-    """Compare both sides of the deformed character identity exactly."""
+def verify_identity(lam: GLWeight, sums: dict) -> IdentityReport:
+    """Compare both sides of the deformed character identity exactly,
+    the crystal side spread from sums, the weight sums of shifted_sums(lam)."""
     lhs = cs_lhs(lam)
     rhs = cs_rhs(lam, sums)
     a, b, mismatch = lhs.flat, rhs.flat, None

@@ -100,8 +100,9 @@ BZL_LAYOUT = "BZL"
 
 
 @lru_cache(maxsize=32)
-def _print_cells(rank: int, layout: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """(label, cell) pairs of a print layout, in print order.
+def _print_rows(rank: int, layout: str) -> tuple:
+    """The printed rows of a layout, each a tuple of (label, cell) pairs
+    in print order.
 
     STATS prints cell (i, j) under its own label, row i holding j = i..rank.
     BZL, the PATH layout, prints one row per block i = 1..rank with
@@ -109,9 +110,9 @@ def _print_cells(rank: int, layout: str) -> tuple[tuple[tuple[int, int], tuple[i
     of letter i-j+1 in block i.
     """
     if layout == STATS_LAYOUT:
-        return tuple(((i, j), (i, j)) for i in range(1, rank + 1) for j in range(i, rank + 1))
+        return tuple(tuple(((i, j), (i, j)) for j in range(i, rank + 1)) for i in range(1, rank + 1))
     if layout == BZL_LAYOUT:
-        return tuple(((i, j), (i - j + 1, i)) for i in range(1, rank + 1) for j in range(1, i + 1))
+        return tuple(tuple(((i, j), (i - j + 1, i)) for j in range(1, i + 1)) for i in range(1, rank + 1))
     raise ValueError(f"unknown layout {layout!r}")
 
 
@@ -145,16 +146,19 @@ class DecoratedTriangle(Record):
     def inline(self, layout: str = STATS_LAYOUT) -> str:
         """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
         '(2; 2□, 0◯)' for the same triangle in BZL."""
-        rows: dict = {}
-        grid = self.grid
-        for (i, _), cell in _print_cells(self.rank, layout):
-            text = str(grid[cell[0] - 1][cell[1] - cell[0]])
-            if cell in self.circled:
-                text += "◯"
-            if cell in self.boxed:
-                text += "□"
-            rows.setdefault(i, []).append(text)
-        return "(" + "; ".join(", ".join(row) for row in rows.values()) + ")"
+        grid, circled, boxed = self.grid, self.circled, self.boxed
+        rows = []
+        for row in _print_rows(self.rank, layout):
+            texts = []
+            for _, cell in row:
+                text = str(grid[cell[0] - 1][cell[1] - cell[0]])
+                if cell in circled:
+                    text += "◯"
+                if cell in boxed:
+                    text += "□"
+                texts.append(text)
+            rows.append(", ".join(texts))
+        return "(" + "; ".join(rows) + ")"
 
     def to_json_dict(self, layout: str = STATS_LAYOUT) -> dict:
         return {
@@ -168,7 +172,8 @@ class DecoratedTriangle(Record):
                     "circled": cell in self.circled,
                     "boxed": cell in self.boxed,
                 }
-                for (i, j), cell in _print_cells(self.rank, layout)
+                for row in _print_rows(self.rank, layout)
+                for (i, j), cell in row
             ],
         }
 

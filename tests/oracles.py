@@ -23,7 +23,7 @@ plain integer lists (list_add, list_mul), not by package code.
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from cscrystal.bzl import c_coefficient
+from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
 from cscrystal.rootsys import (
     GLWeight, alpha_to_gl, gl_to_alpha, partition_shape, perm_sign, rho,
@@ -155,7 +155,7 @@ def h_direct(lam, mu):
     total = []
     for t in enumerate_crystal(partition_shape(lam + rho(r)), r):
         if content(t) == target:
-            total = list_add(total, c_coefficient(t).coeffs)
+            total = list_add(total, c_coefficient(decorate_via_stats(t)).coeffs)
     return TPoly(tuple(total))
 
 
@@ -181,7 +181,7 @@ def h_tensor(lam):
     counts = content_histogram(lam)
     sums: dict = {}
     for b in enumerate_crystal(partition_shape(rho(r)), r):
-        coeffs = c_coefficient(b).coeffs
+        coeffs = c_coefficient(decorate_via_stats(b)).coeffs
         if not coeffs:
             continue
         for w, n in counts.items():

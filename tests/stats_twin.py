@@ -9,7 +9,7 @@ DecoratedTriangle.  Tests compare the two entry for entry; the a and b
 statistics alone (twin_stats_a, twin_stats_b) are also the tests' own
 reference for the triangles of worked examples.  The decoration
 product G is kept here too, one factor per entry multiplied out on plain
-{power: coefficient} dicts, as the twin of bzl.g_from_triangle, which
+{power: coefficient} dicts, as the twin of bzl.g_coefficient, which
 reads it from the mark counts.  So is the strictness scan over every
 threshold and row pair, whose None is the twin of tableaux.is_strict.
 """

@@ -101,7 +101,7 @@ def test_walk_counts_match_operator_marks_on_suite(suite):
         r = lam.rank
         elements = shifted_elements(lam)
         blocks = {}
-        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), r, elements, blocks)]
+        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), elements, blocks)]
         assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
         assert blocks.keys() == {key for t in elements for key in gt_pairs(t)}, lam
         assert all(block_agrees(*key) for key in blocks), lam

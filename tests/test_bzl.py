@@ -12,7 +12,6 @@ from cscrystal.bzl import (
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    g_from_triangle,
 )
 from cscrystal.rootsys import Shape, gl_to_alpha, rho
 from cscrystal.tableaux import (
@@ -34,6 +33,11 @@ B2 = [[1, 2, 3], [2, 3]]
 B4 = [[1, 3], [2]]
 B5 = [[2, 2], [3]]
 B6 = [[2, 3], [3]]
+
+
+def _stats(rows):
+    """The statistics triangle of the rank-2 tableau with these rows."""
+    return decorate_via_stats(make_tableau(2, rows))
 
 
 def test_bzl_path_values():
@@ -167,7 +171,7 @@ def test_operator_route_decorations():
 
 
 def test_stats_route_decorations():
-    tri = decorate_via_stats(make_tableau(2, B1))
+    tri = _stats(B1)
     assert tri.grid == ((2, 0), (2,))
     assert tri.boxed == frozenset({(2, 2)})
     assert tri.circled == frozenset({(1, 2)})
@@ -217,15 +221,15 @@ def test_doubly_decorated_witness():
     tri = decorate_via_stats(t4)
     assert sorted(tri.circled & tri.boxed) == [(1, 1)]
     assert not is_strict(t4)
-    assert c_coefficient(t4) == TPoly.zero()
-    assert g_coefficient(t4) == QLaurent.zero()
+    assert c_coefficient(tri) == TPoly.zero()
+    assert g_coefficient(tri) == QLaurent.zero()
 
 
 def test_g_values():
-    assert g_coefficient(make_tableau(2, B1)).terms == {3: -1, 2: 1}
-    assert g_coefficient(make_tableau(2, B2)).terms == {2: 1, 1: -1}
+    assert g_coefficient(_stats(B1)).terms == {3: -1, 2: 1}
+    assert g_coefficient(_stats(B2)).terms == {2: 1, 1: -1}
     hw = highest_weight_tableau(Shape((3, 2, 0)), 2)
-    assert g_coefficient(hw) == QLaurent({0: 1})
+    assert g_coefficient(decorate_via_stats(hw)) == QLaurent({0: 1})
 
 
 def test_g_from_triangle_four_cases():
@@ -237,52 +241,55 @@ def test_g_from_triangle_four_cases():
         boxed=frozenset({(2, 2)}),
     )
     # plain 2 -> q^2 - q; circled 3 -> q^3; boxed 1 -> -q^0
-    assert g_from_triangle(tri) == QLaurent({5: -1, 4: 1})
+    assert g_coefficient(tri) == QLaurent({5: -1, 4: 1})
     both = DecoratedTriangle(
         rank=2,
         grid=((2, 3), (1,)),
         circled=frozenset({(2, 2)}),
         boxed=frozenset({(2, 2)}),
     )
-    assert g_from_triangle(both) == QLaurent.zero()
+    assert g_coefficient(both) == QLaurent.zero()
 
 
 def test_c_values():
-    assert c_coefficient(make_tableau(2, B1)) == TPoly((0, -1, 1))
-    assert c_coefficient(make_tableau(2, B2)) == TPoly((0, 0, 1, -1))
-    assert c_coefficient(make_tableau(2, [[1, 2], [3]])) == TPoly((0, -1, 1))
-    assert c_coefficient(make_tableau(2, B4)) == TPoly.zero()
-    assert c_coefficient(make_tableau(2, B5)) == TPoly((0, 0, 1))
-    assert c_coefficient(make_tableau(2, B6)) == TPoly((0, 0, 0, -1))
+    assert c_coefficient(_stats(B1)) == TPoly((0, -1, 1))
+    assert c_coefficient(_stats(B2)) == TPoly((0, 0, 1, -1))
+    assert c_coefficient(_stats([[1, 2], [3]])) == TPoly((0, -1, 1))
+    assert c_coefficient(_stats(B4)) == TPoly.zero()
+    assert c_coefficient(_stats(B5)) == TPoly((0, 0, 1))
+    assert c_coefficient(_stats(B6)) == TPoly((0, 0, 0, -1))
 
 
 def test_mark_counts_and_factored_form():
-    assert _mark_counts(decorate_via_stats(make_tableau(2, [[1, 2], [3]]))) == (True, 1, 1)
-    assert _mark_counts(decorate_via_stats(make_tableau(2, B4)))[0] is False
-    assert c_factored_string(make_tableau(2, [[1, 2], [3]])) == "-t(1-t)"
-    assert c_factored_string(make_tableau(2, B5)) == "t^2"
-    assert c_factored_string(make_tableau(2, B6)) == "-t^3"
-    assert c_factored_string(make_tableau(2, B4)) == "0"
+    assert _mark_counts(_stats([[1, 2], [3]])) == (True, 1, 1)
+    assert _mark_counts(_stats(B4))[0] is False
+    assert c_factored_string(_stats([[1, 2], [3]])) == "-t(1-t)"
+    assert c_factored_string(_stats(B5)) == "t^2"
+    assert c_factored_string(_stats(B6)) == "-t^3"
+    assert c_factored_string(_stats(B4)) == "0"
     # every entry of the highest-weight path is zero and circled
     hw = highest_weight_tableau(Shape((2, 1, 0)), 2)
-    assert _mark_counts(decorate_via_stats(hw)) == (True, 0, 0)
-    assert c_factored_string(hw) == "1"
-    assert c_coefficient(hw) == TPoly((1,))
+    tri = decorate_via_stats(hw)
+    assert _mark_counts(tri) == (True, 0, 0)
+    assert c_factored_string(tri) == "1"
+    assert c_coefficient(tri) == TPoly((1,))
 
 
 def test_bridge_g_q_shift_equals_c():
     for parts in [(2, 1, 0), (3, 2, 0), (1, 0), (3, 1, 0)]:
         rank = len(parts) - 1
         for t in shifted_elements_for_shape(parts, rank):
-            bridged = g_coefficient(t).shift(-bzl_path(t).total())
-            assert bridged == c_coefficient(t).to_qlaurent()
+            tri = decorate_via_stats(t)
+            bridged = g_coefficient(tri).shift(-bzl_path(t).total())
+            assert bridged == c_coefficient(tri).to_qlaurent()
 
 
 @settings(max_examples=100, deadline=None)
 @given(strict_shape_tableaux())
 def test_bridge_g_q_shift_equals_c_at_ranks_4_and_5(t):
-    bridged = g_coefficient(t).shift(-bzl_path(t).total())
-    assert bridged == c_coefficient(t).to_qlaurent()
+    tri = decorate_via_stats(t)
+    bridged = g_coefficient(tri).shift(-bzl_path(t).total())
+    assert bridged == c_coefficient(tri).to_qlaurent()
 
 
 def test_strictness_lemma_on_suite():
@@ -296,7 +303,7 @@ def test_strictness_lemma_on_suite():
                 assert doubled == []
             else:
                 assert doubled != []
-                assert c_coefficient(t) == TPoly.zero()
+                assert c_coefficient(decorate_via_stats(t)) == TPoly.zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,7 +311,7 @@ def test_strictness_lemma_on_suite():
 def test_strictness_lemma_at_ranks_4_and_5(t):
     tri = decorate_via_stats(t)
     no_double = not tri.circled & tri.boxed
-    assert is_strict(t) == no_double == (not c_coefficient(t).is_zero())
+    assert is_strict(t) == no_double == (not c_coefficient(decorate_via_stats(t)).is_zero())
 
 
 def _violating_row_pairs(t):
@@ -348,15 +355,15 @@ def test_lone_dominant_entry_keeps_nonzero_coefficient():
     tri = decorate_via_stats(t)
     assert not tri.circled & tri.boxed
     assert tri.boxed == frozenset()
-    assert c_coefficient(t) == TPoly((1, -1))
+    assert c_coefficient(tri) == TPoly((1, -1))
     assert bzl_path(t).inline(BZL_LAYOUT) == "(0; 1, 1)"
-    assert g_coefficient(t).shift(-2) == c_coefficient(t).to_qlaurent()
+    assert g_coefficient(tri).shift(-2) == c_coefficient(tri).to_qlaurent()
 
 
 def test_triangle_json_roundtrip():
     for tri in (
         decorate_via_operators(make_tableau(2, B1)),
-        decorate_via_stats(make_tableau(2, B4)),
+        _stats(B4),
     ):
         for layout in (BZL_LAYOUT, STATS_LAYOUT):
             blob = json.dumps(tri.to_json_dict(layout))

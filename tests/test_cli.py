@@ -557,31 +557,58 @@ def test_graph_bytes_are_pinned(capsys, argv, digest):
     "argv, digest",
     [
         (
-            ["enumerate", "--rank", "2", "--lambda", "1,0", "--shifted"],
+            ["enumerate", "--rank", "2", "--lambda", "1,0", "--shifted", "--format", "json"],
             "c4bcd2dca47cbe75b526339049f48108fce0b71cf32169fca264e6f3021d246e",
         ),
         (
-            ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"],
+            ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3", "--format", "json"],
             "fa433350e1a0a329cf6e3a873d4a783624d07c9f70f0a4264134948aa658be1d",
         ),
         (
-            ["bzl", "--rank", "2", "--tableau", "1 3 / 2"],
+            ["bzl", "--rank", "2", "--tableau", "1 3 / 2", "--format", "json"],
             "a07eb211f8718e3cdb89d8b3853f553729e93111eedd6a8abeaf1576820a6721",
         ),
         (
-            ["verify", "--rank", "2", "--lambda", "1,1"],
+            ["verify", "--rank", "2", "--lambda", "1,1", "--format", "json"],
             "5bbf59d46c7190013dfd5700d8fc4e6c5aa9a30ff15f22772bc2230cd2b9dbfa",
         ),
         (
-            ["hpoly", "--rank", "2", "--lambda", "0,1", "--at", "-1"],
+            ["hpoly", "--rank", "2", "--lambda", "0,1", "--at", "-1", "--format", "json"],
             "8618c646d8778a328b2dc002412e4b87261aac6c95e3156f7ff4342f00c1a794",
+        ),
+        # bzl's text form at ranks 2-4, a strict and a non-strict tableau each
+        (
+            ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3", "--format", "text"],
+            "850a7661f215605a47727f87e6fc6ccb133c7e15bb0c5ea1339a9ff600020c4a",
+        ),
+        (
+            ["bzl", "--rank", "2", "--tableau", "1 3 3 / 2", "--format", "text"],
+            "9b09ff832ded3fbf75327ebde614375525cd1aad2cc57216132edaf6f8c93a2b",
+        ),
+        (
+            ["bzl", "--rank", "3", "--tableau", "1 1 3 3 / 3 3 / 4", "--format", "text"],
+            "663b83827cda47afec60eba1152e06d418550bf479664cc71f75dcdff21f284a",
+        ),
+        (
+            ["bzl", "--rank", "3", "--tableau", "1 1 4 4 / 2 4 / 3", "--format", "text"],
+            "7ccf6de410009d24fb9df2fb95e35f96cc414edef64d3b23b81c8334903af5a9",
+        ),
+        (
+            ["bzl", "--rank", "4", "--tableau", "1 1 2 2 5 / 2 2 3 / 4 5 / 5", "--format", "text"],
+            "6dd9b388deec06cda0db050ad4bb5c775c7ac52938f34888337b7351246d3b4c",
+        ),
+        (
+            ["bzl", "--rank", "4", "--tableau", "1 1 2 4 5 / 2 2 3 / 4 4 / 5", "--format", "text"],
+            "c791824142777eab5adf6693b8c2f8d4a62f2a08cb880baeb355563e5a4bf2cb",
         ),
     ],
 )
 def test_json_bytes_are_pinned(capsys, argv, digest):
     # the JSON forms are output only, read back by nothing in the
-    # package: their bytes, keys and key order, must not change
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    # package: their bytes, keys and key order, must not change; nor may
+    # the bytes of bzl's text form, whose triangles DecoratedTriangle.inline
+    # prints row by row
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -601,6 +628,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("count: 2")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "graph"])
+def test_closed_stdout_pipe_exits_141(command):
+    # rank 4 omega_1 shifted prints 136 kB (enumerate) and 294 kB (graph),
+    # more than a 64 KiB pipe holds, so the process is still writing when
+    # the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cscrystal", command, "--rank", "4", "--lambda", "1,0,0,0", "--shifted"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": _package_path()},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert first.strip() and err == b""
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from cscrystal.hpoly import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
-from cscrystal.bzl import c_coefficient
+from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
@@ -93,7 +93,7 @@ def test_tensor_route_four_pair_example():
     ]
     assert len(pairs) == 4
     values = sorted(
-        (c_coefficient(right).coeffs for _, right in pairs),
+        (c_coefficient(decorate_via_stats(right)).coeffs for _, right in pairs),
         key=lambda c: (len(c), c),
     )
     assert values == sorted(
@@ -101,7 +101,7 @@ def test_tensor_route_four_pair_example():
     )
     total = []
     for _, r in pairs:
-        total = list_add(total, c_coefficient(r).coeffs)
+        total = list_add(total, c_coefficient(decorate_via_stats(r)).coeffs)
     assert TPoly(tuple(total)) == h_direct(OMEGA2, AlphaVector((2, 2)))
 
 

@@ -102,27 +102,29 @@ def test_cs_lhs_exponents_stay_nonnegative():
 def test_cs_rhs_top_coefficient_is_one():
     for lam in [GLWeight((0, 0, 0)), GLWeight((1, 1, 0)), GLWeight((2, 0))]:
         shifted = lam + rho(lam.rank)
-        assert cs_rhs(lam).coefficient(shifted.coords) == TPoly((1,))
+        assert cs_rhs(lam, shifted_sums(lam)[0]).coefficient(shifted.coords) == TPoly((1,))
 
 
 def test_cs_rhs_example_coefficient():
     # two tableaux of weight (1,2,2) contribute -t(1-t) and t^2(1-t)
     lam = GLWeight((1, 1, 0))
-    assert cs_rhs(lam).coefficient((1, 2, 2)) == TPoly((0, -1, 2, -1))
+    assert cs_rhs(lam, shifted_sums(lam)[0]).coefficient((1, 2, 2)) == TPoly((0, -1, 2, -1))
 
 
 def test_verify_identity_reports():
-    rep = verify_identity(GLWeight((0, 0)))
+    lam = GLWeight((0, 0))
+    rep = verify_identity(lam, shifted_sums(lam)[0])
     assert rep.equal and rep.first_mismatch is None
     assert rep.lhs_terms == rep.rhs_terms == 2
-    rep2 = verify_identity(lambda_from_fundamental((0, 1), 2))
+    lam = lambda_from_fundamental((0, 1), 2)
+    rep2 = verify_identity(lam, shifted_sums(lam)[0])
     assert rep2.equal
     assert rep2.lhs_terms == 12
 
 
 def test_identity_across_suite(suite):
     for lam in suite:
-        rep = verify_identity(lam)
+        rep = verify_identity(lam, shifted_sums(lam)[0])
         assert rep.equal, (lam, rep.first_mismatch)
 
 

@@ -25,7 +25,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscrystal import bzl, laurent
+from cscrystal import bzl, hpoly, laurent
 from cscrystal.bzl import (
     _mark_counts,
     _stats_block,
@@ -33,7 +33,7 @@ from cscrystal.bzl import (
     crystal_scores,
     decorate_via_operators,
     decorate_via_stats,
-    g_from_triangle,
+    g_coefficient,
     weight_sums,
 )
 from cscrystal.cli import main
@@ -102,8 +102,9 @@ def test_kernel_counts_match_twin(t):
 def test_memoized_coefficient_equals_product(t):
     alive, box, non = twin_counts(t.rank, t.rows)
     want = c_product_twin(box, non) if alive else TPoly.zero()
-    assert c_coefficient(t) == want
-    assert c_coefficient(t) == want  # a second call reads the memo
+    tri = decorate_via_stats(t)
+    assert c_coefficient(tri) == want
+    assert c_coefficient(tri) == want  # a second call reads the memo
 
 
 def test_binomial_c_product_matches_repeated_multiplication():
@@ -133,15 +134,15 @@ def marked_triangles(draw):
 @settings(max_examples=150, deadline=None)
 @given(marked_triangles())
 def test_g_from_counts_matches_entrywise_product(tri):
-    assert g_from_triangle(tri) == twin_g_from_triangle(tri)
-    assert str(g_from_triangle(tri)) == str(twin_g_from_triangle(tri))
+    assert g_coefficient(tri) == twin_g_from_triangle(tri)
+    assert str(g_coefficient(tri)) == str(twin_g_from_triangle(tri))
 
 
 @settings(max_examples=40, deadline=None)
 @given(strict_shape_tableaux())
 def test_g_of_operator_triangle_matches_entrywise_product(t):
     tri = decorate_via_operators(t)
-    assert g_from_triangle(tri) == twin_g_from_triangle(tri)
+    assert g_coefficient(tri) == twin_g_from_triangle(tri)
 
 
 @pytest.mark.parametrize(
@@ -189,12 +190,12 @@ def _kernel_crystals():
     ]
     for lam in weights:
         shape = partition_shape(lam + rho(lam.rank))
-        yield shape, lam.rank, enumerate_crystal(shape, lam.rank)
+        yield shape, enumerate_crystal(shape, lam.rank)
 
 
 def test_kernel_counts_match_triangle_on_crystals():
-    for shape, rank, elements in _kernel_crystals():
-        scored = list(crystal_scores(shape, rank, elements))
+    for shape, elements in _kernel_crystals():
+        scored = list(crystal_scores(shape, elements, {}))
         assert len(scored) == len(elements)
         for t, (w, *counts) in zip(elements, scored):
             assert w == content(t).coords
@@ -202,14 +203,14 @@ def test_kernel_counts_match_triangle_on_crystals():
 
 
 def test_weight_sums_match_per_element_sums():
-    for shape, rank, elements in _kernel_crystals():
-        if rank > 3:
+    for shape, elements in _kernel_crystals():
+        if shape.rank > 3:
             continue
         want = {}
         for t in elements:
             w = content(t).coords
-            want[w] = list_add(want.get(w, []), c_coefficient(t).coeffs)
-        got = weight_sums(crystal_scores(shape, rank, elements))
+            want[w] = list_add(want.get(w, []), c_coefficient(decorate_via_stats(t)).coeffs)
+        got = weight_sums(crystal_scores(shape, elements, {}))
         assert list(got) == list(want)  # first-seen order
         assert got == {w: TPoly(tuple(c)) for w, c in want.items()}
     # a weight whose elements all die is kept, with sum zero
@@ -231,7 +232,7 @@ def rank5_samples(draw):
 @given(rank5_samples())
 def test_kernel_counts_match_triangle_at_rank_5(sample):
     shape, elements = sample
-    for t, (w, *counts) in zip(elements, crystal_scores(shape, 5, elements), strict=True):
+    for t, (w, *counts) in zip(elements, crystal_scores(shape, elements, {}), strict=True):
         assert w == content(t).coords
         assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
@@ -259,37 +260,66 @@ def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
 
 def test_kernel_rejects_shape_with_nonzero_last_part():
     with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
-        list(crystal_scores(Shape((4, 2, 1)), 2, []))
+        list(crystal_scores(Shape((4, 2, 1)), [], {}))
     with pytest.raises(ValueError, match="not strictly decreasing"):
-        list(crystal_scores(Shape((3, 3, 0)), 2, []))
+        list(crystal_scores(Shape((3, 3, 0)), [], {}))
+
+
+def _count_kernel_passes(monkeypatch):
+    """Record the calls that list, score and sum B(lam+rho) at the names
+    laurent reads, the statistics triangles built, and any call of the
+    listing name hpoly re-exports, which must see none."""
+    calls = {"listed": [], "scored": [], "summed": [], "stats": [], "hpoly listed": []}
+    real_list, real_kernel = laurent.enumerate_crystal, laurent.crystal_scores
+    real_sums, real_stats = laurent.weight_sums, bzl.decorate_via_stats
+
+    def listed(shape, rank):
+        calls["listed"].append((shape, rank))
+        return real_list(shape, rank)
+
+    def scored(shape, elements, blocks):
+        calls["scored"].append(list(elements))
+        return real_kernel(shape, calls["scored"][-1], blocks)
+
+    def summed(scores):
+        calls["summed"].append(scores)
+        return real_sums(scores)
+
+    def stats(t):
+        calls["stats"].append(t)
+        return real_stats(t)
+
+    monkeypatch.setattr(laurent, "enumerate_crystal", listed)
+    monkeypatch.setattr(laurent, "crystal_scores", scored)
+    monkeypatch.setattr(laurent, "weight_sums", summed)
+    monkeypatch.setattr(bzl, "decorate_via_stats", stats)
+    monkeypatch.setattr(hpoly, "enumerate_crystal", lambda *args: calls["hpoly listed"].append(args))
+    return calls
+
+
+def _assert_one_kernel_pass(calls, lam):
+    shape = partition_shape(lam + rho(lam.rank))
+    assert calls["listed"] == [(shape, lam.rank)]
+    assert calls["scored"] == [list(enumerate_crystal(shape, lam.rank))]
+    assert len(calls["summed"]) == 1
+    assert calls["stats"] == calls["hpoly listed"] == []
 
 
 def test_verify_scores_in_one_kernel_pass(capsys, monkeypatch):
     # one pass for both checks: the identity's right-hand side and the
     # reversed form share one scoring of B(lam+rho), and neither builds
     # a statistics triangle
-    passes, stats_calls, sums_calls = [], [], []
-    real_kernel, real_stats = laurent.crystal_scores, bzl.decorate_via_stats
-    real_sums = laurent.weight_sums
-
-    def counted_kernel(shape, rank, elements, blocks=None):
-        passes.append(list(elements))
-        return real_kernel(shape, rank, passes[-1], blocks)
-
-    def counted_stats(t):
-        stats_calls.append(t)
-        return real_stats(t)
-
-    def counted_sums(scores):
-        sums_calls.append(scores)
-        return real_sums(scores)
-
-    monkeypatch.setattr(laurent, "crystal_scores", counted_kernel)
-    monkeypatch.setattr(bzl, "decorate_via_stats", counted_stats)
-    monkeypatch.setattr(laurent, "weight_sums", counted_sums)
+    calls = _count_kernel_passes(monkeypatch)
     assert main(["verify", "--rank", "3", "--lambda", "1,0,0"]) == 0
-    lam = lambda_from_fundamental((1, 0, 0), 3)
-    elements = enumerate_crystal(partition_shape(lam + rho(3)), 3)
-    assert passes == [list(elements)]
-    assert len(sums_calls) == 1
-    assert stats_calls == []
+    _assert_one_kernel_pass(calls, lambda_from_fundamental((1, 0, 0), 3))
+
+
+@pytest.mark.parametrize("at", [None, "inf", "-1", "1"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+def test_hpoly_scores_in_one_kernel_pass(capsys, monkeypatch, fmt, at):
+    # the H-table reads laurent.shifted_sums, the one place B(lam+rho) is
+    # listed and scored, and the oracles of --at list no crystal
+    calls = _count_kernel_passes(monkeypatch)
+    argv = ["hpoly", "--rank", "3", "--lambda", "1,0,0", "--format", fmt]
+    assert main(argv + (["--at", at] if at else [])) == 0
+    _assert_one_kernel_pass(calls, lambda_from_fundamental((1, 0, 0), 3))

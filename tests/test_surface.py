@@ -33,7 +33,7 @@ ALLOWED_SHARED = {
     "AlphaVector.degree": "hpoly sorts H-table rows and finds mu = 0 by it",
     "TPoly.degree": "HTable.to_csv sizes its columns by it",
     "GLWeight.rank": "every function that takes a weight reads lam.rank",
-    "Shape.rank": "enumerate_crystal and crystal_scores check it",
+    "Shape.rank": "enumerate_crystal checks it and crystal_scores reads it",
     "AlphaVector.rank": "rootsys.alpha_to_gl checks it",
     "HTable.to_json_dict": "cli.cmd_hpoly writes it",
     "Tableau.to_json_dict": "cli.cmd_enumerate and cmd_bzl write it",
@@ -45,6 +45,7 @@ ALLOWED_SHARED = {
 REEXPORTS = {
     ("bzl.py", "e_op"),
     ("bzl.py", "phi"),
+    ("hpoly.py", "enumerate_crystal"),
     ("hpoly.py", "c_coefficient"),
     ("laurent.py", "bzl_path"),
     ("laurent.py", "c_coefficient"),

@@ -9,6 +9,7 @@ stderr.
 """
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -337,5 +338,17 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Process entry of `python -m cscrystal` and the cs-crystal script.
+
+    gc.freeze() moves the start-up heap into the collector's permanent
+    generation, so neither the job's collections nor those at shutdown
+    traverse it again.  main() never freezes: a caller that runs it many
+    times in one process would keep each call's garbage for good.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

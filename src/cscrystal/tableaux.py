@@ -47,11 +47,21 @@ def make_tableau(rank: int, rows) -> Tableau:
     and as entries, although bool is a subclass of int: a JSON true
     would otherwise pass as 1.
     """
+    rows = [tuple(row) for row in rows]
+    for i, row in enumerate(rows, start=1):
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"entry {x!r} in row {i} is not an integer")
+    return _checked_tableau(rank, rows)
+
+
+def _checked_tableau(rank: int, rows: list) -> Tableau:
+    """Every check of make_tableau but its per-entry type check; rows
+    is a list of tuples of ints."""
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise ValueError(f"rank {rank!r} is not an integer")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    rows = [tuple(row) for row in rows]
     while rows and not rows[-1]:
         rows.pop()
     if () in rows:
@@ -61,8 +71,6 @@ def make_tableau(rank: int, rows) -> Tableau:
         raise ValueError(f"too many rows ({len(rows)}) for rank {rank}")
     for i, row in enumerate(rows, start=1):
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"entry {x!r} in row {i} is not an integer")
             if not 1 <= x <= rank + 1:
                 raise ValueError(f"entry {x} in row {i} outside 1..{rank + 1}")
         if any(a > b for a, b in zip(row, row[1:])):
@@ -79,7 +87,10 @@ def make_tableau(rank: int, rows) -> Tableau:
 
 
 def parse_tableau(rank: int, text: str) -> Tableau:
-    """Parse the one-line form produced by Tableau.to_text."""
+    """Parse the one-line form produced by Tableau.to_text.
+
+    int() makes every entry an int, so a nonempty tableau skips
+    make_tableau's per-entry type check and gets every other check."""
     text = text.strip()
     if text in ("", "∅"):
         return make_tableau(rank, [])
@@ -89,10 +100,10 @@ def parse_tableau(rank: int, text: str) -> Tableau:
         if not entries:
             raise ValueError(f"empty row in tableau text {text!r}")
         try:
-            rows.append([int(x) for x in entries])
+            rows.append(tuple([int(x) for x in entries]))
         except ValueError:
             raise ValueError(f"non-integer entry in tableau text {text!r}") from None
-    return make_tableau(rank, rows)
+    return _checked_tableau(rank, rows)
 
 
 STATS_LAYOUT = "STATS"

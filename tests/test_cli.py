@@ -1,8 +1,12 @@
 import hashlib
+import importlib
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,9 +151,22 @@ def test_bzl_json_roundtrip(capsys):
 
 
 def test_bzl_rejects_bad_tableau(capsys):
-    code, _, err = run_cli(capsys, "bzl", "--rank", "2", "--tableau", "2 1")
-    assert code == 2
-    assert "error:" in err
+    # every rejection of parse_tableau, byte for byte: its entries are
+    # ints once parsed, so it skips make_tableau's type checks and must
+    # still refuse each of these with the same message
+    rejected = {
+        "1 x 2": "non-integer entry in tableau text '1 x 2'",
+        "1 2 / / 3": "empty row in tableau text '1 2 / / 3'",
+        "1 4": "entry 4 in row 1 outside 1..3",
+        "0 1": "entry 0 in row 1 outside 1..3",
+        "2 1": "row 1 is not weakly increasing: (2, 1)",
+        "1 / 1 2": "row lengths must be weakly decreasing",
+        "1 1 / 1": "column 1 not strictly increasing between rows 1 and 2",
+        "1 / 2 / 3 / 4": "too many rows (4) for rank 2",
+    }
+    for text, message in rejected.items():
+        got = run_cli(capsys, "bzl", "--rank", "2", "--tableau", text)
+        assert got == (2, "", f"error: {message}\n"), text
 
 
 def test_bzl_rejects_nonstrict_shape(capsys):
@@ -628,6 +645,61 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("count: 2")
+
+
+def _run_module(monkeypatch, *argv) -> int:
+    """Exit code of `python -m cscrystal *argv`, run in this process."""
+    monkeypatch.setattr(sys, "argv", ["cs-crystal", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cscrystal", run_name="__main__")
+    return exc.value.code
+
+
+def test_module_entry_freezes_once_before_parsing(capsys, monkeypatch):
+    # the start-up heap is frozen before main builds its parser, and only
+    # once
+    import cscrystal.cli as cli_module
+
+    events = []
+    real = cli_module._parser
+
+    def parser():
+        events.append("parse")
+        return real()
+
+    monkeypatch.setattr("gc.freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli_module, "_parser", parser)
+    assert _run_module(monkeypatch, "verify", "--rank", "2", "--lambda", "1,0") == 0
+    assert events == ["freeze", "parse"]
+    assert capsys.readouterr().out.endswith("reversed form: equal\n")
+
+
+def test_in_process_main_never_freezes(capsys, monkeypatch):
+    # perfbench/child.py calls main 1000 times in one process; a freeze
+    # per call would keep each call's garbage for good
+    frozen = []
+    monkeypatch.setattr("gc.freeze", lambda: frozen.append(1))
+    calls = [
+        ["bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"],
+        ["verify", "--rank", "2", "--bogus"],
+        ["hpoly", "--rank", "2", "--lambda", "1,0", "--at", "inf"],
+    ]
+    assert [main(argv) for argv in calls] == [0, 2, 0]
+    assert frozen == []
+
+
+def test_console_script_is_the_module_entry(monkeypatch):
+    # pyproject's cs-crystal names the function `python -m cscrystal`
+    # calls, so the installed script freezes as well
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = re.search(
+        r'^\[project\.scripts\]\ncs-crystal = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M
+    )
+    module, name = target.groups()
+    called = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: called.append(1) or 0)
+    assert _run_module(monkeypatch, "verify", "--rank", "2", "--lambda", "1,0") == 0
+    assert called == [1]
 
 
 @pytest.mark.parametrize("command", ["enumerate", "graph"])

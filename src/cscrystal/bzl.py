@@ -26,21 +26,22 @@ GT row j, with the (j+1)s where they started.  The rows interlace, so
 the block's columns fall into at most 2(j+1) runs of equal columns;
 _block_walk raises those runs, and it is the one walk.
 
-One tableau (bzl_path, decorate_via_operators, decorate_via_stats)
-joins its blocks (_join_blocks).  A whole crystal is scored by
-crystal_scores, which applies _stats_block once per distinct pair of
-GT rows and sums the blocks' mark counts and weight coordinates per
-element; weight_sums sums C by weight over those scores, and
-laurent.verify_bn_form checks block_agrees, the walk against the
-statistics, once per distinct block of that pass.  That check and the
-identity's are the whole verdict on the reversed form.  One memoized
-product, _c_product, gives both coefficients from the mark counts: C
-in t, and G = q^total C(1/q), the same product rewritten in q and
-shifted by the triangle's entry total.
+One tableau (bzl_path, decorate_via_operators, decorate_via_stats) joins
+its blocks (_join_blocks).  A whole crystal is scored by crystal_scores,
+which applies _stats_block once per distinct pair of GT rows and sums
+the blocks' mark counts and weight coordinates per element; weight_sums
+sums C by weight over those scores.  The row pass gt_blocks yields those
+pairs from the shape down, and laurent.verify_bn_form checks
+block_agrees, the walk against the statistics, once per pair.  That
+check and the identity's are the whole verdict on the reversed form.
+One memoized product, _c_product, gives both coefficients from the mark
+counts: C in t, and G = q^total C(1/q), the same product rewritten in q
+and shifted by the triangle's entry total.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import product
 from math import comb
 from operator import getitem
 
@@ -139,7 +140,7 @@ def _stats_block(lower: tuple, upper: tuple):
     return entries, circled, boxed
 
 
-def crystal_scores(shape: Shape, elements, blocks: dict):
+def crystal_scores(shape: Shape, elements):
     """Yield (content coordinates, alive, boxed count, unmarked count)
     for each element, all of the given shape.
 
@@ -147,18 +148,17 @@ def crystal_scores(shape: Shape, elements, blocks: dict):
     Column j of the triangle and content coordinate j+1 depend only on
     GT rows j and j+1 (_stats_block), so every element is scored as a
     sum over its blocks.  Strictness is checked once per crystal.  Each
-    distinct (GT row j, GT row j+1) is scored once, into the caller's
-    blocks, from which verify_bn_form reads the distinct blocks
-    afterwards.  GT rows are read from each distinct tableau row's
-    counts of entries <= 1..rank, memoized too and transposed.  A strict
-    shape has exactly rank nonempty rows, and its parts are GT row rank+1.
+    distinct (GT row j, GT row j+1) is scored once, memoized here.  GT
+    rows are read from each distinct tableau row's counts of entries
+    <= 1..rank, memoized too and transposed.  A strict shape has exactly
+    rank nonempty rows, and its parts are GT row rank+1.
     """
     _require_strict(shape.parts, "crystal shape")
     rank = shape.rank
     size = rank * (rank + 1) // 2
     caps = range(1, rank + 1)
     cuts = [slice(j) for j in caps]  # GT row j keeps tableau rows 1..j
-    counts: dict = {}
+    counts, blocks = {}, {}
     for t in elements:
         vectors = []
         for row in t.rows:
@@ -182,6 +182,20 @@ def crystal_scores(shape: Shape, elements, blocks: dict):
             both += marks[2]
             weight.append(marks[3])
         yield tuple(weight), not both, boxed, size - circled - boxed + both
+
+
+def gt_blocks(top: tuple):
+    """Yield once each distinct (GT row j, GT row j+1) of the crystal of
+    shape top, GT row rank+1, with no tableau listed: rows from top down,
+    each row's interlacing rows in itertools.product order."""
+    level = [top]
+    for _ in top[1:]:
+        below: dict = {}
+        for upper in level:
+            for lower in product(*(range(b, a + 1) for a, b in zip(upper, upper[1:]))):
+                below[lower] = None
+                yield lower, upper
+        level = below
 
 
 def _block_walk(lower: tuple, upper: tuple):

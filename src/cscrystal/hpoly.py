@@ -125,8 +125,7 @@ def h_table(lam: GLWeight) -> HTable:
     """
     r = lam.rank
     shifted = lam + rho(r)
-    sums, _ = shifted_sums(lam)
-    rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in sums.items()}
+    rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in shifted_sums(lam).items()}
     return HTable(lam=lam, rank=r, rows=rows)
 
 

@@ -11,16 +11,16 @@ t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores).
 verify_identity compares the two maps, and looks for the first
 differing exponent only when they differ.  The reversed form is the
 identity relabelled by the bijection e -> reversed(e - rho), so its
-verdict is the identity's verdict plus the walk's: verify_bn_form walks
-the scorer's memo of distinct Gelfand-Tsetlin blocks and holds each
-equal to its statistics block, and compares no weight sums.  Each side
-is built once per verify.  No floating point; the one division,
+verdict is the identity's verdict plus the walk's: verify_bn_form holds
+each Gelfand-Tsetlin block of the row pass bzl.gt_blocks, which lists no
+tableau, equal to its statistics block, and compares no weight sums.
+Each side is built once per verify.  No floating point; the one division,
 Freudenthal's, is exact and checked in rootsys.
 """
 
 from operator import add
 
-from .bzl import block_agrees, crystal_scores, weight_sums
+from .bzl import block_agrees, crystal_scores, gt_blocks, weight_sums
 
 # Re-exports that perfbench/child.py traces at this module, g_coefficient
 # under its former name; no function here calls them.
@@ -88,14 +88,12 @@ def cs_lhs(lam: GLWeight) -> LaurentPoly:
     return LaurentPoly(r, _times_deformed(flat, r))
 
 
-def shifted_sums(lam: GLWeight) -> tuple[dict, dict]:
-    """(weight_sums, block memo) of one crystal_scores pass over
-    B(lam+rho), enumerated here: the one place the package lists and
-    scores the shifted crystal."""
+def shifted_sums(lam: GLWeight) -> dict:
+    """weight_sums of one crystal_scores pass over B(lam+rho), listed
+    here: the one place the package lists and scores the shifted crystal."""
     r = lam.rank
     shape = partition_shape(lam + rho(r))
-    blocks: dict = {}
-    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, r), blocks)), blocks
+    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, r)))
 
 
 def cs_rhs(lam: GLWeight, sums: dict) -> LaurentPoly:
@@ -126,17 +124,17 @@ def verify_identity(lam: GLWeight, sums: dict) -> IdentityReport:
     return IdentityReport(mismatch is None, lhs.num_terms(), rhs.num_terms(), mismatch)
 
 
-def verify_bn_form(blocks: dict) -> bool:
-    """The walk's half of the reversed-coordinate form: every distinct
-    Gelfand-Tsetlin block in blocks, the memo of one shifted_sums, is
-    walked once and must equal the statistics block cell by cell
-    (block_agrees).
+def verify_bn_form(lam: GLWeight) -> tuple | None:
+    """The walk's half of the reversed-coordinate form: (j, lower, upper)
+    of the first block of B(lam+rho) in the row pass gt_blocks whose walk
+    differs from its statistics block (block_agrees), or None.
 
-    Then every element's walk equals its statistics triangle, so the
-    bridge G q^(-total) = C(1/q) holds per element.  The reversed form,
+    None means every element's walk equals its statistics triangle, so
+    the bridge G q^(-total) = C(1/q) holds per element.  The reversed form,
     s_lambda(z) * prod(1 - t z_i/z_j) = sum of C(b) z^reversed(wt(b) - rho),
     is the identity with every exponent e sent to reversed(e - rho) on
     both sides (s_lambda is symmetric), and that is a bijection; so it
-    holds exactly when verify_identity does and this returns True.
+    holds exactly when verify_identity does and this returns None.
     """
-    return all(block_agrees(*key) for key in blocks)
+    top = partition_shape(lam + rho(lam.rank)).parts
+    return next(((len(key[0]),) + key for key in gt_blocks(top) if not block_agrees(*key)), None)

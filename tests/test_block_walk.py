@@ -10,7 +10,9 @@ length, and on random tableaux at rank 5.  The twin's last element must
 be the highest-weight tableau, and every block walk checks that it ends
 at its own top.  They also hold the per-element sums of the whole-crystal
 scorer's blocks equal to the marks of decorate_via_operators on every
-crystal of the verification suite, and every block of its memo equal to
+crystal of the verification suite.  The row pass bzl.gt_blocks must
+yield, once each, exactly the blocks of the listed crystal's elements,
+on the suite and at ranks 4 and 5, and every block it yields must equal
 the statistics block (bzl.block_agrees), cell by cell.
 
 bzl._block_walk raises runs of equal columns, so its cost does not
@@ -38,9 +40,10 @@ from cscrystal.bzl import (
     block_agrees,
     crystal_scores,
     decorate_via_operators,
+    gt_blocks,
 )
 from cscrystal.crystal import enumerate_crystal, surviving_slots
-from cscrystal.rootsys import Shape, rho
+from cscrystal.rootsys import Shape, lambda_from_fundamental, rho
 from operator_walk import operator_walk, word_block_walk
 from test_word_kernel import any_shape_tableaux
 
@@ -96,15 +99,33 @@ def test_blocks_match_whole_walk_at_rank_5(t):
     check_blocks(t, {})
 
 
+def row_pass_blocks(lam, elements):
+    """gt_blocks under lam+rho, held to the GT row pairs of the listed
+    elements of B(lam+rho): each of them once, and nothing else."""
+    blocks = list(gt_blocks((lam + rho(lam.rank)).coords))
+    assert len(set(blocks)) == len(blocks), lam
+    assert set(blocks) == {key for t in elements for key in gt_pairs(t)}, lam
+    return blocks
+
+
 def test_walk_counts_match_operator_marks_on_suite(suite):
     for lam in suite:
         r = lam.rank
         elements = shifted_elements(lam)
-        blocks = {}
-        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), elements, blocks)]
+        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), elements)]
         assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
-        assert blocks.keys() == {key for t in elements for key in gt_pairs(t)}, lam
-        assert all(block_agrees(*key) for key in blocks), lam
+        assert all(block_agrees(*key) for key in row_pass_blocks(lam, elements)), lam
+
+
+@pytest.mark.parametrize(
+    "coeffs, count", [((1, 0, 0, 0), 444), ((0, 0, 0, 0, 0), 1140), ((1, 0, 0, 0, 0), 2012)]
+)
+def test_row_pass_is_the_listing_at_ranks_4_and_5(coeffs, count):
+    lam = lambda_from_fundamental(coeffs, len(coeffs))
+    try:
+        assert len(row_pass_blocks(lam, shifted_elements(lam))) == count
+    finally:
+        enumerate_crystal.cache_clear()  # keep no rank-5 crystal for later tests
 
 
 def interlacing_pairs(j, largest):

@@ -287,6 +287,30 @@ def test_verify_exits_1_when_one_step_count_changes(capsys, monkeypatch):
     assert f"= {(1, lower, upper)}\n" in err
 
 
+def test_verify_walks_each_block_at_most_once(capsys, monkeypatch):
+    # every block 1 walk gets one more step, so the first block 1 walked
+    # fails; verify names it from that walk, after the blocks of j = 3
+    # and 2, and walks no block twice
+    real = bzl._block_walk
+    walks = {}
+
+    def counted(lower, upper):
+        walks[lower, upper] = walks.get((lower, upper), 0) + 1
+        entries, boxed = real(lower, upper)
+        if len(lower) > 1:
+            return entries, boxed
+        return {**entries, (1, 1): entries[(1, 1)] + 1}, boxed
+
+    monkeypatch.setattr(bzl, "_block_walk", counted)
+    code, out, err = run_cli(capsys, "verify", "--rank", "3", "--lambda", "1,0,0")
+    assert code == 1
+    assert "reversed form: MISMATCH" in out
+    (lower, upper), = [key for key in walks if len(key[0]) == 1]
+    assert f"= {(1, lower, upper)}\n" in err
+    assert max(walks.values()) == 1, {key: n for key, n in walks.items() if n > 1}
+    assert len(walks) > 1
+
+
 def _one_more_rhs_term(monkeypatch):
     """Make cs_rhs report an extra term 1 * z^(0,...,0), where both
     sides are zero."""
@@ -344,15 +368,15 @@ def test_reversed_form_is_equal_only_with_the_identity(capsys, monkeypatch, suit
 
 def _one_changed_weight_sum(monkeypatch, change):
     """Make verify's shifted_sums return the sums with one weight's sum
-    changed; the block memo is untouched, so every block agrees."""
+    changed; no block walk changes, so every block agrees."""
     import cscrystal.cli as cli_module
 
     real = cli_module.shifted_sums
 
     def tampered(lam):
-        sums, blocks = real(lam)
+        sums = real(lam)
         w, p = next((w, p) for w, p in sums.items() if p.coeffs)
-        return {**sums, w: TPoly(change(p.coeffs))}, blocks
+        return {**sums, w: TPoly(change(p.coeffs))}
 
     monkeypatch.setattr(cli_module, "shifted_sums", tampered)
 

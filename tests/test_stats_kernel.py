@@ -195,7 +195,7 @@ def _kernel_crystals():
 
 def test_kernel_counts_match_triangle_on_crystals():
     for shape, elements in _kernel_crystals():
-        scored = list(crystal_scores(shape, elements, {}))
+        scored = list(crystal_scores(shape, elements))
         assert len(scored) == len(elements)
         for t, (w, *counts) in zip(elements, scored):
             assert w == content(t).coords
@@ -210,7 +210,7 @@ def test_weight_sums_match_per_element_sums():
         for t in elements:
             w = content(t).coords
             want[w] = list_add(want.get(w, []), c_coefficient(decorate_via_stats(t)).coeffs)
-        got = weight_sums(crystal_scores(shape, elements, {}))
+        got = weight_sums(crystal_scores(shape, elements))
         assert list(got) == list(want)  # first-seen order
         assert got == {w: TPoly(tuple(c)) for w, c in want.items()}
     # a weight whose elements all die is kept, with sum zero
@@ -232,7 +232,7 @@ def rank5_samples(draw):
 @given(rank5_samples())
 def test_kernel_counts_match_triangle_at_rank_5(sample):
     shape, elements = sample
-    for t, (w, *counts) in zip(elements, crystal_scores(shape, elements, {}), strict=True):
+    for t, (w, *counts) in zip(elements, crystal_scores(shape, elements), strict=True):
         assert w == content(t).coords
         assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
@@ -260,9 +260,9 @@ def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
 
 def test_kernel_rejects_shape_with_nonzero_last_part():
     with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
-        list(crystal_scores(Shape((4, 2, 1)), [], {}))
+        list(crystal_scores(Shape((4, 2, 1)), []))
     with pytest.raises(ValueError, match="not strictly decreasing"):
-        list(crystal_scores(Shape((3, 3, 0)), [], {}))
+        list(crystal_scores(Shape((3, 3, 0)), []))
 
 
 def _count_kernel_passes(monkeypatch):
@@ -277,9 +277,9 @@ def _count_kernel_passes(monkeypatch):
         calls["listed"].append((shape, rank))
         return real_list(shape, rank)
 
-    def scored(shape, elements, blocks):
+    def scored(shape, elements):
         calls["scored"].append(list(elements))
-        return real_kernel(shape, calls["scored"][-1], blocks)
+        return real_kernel(shape, calls["scored"][-1])
 
     def summed(scores):
         calls["summed"].append(scores)

@@ -6,14 +6,19 @@ errors, 3 when an internal invariant breaks, 141 (128 + SIGPIPE) when
 the reader of stdout closes it early, as `head` does.  Everything
 written to stdout is a pure function of the arguments; timings go to
 stderr.
+
+One table, _COMMANDS, declares each subcommand's options.  main reads a
+plainly written argv with _fast_args; only what that declines (--help,
+usage errors, ...) imports argparse and goes to the parser build_parser
+makes from the same table, so help, messages and exit codes stay its.
 """
 
-import argparse
 import gc
 import os
 import sys
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .bzl import (
     c_coefficient,
@@ -258,64 +263,140 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand once, as (help, function, {flag: argparse keywords}).
+# build_parser and _fast_args both read this table, so the two parsers
+# cannot drift apart.
+_RANK = {"type": int, "required": True, "help": "rank r >= 1"}
+_WEIGHT = {
+    "--lambda": {"dest": "lam", "help": "fundamental coefficients c1,...,cr"},
+    "--partition": {"help": "GL partition l1,l2,... (at most r+1 parts)"},
+}
+_ONE_OF = tuple(_WEIGHT)  # a required group: exactly one of them is given
+_SHIFTED = {"action": "store_true", "default": False, "help": "use lambda + rho"}
+_TEXT_JSON = {"choices": ["text", "json"], "default": "text"}
+_COMMANDS = {
+    "enumerate": (
+        "list a crystal",
+        cmd_enumerate,
+        {"--rank": _RANK, **_WEIGHT, "--shifted": _SHIFTED, "--format": _TEXT_JSON},
+    ),
+    "bzl": (
+        "decorated path of one tableau",
+        cmd_bzl,
+        {
+            "--rank": _RANK,
+            "--tableau": {"required": True, "help": "one-line form, e.g. '1 2 2 / 3 3'"},
+            "--format": _TEXT_JSON,
+        },
+    ),
+    "verify": (
+        "check the character identity for one lambda",
+        cmd_verify,
+        {"--rank": _RANK, **_WEIGHT, "--format": _TEXT_JSON},
+    ),
+    "hpoly": (
+        "deformed weight-multiplicity table",
+        cmd_hpoly,
+        {
+            "--rank": _RANK,
+            **_WEIGHT,
+            "--format": {"choices": ["text", "json", "csv", "latex"], "default": "text"},
+            "--at": {"choices": ["inf", "-1", "1"], "help": "specialize and cross-check"},
+        },
+    ),
+    "graph": (
+        "crystal graph as DOT",
+        cmd_graph,
+        {
+            "--rank": _RANK,
+            **_WEIGHT,
+            "--shifted": _SHIFTED,
+            "--format": {"choices": ["dot"], "default": "dot"},
+        },
+    ),
+}
+
+
+def build_parser():
+    import argparse  # here, not at the top: a plainly written argv never builds it
+
     parser = argparse.ArgumentParser(
         prog="cs-crystal",
         description="Exact tableau-crystal computations: decorated paths, "
         "deformed character identities, weight-multiplicity tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, weight=True):
-        p.add_argument("--rank", type=int, required=True, help="rank r >= 1")
-        if weight:
-            given = p.add_mutually_exclusive_group(required=True)
-            given.add_argument("--lambda", dest="lam", help="fundamental coefficients c1,...,cr")
-            given.add_argument("--partition", help="GL partition l1,l2,... (at most r+1 parts)")
-
-    p = sub.add_parser("enumerate", help="list a crystal")
-    add_common(p)
-    p.add_argument("--shifted", action="store_true", help="use lambda + rho")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("bzl", help="decorated path of one tableau")
-    add_common(p, weight=False)
-    p.add_argument("--tableau", required=True, help="one-line form, e.g. '1 2 2 / 3 3'")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_bzl)
-
-    p = sub.add_parser("verify", help="check the character identity for one lambda")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("hpoly", help="deformed weight-multiplicity table")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "json", "csv", "latex"], default="text")
-    p.add_argument("--at", choices=["inf", "-1", "1"], help="specialize and cross-check")
-    p.set_defaults(func=cmd_hpoly)
-
-    p = sub.add_parser("graph", help="crystal graph as DOT")
-    add_common(p)
-    p.add_argument("--shifted", action="store_true", help="use lambda + rho")
-    p.add_argument("--format", choices=["dot"], default="dot")
-    p.set_defaults(func=cmd_graph)
-
+    for name, (text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        group = None
+        for flag, keywords in options.items():
+            if flag in _ONE_OF and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            (group if flag in _ONE_OF else p).add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call and reused after it."""
+def _parser():
+    """The parser, built on the first argv that _fast_args leaves to it."""
     return build_parser()
 
 
+def _fast_args(argv):
+    """The parse of a plainly written argv, or None to leave it to argparse.
+
+    Plainly written: a subcommand, then its long options in full, each at
+    most once, each value in the next token and starting with '-' only
+    when it is one of the option's choices (`--at -1`), with --rank's
+    value an int() and the required options given.  The result holds the
+    attributes argparse would set, with the same values.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given, k = {}, 1
+    while k < len(argv):
+        flag = argv[k]
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            k += 1
+            continue
+        if k + 1 == len(argv):
+            return None
+        value = argv[k + 1]
+        choices = keywords.get("choices")
+        if (value not in choices) if choices else value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        given[flag] = value
+        k += 2
+    if _ONE_OF[0] in options and sum(flag in given for flag in _ONE_OF) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, keywords in options.items():
+        if keywords.get("required") and flag not in given:
+            return None
+        setattr(args, keywords.get("dest", flag[2:]), given.get(flag, keywords.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 2
     if args.rank < 1:
         sys.stderr.write("error: --rank must be >= 1\n")
         return 2

@@ -427,13 +427,18 @@ def _loaded_modules(code="pass"):
 def test_text_run_loads_no_dataclasses_inspect_or_json():
     # against what a bare interpreter loads in the same environment, a
     # text-format run adds none of these start-up costs; json is loaded
-    # only when JSON is written
+    # only when JSON is written, and argparse (with gettext) only for an
+    # argv the fast reader leaves to it, such as --help
     baseline = _loaded_modules()
     verify = "from cscrystal.cli import main\nassert main(['verify', '--rank', '2', '--lambda', '1,0'{}]) == 0"
     added = _loaded_modules(verify.format("")) - baseline
     assert "cscrystal.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
-    assert "json" in _loaded_modules(verify.format(", '--format', 'json'"))
+    assert not added & {"dataclasses", "inspect", "json", "argparse", "gettext"}
+    as_json = _loaded_modules(verify.format(", '--format', 'json'")) - baseline
+    assert "json" in as_json
+    assert not as_json & {"argparse", "gettext"}
+    assert not (_loaded_modules("import cscrystal.cli") - baseline) & {"argparse", "gettext"}
+    assert "argparse" in _loaded_modules("from cscrystal.cli import main\nassert main(['--help']) == 0")
 
 
 def test_threads_flag_validation(capsys):
@@ -680,22 +685,30 @@ def _run_module(monkeypatch, *argv) -> int:
 
 
 def test_module_entry_freezes_once_before_parsing(capsys, monkeypatch):
-    # the start-up heap is frozen before main builds its parser, and only
-    # once
+    # the start-up heap is frozen before the fast reader first reads argv,
+    # and only once; argparse's parser is reached only for an argv the
+    # reader leaves to it, such as an abbreviated flag
     import cscrystal.cli as cli_module
 
     events = []
-    real = cli_module._parser
+    real_reader, real_parser = cli_module._fast_args, cli_module._parser
+
+    def reader(argv):
+        events.append("read")
+        return real_reader(argv)
 
     def parser():
         events.append("parse")
-        return real()
+        return real_parser()
 
     monkeypatch.setattr("gc.freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli_module, "_fast_args", reader)
     monkeypatch.setattr(cli_module, "_parser", parser)
-    assert _run_module(monkeypatch, "verify", "--rank", "2", "--lambda", "1,0") == 0
-    assert events == ["freeze", "parse"]
-    assert capsys.readouterr().out.endswith("reversed form: equal\n")
+    for flag, reads in (("--lambda", ["read"]), ("--lam", ["read", "parse"])):
+        events.clear()
+        assert _run_module(monkeypatch, "verify", "--rank", "2", flag, "1,0") == 0
+        assert events == ["freeze", *reads]
+        assert capsys.readouterr().out.endswith("reversed form: equal\n")
 
 
 def test_in_process_main_never_freezes(capsys, monkeypatch):
@@ -764,6 +777,14 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_module, "build_parser", counted)
     cli_module._parser.cache_clear()
+    # well-formed bzl calls, as perfbench's bzl-sample makes them, take
+    # the fast reader and build no parser
+    tableaux = [(1, "1 1 2"), (2, "1 1 2 / 2 3"), (3, "1 1 2 4 / 2 3 / 4")]
+    for k in range(1000):
+        rank, text = tableaux[k % 3]
+        assert run_cli(capsys, "bzl", "--rank", str(rank), "--tableau", text)[0] == 0
+    assert cli_module._parser.cache_info().misses == 0
+    assert built == []
     in_process = []
     for argv in calls:
         code, out, _ = run_cli(capsys, *argv)

@@ -38,7 +38,6 @@ from .rootsys import (
     Shape,
     alpha_to_gl,
     dot_orbit_sign,
-    gl_to_alpha,
     lambda_from_fundamental,
     rho,
 )

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from functools import lru_cache
+from operator import sub
 from types import SimpleNamespace
 
 from .bzl import (
@@ -40,7 +41,6 @@ from .laurent import shifted_sums, verify_bn_form, verify_identity
 from .rootsys import (
     GLWeight,
     Shape,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     rho,
@@ -191,12 +191,15 @@ _ORACLE_LABEL = {
 }
 
 
-def _oracle_value(lam: GLWeight, mu, point: SpecPoint) -> int:
-    r = lam.rank
+def _oracle_value(lam: GLWeight, mu, w: tuple, point: SpecPoint, shift: tuple) -> int:
+    """The oracle's value at the point for the row of mu, read from the
+    row's weight w = lam + rho - mu as h_table keeps it; shift is rho's
+    coordinates, computed once per table.  At q=inf the weight asked
+    about is lam - mu = w - rho, at q=-1 it is w itself."""
     if point is SpecPoint.Q_INF:
-        return weight_multiplicity(lam, lam - alpha_to_gl(mu, r))
+        return weight_multiplicity(lam, GLWeight(tuple(map(sub, w, shift))))
     if point is SpecPoint.Q_MINUS_ONE:
-        return tensor_weight_multiplicity(lam, lam + rho(r) - alpha_to_gl(mu, r))
+        return tensor_weight_multiplicity(lam, GLWeight(w))
     return dot_orbit_sign(lam, mu)
 
 
@@ -207,9 +210,10 @@ def cmd_hpoly(args) -> int:
     rows = table.sorted_rows()
     checks = []
     if point is not None:
+        shift = rho(lam.rank).coords
         for mu, poly in rows:
             got = specialize(poly, point)
-            want = _oracle_value(lam, mu, point)
+            want = _oracle_value(lam, mu, table.weights[mu], point, shift)
             checks.append((mu, got, want))
     mismatched = [c for c in checks if c[1] != c[2]]
 
@@ -416,16 +420,26 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry() -> int:
+def entry():
     """Process entry of `python -m cscrystal` and the cs-crystal script.
 
     gc.freeze() moves the start-up heap into the collector's permanent
-    generation, so neither the job's collections nor those at shutdown
-    traverse it again.  main() never freezes: a caller that runs it many
-    times in one process would keep each call's garbage for good.
+    generation, so the job's collections do not traverse it again.
+    After main(), the two streams are flushed and os._exit ends the
+    process with main()'s code, skipping interpreter teardown (module
+    cleanup, the final collection, freeing the listed crystal): the
+    package opens no file and registers no atexit handler.  A reader
+    gone by that flush makes the code 141, as in main.  main() neither
+    freezes nor exits, for callers that run it many times in a process.
     """
     gc.freeze()
-    return main()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 141
+    os._exit(code)
 
 
 if __name__ == "__main__":

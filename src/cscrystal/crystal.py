@@ -141,4 +141,7 @@ def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
                 fill(k + 1, prefix + (row,), row)
 
     fill(0, (), ())
+    # fill reaches itself through its closure cell; cutting that cycle
+    # frees fits and out by reference counts, not at some later collection
+    del fill
     return tuple(out)

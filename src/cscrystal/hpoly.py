@@ -5,9 +5,12 @@ coordinates) collects the coefficients of the rho-shifted crystal
 elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
-each element from its Gelfand-Tsetlin blocks.  The same polynomial arises
-from tensoring the plain lambda-crystal with the rho-crystal and only
-scoring the rho factor; tests/oracles.py keeps that route as a twin.
+each element from its Gelfand-Tsetlin blocks.  A table keeps each row's
+weight w = lambda + rho - mu as those sums key it, so cli asks the
+oracles below about w - rho = lambda - mu and w with no trip through mu.
+The same polynomial arises from tensoring the plain lambda-crystal with
+the rho-crystal and only scoring the rho factor; tests/oracles.py keeps
+that route as a twin.
 
 Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
 of V(lambda), a weight multiplicity of V(lambda) x V(rho), and a signed
@@ -21,7 +24,8 @@ or reads a coefficient.
 
 import enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import sub
 
 # Re-exports that perfbench/child.py traces at this module; no function
 # here calls them (laurent.shifted_sums lists and scores the crystal).
@@ -29,7 +33,7 @@ from .bzl import c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal  # noqa: F401
 from .laurent import shifted_sums
 from .rootsys import (
-    AlphaVector, GLWeight, Record, character, dominant_multiplicities, gl_to_alpha, rho,
+    AlphaVector, GLWeight, Record, character, dominant_multiplicities, rho,
 )
 from .tpoly import TPoly
 
@@ -48,11 +52,12 @@ _T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
 class HTable(Record):
     """All weight drops of the shifted crystal with their polynomials."""
 
-    __slots__ = ("lam", "rank", "rows")
+    __slots__ = ("lam", "rank", "rows", "weights")
 
-    def __init__(self, lam: GLWeight, rank: int, rows: dict):
+    def __init__(self, lam: GLWeight, rank: int, rows: dict, weights: dict):
         self.lam, self.rank = lam, rank
         self.rows = rows  # AlphaVector -> TPoly
+        self.weights = weights  # AlphaVector mu -> coordinates of lam + rho - mu
 
     def sorted_rows(self):
         """(mu, polynomial) pairs ordered by (degree, coordinates)."""
@@ -121,12 +126,20 @@ def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
     The row of mu is the weight sum of laurent.shifted_sums at weight
-    lam + rho - mu, rows in weight_sums order.
+    w = lam + rho - mu, rows in weight_sums order.  The table keeps each
+    w as shifted_sums yields it, and mu's coordinates are the partial
+    sums of lam + rho - w.
     """
     r = lam.rank
-    shifted = lam + rho(r)
-    rows = {gl_to_alpha(shifted - GLWeight(w)): poly for w, poly in shifted_sums(lam).items()}
-    return HTable(lam=lam, rank=r, rows=rows)
+    shifted = (lam + rho(r)).coords
+    size = sum(shifted)
+    rows, weights = {}, {}
+    for w, poly in shifted_sums(lam).items():
+        if sum(w) != size:
+            raise ValueError(f"lambda + rho - {w} is not in the root lattice")
+        mu = AlphaVector(tuple(accumulate(map(sub, shifted[:-1], w))))
+        rows[mu], weights[mu] = poly, w
+    return HTable(lam=lam, rank=r, rows=rows, weights=weights)
 
 
 def specialize(h: TPoly, point: SpecPoint) -> int:

@@ -233,18 +233,6 @@ def alpha_to_gl(mu: AlphaVector, rank: int) -> GLWeight:
     return GLWeight(tuple(coords))
 
 
-def gl_to_alpha(v: GLWeight) -> AlphaVector:
-    """Inverse of alpha_to_gl; the partial sums recover the c_i."""
-    if sum(v.coords) != 0:
-        raise ValueError(f"{v.coords} is not in the root lattice (coordinates sum to {sum(v.coords)})")
-    partial = 0
-    cs = []
-    for x in v.coords[:-1]:
-        partial += x
-        cs.append(partial)
-    return AlphaVector(tuple(cs))
-
-
 def perm_sign(perm: tuple[int, ...]) -> int:
     """Sign of a permutation in one-line notation, by inversion count."""
     inversions = sum(
@@ -266,11 +254,11 @@ def dot_orbit_sign(lam: GLWeight, mu: AlphaVector) -> int:
     its coordinate, which builds the lexicographically first of them.
     """
     r = lam.rank
-    shifted = (lam + rho(r)).coords
-    target = (lam + rho(r) - alpha_to_gl(mu, r)).coords
-    if sorted(shifted) != sorted(target):
+    shifted = lam + rho(r)
+    target = (shifted - alpha_to_gl(mu, r)).coords
+    if sorted(shifted.coords) != sorted(target):
         return 0
     positions: dict = {}
     for p, x in enumerate(target, start=1):
         positions.setdefault(x, []).append(p)
-    return perm_sign(tuple(positions[x].pop(0) for x in shifted))
+    return perm_sign(tuple(positions[x].pop(0) for x in shifted.coords))

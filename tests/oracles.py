@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
 from cscrystal.rootsys import (
-    GLWeight, alpha_to_gl, gl_to_alpha, partition_shape, perm_sign, rho,
+    AlphaVector, GLWeight, alpha_to_gl, partition_shape, perm_sign, rho,
 )
 from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
@@ -141,6 +141,19 @@ def c_product_twin(box, non):
     for _ in range(non):
         out = list_mul(out, [1, -1])
     return TPoly(tuple(out))
+
+
+def gl_to_alpha(v: GLWeight) -> AlphaVector:
+    """Inverse of rootsys.alpha_to_gl; the partial sums recover the c_i.
+    hpoly.h_table reads each row's mu off its weight the same way."""
+    if sum(v.coords) != 0:
+        raise ValueError(f"{v.coords} is not in the root lattice (coordinates sum to {sum(v.coords)})")
+    partial = 0
+    cs = []
+    for x in v.coords[:-1]:
+        partial += x
+        cs.append(partial)
+    return AlphaVector(tuple(cs))
 
 
 def h_direct(lam, mu):

@@ -13,7 +13,7 @@ from cscrystal.bzl import (
     decorate_via_stats,
     g_coefficient,
 )
-from cscrystal.rootsys import Shape, gl_to_alpha, rho
+from cscrystal.rootsys import Shape, rho
 from cscrystal.tableaux import (
     BZL_LAYOUT,
     STATS_LAYOUT,
@@ -23,7 +23,7 @@ from cscrystal.tableaux import (
     make_tableau,
 )
 from cscrystal.tpoly import QLaurent, TPoly
-from oracles import highest_weight_tableau
+from oracles import gl_to_alpha, highest_weight_tableau
 from stats_twin import twin_stats_a
 from test_word_kernel import strict_shape_tableaux
 

@@ -677,8 +677,16 @@ def test_module_entry_point():
 
 
 def _run_module(monkeypatch, *argv) -> int:
-    """Exit code of `python -m cscrystal *argv`, run in this process."""
+    """Exit code of `python -m cscrystal *argv`, run in this process.
+
+    entry ends its process with os._exit, which here would end pytest's;
+    the stand-in raises SystemExit with the same code instead."""
+
+    def _exit(code):
+        raise SystemExit(code)
+
     monkeypatch.setattr(sys, "argv", ["cs-crystal", *argv])
+    monkeypatch.setattr(os, "_exit", _exit)
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("cscrystal", run_name="__main__")
     return exc.value.code
@@ -756,6 +764,96 @@ def test_closed_stdout_pipe_exits_141(command):
     proc.stderr.close()
     assert proc.wait() == 141
     assert first.strip() and err == b""
+
+
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that logs its flushes."""
+
+    def __init__(self, name, events, broken=False):
+        self.name, self.events, self.broken = name, events, broken
+        self.written = []
+
+    def write(self, text):
+        self.written.append(text)
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+def _entry_events(monkeypatch, code, broken=False):
+    """What entry does around a main() that returns code: the events,
+    the code os._exit received, and what reached stderr."""
+    import cscrystal.cli as cli_module
+
+    events = []
+
+    class Exited(Exception):
+        pass
+
+    def _exit(code):
+        events.append(("exit", code))
+        raise Exited
+
+    err = _Stream("stderr", events)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, broken))
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr("gc.freeze", lambda: None)
+    monkeypatch.setattr(cli_module, "main", lambda: events.append("main") or code)
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(Exited):
+        cli_module.entry()
+    return events, err.written
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_entry_flushes_both_streams_then_exits_with_mains_code(monkeypatch, code):
+    events, _ = _entry_events(monkeypatch, code)
+    assert events == ["main", "flush stdout", "flush stderr", ("exit", code)]
+
+
+def test_entry_exits_141_when_the_last_flush_finds_the_reader_gone(monkeypatch):
+    events, err = _entry_events(monkeypatch, 0, broken=True)
+    assert events == ["main", "flush stdout", "flush stderr", ("exit", 141)]
+    assert err == []
+
+
+def _spawned(argv, monkeypatch):
+    """(exit code, stdout bytes, stderr bytes) of `python -m cscrystal
+    *argv`, with stdout and stderr pipes that buffer as they do in a
+    pipeline (no PYTHONUNBUFFERED) and argparse's width fixed at 80."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cscrystal", *argv],
+        capture_output=True,
+        env={**env, "PYTHONPATH": _package_path(), "PYTHONIOENCODING": "utf-8"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_output_larger_than_a_pipe_arrives_whole(capsys, monkeypatch):
+    # 136 kB, more than a pipe holds: os._exit comes only after the last
+    # byte is written, so the reader gets all of it
+    argv = ["enumerate", "--rank", "4", "--lambda", "1,0,0,0", "--shifted"]
+    code, out, _ = run_cli(capsys, *argv)
+    spawned_code, spawned_out, _ = _spawned(argv, monkeypatch)
+    assert len(spawned_out) > 65536
+    assert code == spawned_code == 0
+    assert spawned_out == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["hpoly", "--help"], ["verify", "--rank", "2", "--bogus"]]
+)
+def test_module_writes_what_main_left_buffered(capsys, monkeypatch, argv):
+    # argparse writes help and usage errors without a flush, and main
+    # returns; entry's own flush is what gets them out before os._exit
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert out or err
+    assert _spawned(argv, monkeypatch) == (code, out.encode("utf-8"), err.encode("utf-8"))
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -179,6 +180,21 @@ def test_enumeration_cache_is_bounded():
     assert enumerate_crystal.cache_info().currsize <= bound
     enumerate_crystal.cache_clear()
     assert enumerate_crystal.cache_info().currsize == 0
+
+
+def test_listing_leaves_nothing_for_the_cyclic_collector():
+    # a cleared listing is freed by reference counts alone: no cycle of
+    # the call keeps its tableaux (rank-4 omega_1 + rho, 2520 of them)
+    # for a collection that, with gc off, would never come
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_crystal.cache_clear()
+        assert len(enumerate_crystal(Shape((5, 3, 2, 1, 0)), 4)) == 2520
+        enumerate_crystal.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_crystal_axioms_on_suite():

@@ -6,7 +6,9 @@ character s_lambda s_rho; rootsys builds the q = 1 orbit sign by
 matching coordinates.  tests/oracles.py keeps the
 per-row scans, and these tests hold each oracle to its twin at ranks
 1-4, on every row of several H-tables, and on non-dominant weights whose
-lambda + rho repeats a coordinate.
+lambda + rho repeats a coordinate.  cli asks each oracle about the row
+weight h_table keeps; the tests hold that to the weight the simple-root
+coordinates of the row give.
 """
 
 from collections import Counter
@@ -15,20 +17,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import suite_weights
 from cscrystal import cli, hpoly, laurent
 from cscrystal.crystal import enumerate_crystal
-from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
+from cscrystal.hpoly import SpecPoint, h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
     alpha_to_gl,
     dot_orbit_sign,
-    gl_to_alpha,
     lambda_from_fundamental,
     partition_shape,
     rho,
 )
 from cscrystal.tableaux import content
+from cscrystal.tpoly import TPoly
 
 # The largest part per rank keeps every B(lambda) small.
 _MAX_PART = {1: 4, 2: 3, 3: 2, 4: 1}
@@ -104,7 +107,7 @@ def test_dot_orbit_sign_matches_scan_on_the_orbit(lam, data):
     r = lam.rank
     perm = tuple(data.draw(st.permutations(range(1, r + 2))))
     try:
-        mu = gl_to_alpha(lam - oracles.dot_action(perm, lam))
+        mu = oracles.gl_to_alpha(lam - oracles.dot_action(perm, lam))
     except ValueError:
         return
     sign = dot_orbit_sign(lam, mu)
@@ -117,7 +120,7 @@ def test_dot_orbit_sign_takes_first_match_on_repeated_coordinates():
     # (1, 3, 2) (odd) and (3, 1, 2) (even) match; the scan meets the
     # odd one first
     lam = GLWeight((1, 1, 0)) - rho(2)
-    mu = gl_to_alpha(GLWeight((0, 1, -1)))
+    mu = oracles.gl_to_alpha(GLWeight((0, 1, -1)))
     assert dot_orbit_sign(lam, mu) == -1
     assert oracles.scan_dot_orbit_sign(lam, mu) == -1
 
@@ -141,6 +144,45 @@ def test_every_table_row_matches_scans(lam):
             oracles.scan_tensor_weight_multiplicity(lam, nu)
         )
         assert dot_orbit_sign(lam, mu) == oracles.scan_dot_orbit_sign(lam, mu)
+
+
+ROW_WEIGHTS = suite_weights() + [
+    lambda_from_fundamental(coeffs, 4) for coeffs in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
+]
+
+
+@pytest.mark.parametrize("lam", ROW_WEIGHTS, ids=lambda lam: str(lam.coords))
+def test_row_weights_give_the_old_oracle_arguments(lam):
+    # cli reads each oracle's argument off the weight h_table keeps per
+    # row; it must be what the round trip through alpha_to_gl gave
+    r = lam.rank
+    table = h_table(lam)
+    shift = rho(r).coords
+    assert table.weights.keys() == table.rows.keys()
+    for mu, w in table.weights.items():
+        drop = alpha_to_gl(mu, r)
+        assert w == (lam + rho(r) - drop).coords
+        old = {
+            SpecPoint.Q_INF: weight_multiplicity(lam, lam - drop),
+            SpecPoint.Q_MINUS_ONE: tensor_weight_multiplicity(lam, lam + rho(r) - drop),
+            SpecPoint.Q_ONE: oracles.scan_dot_orbit_sign(lam, mu),
+        }
+        for point, want in old.items():
+            assert cli._oracle_value(lam, mu, w, point, shift) == want, (mu, point)
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ((3, 1, 1), "not in the root lattice"),  # coordinates sum to 5, lambda + rho to 4
+        ((4, 0, 0), "must be nonnegative"),  # mu = -alpha_1
+    ],
+)
+def test_h_table_refuses_a_weight_off_the_drops(monkeypatch, w, message):
+    # lambda + rho = (3, 1, 0) at lambda = omega_1, rank 2
+    monkeypatch.setattr(hpoly, "shifted_sums", lambda lam: {w: TPoly((1,))})
+    with pytest.raises(ValueError, match=message):
+        h_table(lambda_from_fundamental((1, 0), 2))
 
 
 def test_wrong_rank_weight():

@@ -3,14 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dot_action, permute_weight
+from oracles import dot_action, gl_to_alpha, permute_weight
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
     Shape,
     alpha_to_gl,
     dot_orbit_sign,
-    gl_to_alpha,
     lambda_from_fundamental,
     perm_sign,
     rho,

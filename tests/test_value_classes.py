@@ -17,7 +17,8 @@ from cscrystal.tpoly import TPoly
 
 
 def _htable():
-    return HTable(lam=GLWeight((1, 0, 0)), rank=2, rows={AlphaVector((0, 0)): TPoly((1,))})
+    mu = AlphaVector((0, 0))
+    return HTable(lam=GLWeight((1, 0, 0)), rank=2, rows={mu: TPoly((1,))}, weights={mu: (3, 1, 0)})
 
 
 def _report():
@@ -47,7 +48,9 @@ CASES = [
     (
         _htable,
         None,  # rows is a dict, so an HTable has no hash, as the frozen dataclass had none
-        "HTable(lam=GLWeight(coords=(1, 0, 0)), rank=2, rows={AlphaVector(c=(0, 0)): TPoly(coeffs=(1,))})",
+        # weights, each row's weight lam + rho - mu, came after the dataclass
+        "HTable(lam=GLWeight(coords=(1, 0, 0)), rank=2, rows={AlphaVector(c=(0, 0)): TPoly(coeffs=(1,))},"
+        " weights={AlphaVector(c=(0, 0)): (3, 1, 0)})",
     ),
     (
         _report,

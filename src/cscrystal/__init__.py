@@ -15,14 +15,7 @@ from .bzl import (
     g_coefficient,
 )
 from .crystal import e_op, enumerate_crystal, f_op, phi
-from .hpoly import (
-    HTable,
-    SpecPoint,
-    h_table,
-    specialize,
-    tensor_weight_multiplicity,
-    weight_multiplicity,
-)
+from .hpoly import HTable, h_table, tensor_weight_multiplicity, weight_multiplicity
 from .laurent import (
     IdentityReport,
     LaurentPoly,
@@ -36,7 +29,6 @@ from .rootsys import (
     AlphaVector,
     GLWeight,
     Shape,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     rho,

@@ -6,23 +6,23 @@ elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
 each element from its Gelfand-Tsetlin blocks.  A table keeps each row's
-weight w = lambda + rho - mu as those sums key it, so cli asks the
-oracles below about w - rho = lambda - mu and w with no trip through mu.
+weight w = lambda + rho - mu as those sums key it, so cli asks all three
+oracles below about w (less rho at q = inf) with no trip through mu.
 The same polynomial arises from tensoring the plain lambda-crystal with
 the rho-crystal and only scoring the rho factor; tests/oracles.py keeps
 that route as a twin.
 
-Evaluating t at 0, -1 and 1 recovers, in order: a weight multiplicity
-of V(lambda), a weight multiplicity of V(lambda) x V(rho), and a signed
-indicator of the shifted Weyl orbit.  All three oracles read the root
-system, not a crystal: the first looks the sorted weight up in
+Evaluating t = 1/q at 0, -1 and 1 (q = inf, -1 and 1, the points of
+cli._AT) recovers, in order: a weight multiplicity of V(lambda), a
+weight multiplicity of V(lambda) x V(rho), and a signed indicator of the
+shifted Weyl orbit.  All three oracles read the root system, not a
+crystal: the first looks the sorted weight up in
 rootsys.dominant_multiplicities (Freudenthal's formula), the second in
 s_lambda s_rho with s_rho = prod_{i<j} (z_i + z_j), built once per
 lambda, and the orbit sign lives in rootsys.  No oracle lists a crystal
 or reads a coefficient.
 """
 
-import enum
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import sub
@@ -35,18 +35,6 @@ from .laurent import shifted_sums
 from .rootsys import (
     AlphaVector, GLWeight, Record, character, dominant_multiplicities, rho,
 )
-from .tpoly import TPoly
-
-
-class SpecPoint(enum.Enum):
-    """The three evaluation points, named by the value of q."""
-
-    Q_INF = "inf"
-    Q_MINUS_ONE = "-1"
-    Q_ONE = "1"
-
-
-_T_VALUE = {SpecPoint.Q_INF: 0, SpecPoint.Q_MINUS_ONE: -1, SpecPoint.Q_ONE: 1}
 
 
 class HTable(Record):
@@ -56,15 +44,8 @@ class HTable(Record):
 
     def __init__(self, lam: GLWeight, rank: int, rows: dict, weights: dict):
         self.lam, self.rank = lam, rank
-        self.rows = rows  # AlphaVector -> TPoly
-        self.weights = weights  # AlphaVector mu -> coordinates of lam + rho - mu
-
-    def sorted_rows(self):
-        """(mu, polynomial) pairs ordered by (degree, coordinates)."""
-        return [
-            (mu, self.rows[mu])
-            for mu in sorted(self.rows, key=lambda m: (m.degree(), m.c))
-        ]
+        self.rows = rows  # AlphaVector -> TPoly, ordered by (degree, coordinates)
+        self.weights = weights  # AlphaVector mu -> coordinates of lam + rho - mu, same order
 
     def to_csv(self) -> str:
         """Columns c_1..c_r, then t-coefficients padded to a common degree."""
@@ -73,7 +54,7 @@ class HTable(Record):
             f"t{k}" for k in range(width)
         ]
         lines = [",".join(header)]
-        for mu, poly in self.sorted_rows():
+        for mu, poly in self.rows.items():
             coeffs = [poly.coefficient(k) for k in range(width)]
             lines.append(",".join(str(x) for x in list(mu.c) + coeffs))
         return "\n".join(lines) + "\n"
@@ -82,7 +63,7 @@ class HTable(Record):
         """Two column-pair tabular, rows split into halves."""
         pairs = [
             (format_mu(mu, "\\alpha_"), str(poly.to_qlaurent()))
-            for mu, poly in self.sorted_rows()
+            for mu, poly in self.rows.items()
         ]
         half = (len(pairs) + 1) // 2
         lines = [
@@ -103,7 +84,7 @@ class HTable(Record):
             "rank": self.rank,
             "rows": [
                 {"mu": list(mu.c), "coeffs": list(poly.coeffs)}
-                for mu, poly in self.sorted_rows()
+                for mu, poly in self.rows.items()
             ],
         }
 
@@ -126,24 +107,23 @@ def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
     The row of mu is the weight sum of laurent.shifted_sums at weight
-    w = lam + rho - mu, rows in weight_sums order.  The table keeps each
-    w as shifted_sums yields it, and mu's coordinates are the partial
-    sums of lam + rho - w.
+    w = lam + rho - mu.  The table keeps each w as shifted_sums yields
+    it, and mu's coordinates are the partial sums of lam + rho - w; the
+    rows are sorted once, by (degree, coordinates), as every reader
+    prints them.
     """
-    r = lam.rank
-    shifted = (lam + rho(r)).coords
+    shifted = (lam + rho(lam.rank)).coords
     size = sum(shifted)
-    rows, weights = {}, {}
+    found = []
     for w, poly in shifted_sums(lam).items():
         if sum(w) != size:
             raise ValueError(f"lambda + rho - {w} is not in the root lattice")
-        mu = AlphaVector(tuple(accumulate(map(sub, shifted[:-1], w))))
+        found.append((tuple(accumulate(map(sub, shifted[:-1], w))), w, poly))
+    rows, weights = {}, {}
+    for c, w, poly in sorted(found, key=lambda row: (sum(row[0]), row[0])):
+        mu = AlphaVector(c)
         rows[mu], weights[mu] = poly, w
-    return HTable(lam=lam, rank=r, rows=rows, weights=weights)
-
-
-def specialize(h: TPoly, point: SpecPoint) -> int:
-    return h.eval(_T_VALUE[point])
+    return HTable(lam=lam, rank=lam.rank, rows=rows, weights=weights)
 
 
 def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:

@@ -134,10 +134,6 @@ class AlphaVector(Record):
         if any(not isinstance(x, int) or x < 0 for x in self.c):
             raise ValueError(f"alpha coordinates must be nonnegative integers: {self.c}")
 
-    @property
-    def rank(self) -> int:
-        return len(self.c)
-
     def degree(self) -> int:
         return sum(self.c)
 
@@ -222,17 +218,6 @@ def character(lam: GLWeight) -> dict:
     return {w: m for nu, m in mults.items() for w in set(permutations(nu))}
 
 
-def alpha_to_gl(mu: AlphaVector, rank: int) -> GLWeight:
-    """Expand sum(c_i * alpha_i) into GL coordinates."""
-    if mu.rank != rank:
-        raise ValueError(f"alpha vector has rank {mu.rank}, expected {rank}")
-    coords = [0] * (rank + 1)
-    for i, ci in enumerate(mu.c, start=1):
-        coords[i - 1] += ci
-        coords[i] -= ci
-    return GLWeight(tuple(coords))
-
-
 def perm_sign(perm: tuple[int, ...]) -> int:
     """Sign of a permutation in one-line notation, by inversion count."""
     inversions = sum(
@@ -244,21 +229,20 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def dot_orbit_sign(lam: GLWeight, mu: AlphaVector) -> int:
-    """Sign of the permutation w with w . lam == lam - mu, else 0.
+def dot_orbit_sign(lam: GLWeight, w: tuple) -> int:
+    """Sign of the permutation v with v . lam == w - rho, else 0, for the
+    coordinates w of lam + rho - mu.
 
-    w . lam == lam - mu says that position w(k) of lam + rho - mu holds
-    the k-th coordinate of lam + rho, so w exists exactly when the two
-    vectors are rearrangements of each other.  With repeated coordinates
-    several w qualify; slot k takes the smallest unused position holding
-    its coordinate, which builds the lexicographically first of them.
+    v . lam == lam - mu says that position v(k) of w holds the k-th
+    coordinate of lam + rho, so v exists exactly when the two vectors
+    are rearrangements of each other.  With repeated coordinates several
+    v qualify; slot k takes the smallest unused position holding its
+    coordinate, which builds the lexicographically first of them.
     """
-    r = lam.rank
-    shifted = lam + rho(r)
-    target = (shifted - alpha_to_gl(mu, r)).coords
-    if sorted(shifted.coords) != sorted(target):
+    shifted = (lam + rho(lam.rank)).coords
+    if sorted(shifted) != sorted(w):
         return 0
     positions: dict = {}
-    for p, x in enumerate(target, start=1):
+    for p, x in enumerate(w, start=1):
         positions.setdefault(x, []).append(p)
-    return perm_sign(tuple(positions[x].pop(0) for x in shifted.coords))
+    return perm_sign(tuple(positions[x].pop(0) for x in shifted))

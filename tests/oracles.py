@@ -25,9 +25,7 @@ from itertools import combinations_with_replacement, permutations
 
 from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
-from cscrystal.rootsys import (
-    AlphaVector, GLWeight, alpha_to_gl, partition_shape, perm_sign, rho,
-)
+from cscrystal.rootsys import AlphaVector, GLWeight, partition_shape, perm_sign, rho
 from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
 
@@ -143,8 +141,25 @@ def c_product_twin(box, non):
     return TPoly(tuple(out))
 
 
+def alpha_to_gl(mu: AlphaVector, rank: int) -> GLWeight:
+    """Expand sum(c_i * alpha_i) into GL coordinates."""
+    if len(mu.c) != rank:
+        raise ValueError(f"alpha vector has rank {len(mu.c)}, expected {rank}")
+    coords = [0] * (rank + 1)
+    for i, ci in enumerate(mu.c, start=1):
+        coords[i - 1] += ci
+        coords[i] -= ci
+    return GLWeight(tuple(coords))
+
+
+def row_weight(lam, mu):
+    """The coordinates of lam + rho - mu, as hpoly.h_table keys mu's row."""
+    r = lam.rank
+    return (lam + rho(r) - alpha_to_gl(mu, r)).coords
+
+
 def gl_to_alpha(v: GLWeight) -> AlphaVector:
-    """Inverse of rootsys.alpha_to_gl; the partial sums recover the c_i.
+    """Inverse of alpha_to_gl; the partial sums recover the c_i.
     hpoly.h_table reads each row's mu off its weight the same way."""
     if sum(v.coords) != 0:
         raise ValueError(f"{v.coords} is not in the root lattice (coordinates sum to {sum(v.coords)})")

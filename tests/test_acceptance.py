@@ -27,19 +27,12 @@ from cscrystal.crystal import (
     signature,
     surviving_slots,
 )
-from cscrystal.hpoly import (
-    SpecPoint,
-    h_table,
-    specialize,
-    tensor_weight_multiplicity,
-    weight_multiplicity,
-)
+from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.laurent import shifted_sums, verify_identity
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
     Shape,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     rho,
@@ -47,7 +40,7 @@ from cscrystal.rootsys import (
 from cscrystal.tableaux import is_strict, make_tableau
 from frozen import CRYSTAL_SIZES, H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
 from operator_walk import reading_word, word_epsilon
-from oracles import h_direct, h_tensor
+from oracles import alpha_to_gl, h_direct, h_tensor
 from stats_twin import twin_stats_a
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
@@ -162,16 +155,16 @@ def test_07_specialization_oracles():
             table = h_table(lam)
             for mu, poly in table.rows.items():
                 shifted_target = lam + rho(r) - alpha_to_gl(mu, r)
-                assert specialize(poly, SpecPoint.Q_INF) == weight_multiplicity(
+                assert poly.eval(0) == weight_multiplicity(
                     lam, lam - alpha_to_gl(mu, r)
                 ), (lam.coords, mu.c)
-                got_tensor = specialize(poly, SpecPoint.Q_MINUS_ONE)
+                got_tensor = poly.eval(-1)
                 assert got_tensor == tensor_weight_multiplicity(lam, shifted_target)
-                assert specialize(poly, SpecPoint.Q_ONE) == dot_orbit_sign(lam, mu)
+                assert poly.eval(1) == dot_orbit_sign(lam, shifted_target.coords)
         # pinned values for the rank-2 weight (0,1)
-        assert specialize(h_direct(OMEGA2, AlphaVector((1, 2))), SpecPoint.Q_MINUS_ONE) == 4
+        assert h_direct(OMEGA2, AlphaVector((1, 2))).eval(-1) == 4
         signs = {
-            mu.c: specialize(poly, SpecPoint.Q_ONE)
+            mu.c: poly.eval(1)
             for mu, poly in h_table(OMEGA2).rows.items()
         }
         for mu_c, sign in signs.items():

@@ -8,9 +8,13 @@ assume how often one bzl call reaches each wrapped name, which
 test_bzl_calls_each_wrapped_name_once holds.
 """
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 import cscrystal
 from cscrystal.crystal import enumerate_crystal
@@ -38,6 +42,48 @@ def test_cli_exposes_oracles_by_name():
 
     for name in ("weight_multiplicity", "tensor_weight_multiplicity", "dot_orbit_sign"):
         assert callable(getattr(cli, name))
+
+
+# the oracle child.py counts at each --at point, by its name in cli
+ORACLES = {"inf": "weight_multiplicity", "-1": "tensor_weight_multiplicity", "1": "dot_orbit_sign"}
+
+
+def _printed_rows(fmt, out):
+    """How many H-table rows an hpoly job printed."""
+    if fmt == "json":
+        return len(json.loads(out)["rows"])
+    if fmt == "csv":
+        return len(out.splitlines()) - 1  # less the header
+    if fmt == "latex":  # two rows a line, between \hline and \end{array}
+        body = out.split("\\hline\n")[1].splitlines()[:-1]
+        return sum(cell.strip() != "" for line in body for cell in line.split(" & ")[::2])
+    return sum(line.startswith("mu=") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+@pytest.mark.parametrize("at", list(ORACLES))
+def test_hpoly_calls_its_oracle_once_per_printed_row(capsys, monkeypatch, at, fmt):
+    # hpoly.oracle.calls counts calls through these globals of cli, so
+    # an --at point that held its oracle itself would count 0
+    from cscrystal import cli
+
+    assert ORACLES.keys() == cli._AT.keys()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ORACLES.values():
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    argv = ["hpoly", "--rank", "3", "--lambda", "2,1,0", "--at", at, "--format", fmt]
+    assert cli.main(argv) == 0
+    rows = _printed_rows(fmt, capsys.readouterr().out)
+    assert rows > 0
+    assert calls == {ORACLES[at]: rows}
 
 
 # the names child.py wraps in cli that one bzl call reaches

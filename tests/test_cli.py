@@ -523,12 +523,13 @@ def test_hpoly_specialization_csv_has_oracle_column(capsys):
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
 def test_hpoly_exits_1_when_two_rows_miss_their_oracle(capsys, monkeypatch, fmt):
     # the q = 1 oracle, off by one on the two rows with |mu| = 1 (a1 and
-    # a2): every format exits 1, and says which rows failed
+    # a2, at w = lambda + rho - mu = (2, 3, 0) and (3, 1, 1)): every
+    # format exits 1, and says which rows failed
     import cscrystal.cli as cli_module
 
     real = cli_module.dot_orbit_sign
     monkeypatch.setattr(
-        cli_module, "dot_orbit_sign", lambda lam, mu: real(lam, mu) + (mu.degree() == 1)
+        cli_module, "dot_orbit_sign", lambda lam, w: real(lam, w) + (w in {(2, 3, 0), (3, 1, 1)})
     )
     code, out, err = run_cli(
         capsys, "hpoly", "--rank", "2", "--lambda", "0,1", "--at", "1", "--format", fmt
@@ -647,6 +648,27 @@ def test_graph_bytes_are_pinned(capsys, argv, digest):
             ["bzl", "--rank", "4", "--tableau", "1 1 2 4 5 / 2 2 3 / 4 4 / 5", "--format", "text"],
             "c791824142777eab5adf6693b8c2f8d4a62f2a08cb880baeb355563e5a4bf2cb",
         ),
+        # hpoly's checked forms at each point: text, csv and latex, and
+        # json at the two points the pin above leaves out
+        *(
+            (
+                ["hpoly", "--rank", "3", "--lambda", "1,0,1", "--at", at, "--format", fmt],
+                digest,
+            )
+            for at, fmt, digest in [
+                ("inf", "text", "f83e9ac2c52e2329753ea6b6349272b2d0373c1df3f12583a00c5febc1c0c41a"),
+                ("inf", "csv", "1b6007a0de40e67397480fc1dfe804ed41c82b1b1f232ec9fbd45d19eb00e7b5"),
+                ("inf", "latex", "5334143ef016a2a7bfff44e872f5edc443a0a9542c657040108d287d839cebed"),
+                ("inf", "json", "114f7ac8f8cbb0cc09bc7813a4568a7dfcb040b98cbf2aeb3cb1672fde86e82c"),
+                ("-1", "text", "84d31240f711f661e39dda5e269085850b6b52eeaa8f2d49c0a76faba5e24d80"),
+                ("-1", "csv", "8e924c511febc07aea871013041ae746cb14e1ec452fb2cc38042ed3a3c76295"),
+                ("-1", "latex", "5334143ef016a2a7bfff44e872f5edc443a0a9542c657040108d287d839cebed"),
+                ("1", "text", "4fb8f64a443a106cc43c21b74bbc3c654474d773d0ae0965beff03424e1ae7c2"),
+                ("1", "csv", "6d7e13e89c2eefb4f3084af82789102bb5c17383eea4146a4337f5c05f004360"),
+                ("1", "latex", "5334143ef016a2a7bfff44e872f5edc443a0a9542c657040108d287d839cebed"),
+                ("1", "json", "c43bfd002228cfc857da9686b686fdc6fc29e9afea6cf8eb6617b39ff7a927ce"),
+            ]
+        ),
     ],
 )
 def test_json_bytes_are_pinned(capsys, argv, digest):
@@ -764,6 +786,39 @@ def test_closed_stdout_pipe_exits_141(command):
     proc.stderr.close()
     assert proc.wait() == 141
     assert first.strip() and err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 141),
+        (["verify", "--help"], 141),
+        (["enumerate", "--rank", "1", "--lambda", "1"], 141),
+        # a usage error writes only to stderr, so the gone reader is not seen
+        (["verify", "--rank", "2", "--lambda", "1,1", "--bogus"], 2),
+    ],
+)
+def test_reader_gone_before_the_first_write(argv, code):
+    # stdout is a pipe whose read end is closed before the process starts:
+    # argparse's help, which argparse itself would write and whose broken
+    # pipe it would swallow, exits 141 like any other output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cscrystal", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _package_path()},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    if code == 141:
+        assert proc.stderr == b""
+    else:
+        assert b"unrecognized arguments: --bogus" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 class _Stream:

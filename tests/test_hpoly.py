@@ -7,10 +7,8 @@ import oracles
 from conftest import suite_weights
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import (
-    SpecPoint,
     format_mu,
     h_table,
-    specialize,
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
@@ -19,7 +17,6 @@ from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
     Shape,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     rho,
@@ -27,7 +24,7 @@ from cscrystal.rootsys import (
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
 from frozen import H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
-from oracles import h_direct, h_tensor, list_add
+from oracles import alpha_to_gl, h_direct, h_tensor, list_add
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
 
@@ -119,18 +116,18 @@ def test_specializations_match_oracles_for_omega2():
     lam = OMEGA2
     for mu, poly in table.rows.items():
         shifted_target = lam + rho(2) - alpha_to_gl(mu, 2)
-        assert specialize(poly, SpecPoint.Q_INF) == weight_multiplicity(
+        assert poly.eval(0) == weight_multiplicity(
             lam, lam - alpha_to_gl(mu, 2)
         )
-        assert specialize(poly, SpecPoint.Q_MINUS_ONE) == tensor_weight_multiplicity(
+        assert poly.eval(-1) == tensor_weight_multiplicity(
             lam, shifted_target
         )
-        assert specialize(poly, SpecPoint.Q_ONE) == dot_orbit_sign(lam, mu)
+        assert poly.eval(1) == dot_orbit_sign(lam, shifted_target.coords)
 
 
 def test_value_four_at_alpha1_plus_2alpha2():
     poly = h_direct(OMEGA2, AlphaVector((1, 2)))
-    assert specialize(poly, SpecPoint.Q_MINUS_ONE) == 4
+    assert poly.eval(-1) == 4
     assert tensor_weight_multiplicity(OMEGA2, GLWeight((2, 1, 2))) == 4
 
 
@@ -138,7 +135,7 @@ def test_signs_at_q_one():
     table = h_table(OMEGA2)
     for mu, poly in table.rows.items():
         expected = OMEGA2_SIGNS_AT_ONE.get(mu.c, 0)
-        assert specialize(poly, SpecPoint.Q_ONE) == expected
+        assert poly.eval(1) == expected
 
 
 def test_weight_multiplicities():
@@ -181,7 +178,7 @@ def test_dimension_conservation_at_minus_one():
         rank = lam.rank
         table = h_table(lam)
         total = sum(
-            specialize(poly, SpecPoint.Q_MINUS_ONE) for poly in table.rows.values()
+            poly.eval(-1) for poly in table.rows.values()
         )
         lam_size = len(enumerate_crystal(Shape(lam.coords), rank))
         rho_size = len(enumerate_crystal(Shape(rho(rank).coords), rank))
@@ -193,7 +190,7 @@ def test_weight_multiplicity_conservation_at_zero():
     # shifted crystal hits one weight of V(lambda) or misses entirely
     table = h_table(OMEGA2)
     total = sum(
-        specialize(poly, SpecPoint.Q_INF) for poly in table.rows.values()
+        poly.eval(0) for poly in table.rows.values()
     )
     assert total == len(enumerate_crystal(Shape((1, 1, 0)), 2))
 
@@ -208,12 +205,16 @@ def test_mu_formatting():
 
 
 def test_table_sorted_rows_order():
+    # h_table builds its rows in (degree, coordinates) order, and the
+    # row weights in the same order
     table = h_table(OMEGA2)
-    keys = [mu.c for mu, _ in table.sorted_rows()]
+    keys = [mu.c for mu in table.rows]
     assert keys[0] == (0, 0)
     degrees = [sum(k) for k in keys]
     assert degrees == sorted(degrees)
+    assert keys == sorted(keys, key=lambda c: (sum(c), c))
     assert len(keys) == len(set(keys))
+    assert list(table.weights) == list(table.rows)
 
 
 def test_table_serialization_roundtrip():

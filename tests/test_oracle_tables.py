@@ -20,11 +20,10 @@ import oracles
 from conftest import suite_weights
 from cscrystal import cli, hpoly, laurent
 from cscrystal.crystal import enumerate_crystal
-from cscrystal.hpoly import SpecPoint, h_table, tensor_weight_multiplicity, weight_multiplicity
+from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     partition_shape,
@@ -96,7 +95,7 @@ def test_dot_orbit_sign_matches_scan(lam, data):
     mu = AlphaVector(
         tuple(data.draw(st.lists(st.integers(0, r + 1), min_size=r, max_size=r)))
     )
-    assert dot_orbit_sign(lam, mu) == oracles.scan_dot_orbit_sign(lam, mu)
+    assert dot_orbit_sign(lam, oracles.row_weight(lam, mu)) == oracles.scan_dot_orbit_sign(lam, mu)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,7 +109,7 @@ def test_dot_orbit_sign_matches_scan_on_the_orbit(lam, data):
         mu = oracles.gl_to_alpha(lam - oracles.dot_action(perm, lam))
     except ValueError:
         return
-    sign = dot_orbit_sign(lam, mu)
+    sign = dot_orbit_sign(lam, oracles.row_weight(lam, mu))
     assert sign != 0
     assert sign == oracles.scan_dot_orbit_sign(lam, mu)
 
@@ -121,7 +120,7 @@ def test_dot_orbit_sign_takes_first_match_on_repeated_coordinates():
     # odd one first
     lam = GLWeight((1, 1, 0)) - rho(2)
     mu = oracles.gl_to_alpha(GLWeight((0, 1, -1)))
-    assert dot_orbit_sign(lam, mu) == -1
+    assert dot_orbit_sign(lam, (1, 0, 1)) == -1
     assert oracles.scan_dot_orbit_sign(lam, mu) == -1
 
 
@@ -136,14 +135,14 @@ TABLE_WEIGHTS = [
 def test_every_table_row_matches_scans(lam):
     r = lam.rank
     for mu in h_table(lam).rows:
-        drop = alpha_to_gl(mu, r)
+        drop = oracles.alpha_to_gl(mu, r)
         nu = lam - drop
         assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
         nu = lam + rho(r) - drop
         assert tensor_weight_multiplicity(lam, nu) == (
             oracles.scan_tensor_weight_multiplicity(lam, nu)
         )
-        assert dot_orbit_sign(lam, mu) == oracles.scan_dot_orbit_sign(lam, mu)
+        assert dot_orbit_sign(lam, nu.coords) == oracles.scan_dot_orbit_sign(lam, mu)
 
 
 ROW_WEIGHTS = suite_weights() + [
@@ -160,15 +159,16 @@ def test_row_weights_give_the_old_oracle_arguments(lam):
     shift = rho(r).coords
     assert table.weights.keys() == table.rows.keys()
     for mu, w in table.weights.items():
-        drop = alpha_to_gl(mu, r)
+        drop = oracles.alpha_to_gl(mu, r)
         assert w == (lam + rho(r) - drop).coords
         old = {
-            SpecPoint.Q_INF: weight_multiplicity(lam, lam - drop),
-            SpecPoint.Q_MINUS_ONE: tensor_weight_multiplicity(lam, lam + rho(r) - drop),
-            SpecPoint.Q_ONE: oracles.scan_dot_orbit_sign(lam, mu),
+            "inf": weight_multiplicity(lam, lam - drop),
+            "-1": tensor_weight_multiplicity(lam, lam + rho(r) - drop),
+            "1": oracles.scan_dot_orbit_sign(lam, mu),
         }
-        for point, want in old.items():
-            assert cli._oracle_value(lam, mu, w, point, shift) == want, (mu, point)
+        assert old.keys() == cli._AT.keys()
+        for at, want in old.items():
+            assert cli._oracle_value(lam, w, at, shift) == want, (mu, at)
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dot_action, gl_to_alpha, permute_weight
+from oracles import alpha_to_gl, dot_action, gl_to_alpha, permute_weight
 from cscrystal.rootsys import (
     AlphaVector,
     GLWeight,
     Shape,
-    alpha_to_gl,
     dot_orbit_sign,
     lambda_from_fundamental,
     perm_sign,
@@ -117,10 +116,11 @@ def test_perm_sign_multiplicative():
 
 
 def test_dot_orbit_sign():
+    # each w is lam + rho - mu with lam + rho = (3, 2, 0)
     lam = GLWeight((1, 1, 0))
-    assert dot_orbit_sign(lam, AlphaVector((0, 0))) == 1
-    assert dot_orbit_sign(lam, AlphaVector((1, 0))) == -1
-    assert dot_orbit_sign(lam, AlphaVector((1, 1))) == 0
+    assert dot_orbit_sign(lam, (3, 2, 0)) == 1  # mu = 0
+    assert dot_orbit_sign(lam, (2, 3, 0)) == -1  # mu = alpha_1
+    assert dot_orbit_sign(lam, (2, 2, 1)) == 0  # mu = alpha_1 + alpha_2
     # mu = 2 alpha_2: lam - mu = (1, 1, 0) - (0, 2, -2) = (1, -1, 2)
     # equals s_2 . lam since s_2(3, 2, 0) = (3, 0, 2)
-    assert dot_orbit_sign(lam, AlphaVector((0, 2))) == -1
+    assert dot_orbit_sign(lam, (3, 0, 2)) == -1

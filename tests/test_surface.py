@@ -34,7 +34,6 @@ ALLOWED_SHARED = {
     "TPoly.degree": "HTable.to_csv sizes its columns by it",
     "GLWeight.rank": "every function that takes a weight reads lam.rank",
     "Shape.rank": "enumerate_crystal checks it and crystal_scores reads it",
-    "AlphaVector.rank": "rootsys.alpha_to_gl checks it",
     "HTable.to_json_dict": "cli.cmd_hpoly writes it",
     "Tableau.to_json_dict": "cli.cmd_enumerate and cmd_bzl write it",
     "DecoratedTriangle.to_json_dict": "cli.cmd_bzl writes it",

@@ -26,7 +26,6 @@ from .laurent import (
     verify_identity,
 )
 from .rootsys import (
-    AlphaVector,
     GLWeight,
     Shape,
     dot_orbit_sign,

@@ -200,45 +200,44 @@ def cmd_hpoly(args) -> int:
     lam = _weight_from_args(args)
     table = h_table(lam)
     at = args.at
-    checks = []
+    checks = []  # (got, want), one pair per row, in row order
     if at is not None:
         t, label = _AT[at]
         shift = rho(lam.rank).coords
-        for mu, poly in table.rows.items():
-            checks.append((mu, poly.eval(t), _oracle_value(lam, table.weights[mu], at, shift)))
-    mismatched = [c for c in checks if c[1] != c[2]]
+        checks = [(poly.eval(t), _oracle_value(lam, w, at, shift)) for _, w, poly in table.rows]
+    mismatched = sum(got != want for got, want in checks)
 
     if args.format == "json":
         payload = table.to_json_dict()
         if at is not None:
             payload["at"] = at
             payload["specialized"] = [
-                {"mu": list(mu.c), "value": got, "oracle": want, "ok": got == want}
-                for mu, got, want in checks
+                {"mu": list(mu), "value": got, "oracle": want, "ok": got == want}
+                for (mu, _, _), (got, want) in zip(table.rows, checks)
             ]
         _emit_json(payload)
     elif args.format == "csv":
         text = table.to_csv()
         if at is not None:
-            lines = text.rstrip("\n").split("\n")
-            lines[0] += f",at_{at},oracle,ok"
-            for k, (mu, got, want) in enumerate(checks, start=1):
-                lines[k] += f",{got},{want},{'ok' if got == want else 'FAIL'}"
-            text = "\n".join(lines) + "\n"
+            header, *lines = text.rstrip("\n").split("\n")
+            lines = [
+                f"{line},{got},{want},{'ok' if got == want else 'FAIL'}"
+                for line, (got, want) in zip(lines, checks)
+            ]
+            text = "\n".join([f"{header},at_{at},oracle,ok", *lines]) + "\n"
         _emit(text)
     elif args.format == "latex":
         _emit(table.to_latex())
-        if at is not None and mismatched:
-            sys.stderr.write(f"{len(mismatched)} specialization mismatches\n")
+        if mismatched:
+            sys.stderr.write(f"{mismatched} specialization mismatches\n")
     else:
         _emit(f"lambda: {lam.coords}  rank {args.rank}  rows: {len(table.rows)}")
-        for k, (mu, poly) in enumerate(table.rows.items()):
-            line = f"mu={format_mu(mu, 'a')}: {poly}"
-            if at is not None:
-                _, got, want = checks[k]
-                mark = "ok" if got == want else "FAIL"
-                line += f"  | at q={at}: {got}  {label} {want}  {mark}"
-            _emit(line)
+        marks = [
+            f"  | at q={at}: {got}  {label} {want}  {'ok' if got == want else 'FAIL'}"
+            for got, want in checks
+        ]
+        for (mu, _, poly), mark in zip(table.rows, marks or [""] * len(table.rows)):
+            _emit(f"mu={format_mu(mu, 'a')}: {poly}{mark}")
     return 1 if mismatched else 0
 
 

@@ -5,9 +5,9 @@ coordinates) collects the coefficients of the rho-shifted crystal
 elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
-each element from its Gelfand-Tsetlin blocks.  A table keeps each row's
-weight w = lambda + rho - mu as those sums key it, so cli asks all three
-oracles below about w (less rho at q = inf) with no trip through mu.
+each element from its Gelfand-Tsetlin blocks.  A table is one sorted
+tuple of rows (mu, w, H), mu a plain tuple and w = lambda + rho - mu as
+those sums key it; cli asks the oracles below about w, less rho at q = inf.
 The same polynomial arises from tensoring the plain lambda-crystal with
 the rho-crystal and only scoring the rho factor; tests/oracles.py keeps
 that route as a twin.
@@ -32,38 +32,35 @@ from operator import sub
 from .bzl import c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal  # noqa: F401
 from .laurent import shifted_sums
-from .rootsys import (
-    AlphaVector, GLWeight, Record, character, dominant_multiplicities, rho,
-)
+from .rootsys import GLWeight, Record, character, dominant_multiplicities, rho
 
 
 class HTable(Record):
     """All weight drops of the shifted crystal with their polynomials."""
 
-    __slots__ = ("lam", "rank", "rows", "weights")
+    __slots__ = ("lam", "rows")
 
-    def __init__(self, lam: GLWeight, rank: int, rows: dict, weights: dict):
-        self.lam, self.rank = lam, rank
-        self.rows = rows  # AlphaVector -> TPoly, ordered by (degree, coordinates)
-        self.weights = weights  # AlphaVector mu -> coordinates of lam + rho - mu, same order
+    def __init__(self, lam: GLWeight, rows: tuple):
+        self.lam = lam
+        self.rows = rows  # (mu, lam + rho - mu, TPoly) triples, sorted by (degree, mu)
 
     def to_csv(self) -> str:
         """Columns c_1..c_r, then t-coefficients padded to a common degree."""
-        width = max(p.degree() for p in self.rows.values()) + 1
-        header = [f"c{i}" for i in range(1, self.rank + 1)] + [
+        width = max(poly.degree() for _, _, poly in self.rows) + 1
+        header = [f"c{i}" for i in range(1, self.lam.rank + 1)] + [
             f"t{k}" for k in range(width)
         ]
         lines = [",".join(header)]
-        for mu, poly in self.rows.items():
+        for mu, _, poly in self.rows:
             coeffs = [poly.coefficient(k) for k in range(width)]
-            lines.append(",".join(str(x) for x in list(mu.c) + coeffs))
+            lines.append(",".join(str(x) for x in list(mu) + coeffs))
         return "\n".join(lines) + "\n"
 
     def to_latex(self) -> str:
         """Two column-pair tabular, rows split into halves."""
         pairs = [
             (format_mu(mu, "\\alpha_"), str(poly.to_qlaurent()))
-            for mu, poly in self.rows.items()
+            for mu, _, poly in self.rows
         ]
         half = (len(pairs) + 1) // 2
         lines = [
@@ -71,31 +68,29 @@ class HTable(Record):
             "\\mu & H & \\mu & H \\\\",
             "\\hline",
         ]
-        for k in range(half):
-            left = pairs[k]
-            right = pairs[half + k] if half + k < len(pairs) else ("", "")
-            lines.append(f"{left[0]} & {left[1]} & {right[0]} & {right[1]} \\\\")
+        for (a, b), (c, d) in zip(pairs[:half], pairs[half:] + [("", "")]):
+            lines.append(f"{a} & {b} & {c} & {d} \\\\")
         lines.append("\\end{array}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "lambda": list(self.lam.coords),
-            "rank": self.rank,
+            "rank": self.lam.rank,
             "rows": [
-                {"mu": list(mu.c), "coeffs": list(poly.coeffs)}
-                for mu, poly in self.rows.items()
+                {"mu": list(mu), "coeffs": list(poly.coeffs)}
+                for mu, _, poly in self.rows
             ],
         }
 
 
-def format_mu(mu: AlphaVector, root: str) -> str:
-    """sum c_i alpha_i with alpha_i written root + i: 'a1+2a2' for root 'a',
-    '\\alpha_1+2\\alpha_2' for root '\\alpha_'; the zero drop is '0'."""
-    if mu.degree() == 0:
+def format_mu(mu: tuple, root: str) -> str:
+    """sum c_i alpha_i, mu = (c_1, ..., c_r), with alpha_i written root + i:
+    'a1+2a2' for root 'a', '\\alpha_1+2\\alpha_2' for '\\alpha_'; 0 is '0'."""
+    if not any(mu):
         return "0"
     pieces = []
-    for i, c in enumerate(mu.c, start=1):
+    for i, c in enumerate(mu, start=1):
         if c == 0:
             continue
         head = "" if c == 1 else str(c)
@@ -107,23 +102,23 @@ def h_table(lam: GLWeight) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
     The row of mu is the weight sum of laurent.shifted_sums at weight
-    w = lam + rho - mu.  The table keeps each w as shifted_sums yields
-    it, and mu's coordinates are the partial sums of lam + rho - w; the
-    rows are sorted once, by (degree, coordinates), as every reader
-    prints them.
+    w = lam + rho - mu.  The row keeps w as shifted_sums yields it, and
+    mu's coordinates are the partial sums of lam + rho - w, each
+    nonnegative; the rows are sorted once, by (degree, mu), as every
+    reader prints them.
     """
     shifted = (lam + rho(lam.rank)).coords
     size = sum(shifted)
-    found = []
+    rows = []
     for w, poly in shifted_sums(lam).items():
         if sum(w) != size:
             raise ValueError(f"lambda + rho - {w} is not in the root lattice")
-        found.append((tuple(accumulate(map(sub, shifted[:-1], w))), w, poly))
-    rows, weights = {}, {}
-    for c, w, poly in sorted(found, key=lambda row: (sum(row[0]), row[0])):
-        mu = AlphaVector(c)
-        rows[mu], weights[mu] = poly, w
-    return HTable(lam=lam, rank=lam.rank, rows=rows, weights=weights)
+        mu = tuple(accumulate(map(sub, shifted[:-1], w)))
+        if min(mu) < 0:
+            raise ValueError(f"alpha coordinates must be nonnegative integers: {mu}")
+        rows.append((mu, w, poly))
+    rows.sort(key=lambda row: (sum(row[0]), row[0]))
+    return HTable(lam=lam, rows=tuple(rows))
 
 
 def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:

@@ -2,7 +2,8 @@
 
 Weights are integer vectors of length r+1 (rank r).  The simple root
 alpha_i is e_i - e_{i+1}, rho is (r, r-1, ..., 1, 0), and the i-th
-fundamental weight is e_1 + ... + e_i.  Permutations act by permuting
+fundamental weight is e_1 + ... + e_i; hpoly keeps a drop sum c_i alpha_i
+as the plain tuple (c_1, ..., c_r).  Permutations act by permuting
 coordinates; the dot action shifts by rho on both sides.  The sign of a
 dot orbit is read off by matching coordinates, not by a search over the
 Weyl group.  The weight multiplicities of V(lambda) come from
@@ -120,22 +121,6 @@ def partition_shape(lam: GLWeight) -> Shape:
     if not lam.is_partition():
         raise ValueError(f"{lam.coords} is not a partition")
     return Shape(lam.coords)
-
-
-class AlphaVector(Record):
-    """Nonnegative coordinates of a weight drop in the simple-root basis."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: tuple[int, ...]):
-        self.c = c
-        if len(self.c) < 1:
-            raise ValueError("alpha coordinates need length >= 1")
-        if any(not isinstance(x, int) or x < 0 for x in self.c):
-            raise ValueError(f"alpha coordinates must be nonnegative integers: {self.c}")
-
-    def degree(self) -> int:
-        return sum(self.c)
 
 
 def rho(rank: int) -> GLWeight:

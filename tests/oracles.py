@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement, permutations
 
 from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
-from cscrystal.rootsys import AlphaVector, GLWeight, partition_shape, perm_sign, rho
+from cscrystal.rootsys import GLWeight, partition_shape, perm_sign, rho
 from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
 
@@ -141,12 +141,12 @@ def c_product_twin(box, non):
     return TPoly(tuple(out))
 
 
-def alpha_to_gl(mu: AlphaVector, rank: int) -> GLWeight:
-    """Expand sum(c_i * alpha_i) into GL coordinates."""
-    if len(mu.c) != rank:
-        raise ValueError(f"alpha vector has rank {len(mu.c)}, expected {rank}")
+def alpha_to_gl(mu: tuple, rank: int) -> GLWeight:
+    """Expand sum(c_i * alpha_i), mu = (c_1, ..., c_r), into GL coordinates."""
+    if len(mu) != rank:
+        raise ValueError(f"alpha vector has rank {len(mu)}, expected {rank}")
     coords = [0] * (rank + 1)
-    for i, ci in enumerate(mu.c, start=1):
+    for i, ci in enumerate(mu, start=1):
         coords[i - 1] += ci
         coords[i] -= ci
     return GLWeight(tuple(coords))
@@ -158,9 +158,10 @@ def row_weight(lam, mu):
     return (lam + rho(r) - alpha_to_gl(mu, r)).coords
 
 
-def gl_to_alpha(v: GLWeight) -> AlphaVector:
+def gl_to_alpha(v: GLWeight) -> tuple:
     """Inverse of alpha_to_gl; the partial sums recover the c_i.
-    hpoly.h_table reads each row's mu off its weight the same way."""
+    hpoly.h_table reads each row's mu off its weight the same way.  A
+    negative c_i is not a weight drop: ValueError."""
     if sum(v.coords) != 0:
         raise ValueError(f"{v.coords} is not in the root lattice (coordinates sum to {sum(v.coords)})")
     partial = 0
@@ -168,7 +169,9 @@ def gl_to_alpha(v: GLWeight) -> AlphaVector:
     for x in v.coords[:-1]:
         partial += x
         cs.append(partial)
-    return AlphaVector(tuple(cs))
+    if min(cs) < 0:
+        raise ValueError(f"alpha coordinates must be nonnegative integers: {tuple(cs)}")
+    return tuple(cs)
 
 
 def h_direct(lam, mu):
@@ -203,7 +206,8 @@ def h_tensor(lam):
     The paper's tensor-product statement, as a whole-table twin of
     hpoly.h_table: each b in B(rho) with C(b) != 0 adds C(b) times
     B(lam)'s content histogram shifted by wt(b).  Returns {mu: TPoly},
-    mu the drop from lam + rho, without the rows whose sum is zero.
+    mu the alpha-coordinates of the drop from lam + rho, without the
+    rows whose sum is zero.
     """
     r = lam.rank
     counts = content_histogram(lam)

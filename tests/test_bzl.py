@@ -152,7 +152,7 @@ def test_path_total_equals_simple_root_drop():
         shifted = lam + rho(lam.rank)
         for t in shifted_elements(lam):
             drop = gl_to_alpha(shifted - content(t))
-            assert bzl_path(t).total() == drop.degree()
+            assert bzl_path(t).total() == sum(drop)
 
 
 def test_operator_route_decorations():

@@ -30,8 +30,6 @@ ALLOWED = {
 ALLOWED_SHARED = {
     "LaurentPoly.coefficient": "laurent.verify_identity prints a mismatch's two sides",
     "TPoly.coefficient": "HTable.to_csv reads each row's coefficients",
-    "AlphaVector.degree": "hpoly sorts H-table rows and finds mu = 0 by it",
-    "TPoly.degree": "HTable.to_csv sizes its columns by it",
     "GLWeight.rank": "every function that takes a weight reads lam.rank",
     "Shape.rank": "enumerate_crystal checks it and crystal_scores reads it",
     "HTable.to_json_dict": "cli.cmd_hpoly writes it",

@@ -80,7 +80,7 @@ def _join_blocks(t: Tableau, block) -> tuple:
 
 def _grid(rank, entries):
     return tuple(
-        tuple(entries[(i, j)] for j in range(i, rank + 1)) for i in range(1, rank + 1)
+        [tuple([entries[(i, j)] for j in range(i, rank + 1)]) for i in range(1, rank + 1)]
     )
 
 
@@ -104,7 +104,7 @@ def decorate_via_operators(t: Tableau) -> DecoratedTriangle:
 
 def _circled(entries) -> frozenset:
     """Cells whose step count equals that of the letter below, in one block."""
-    return frozenset((i, j) for (i, j), a in entries.items() if a == entries.get((i - 1, j), 0))
+    return frozenset([(i, j) for (i, j), a in entries.items() if a == entries.get((i - 1, j), 0)])
 
 
 def decorate_via_stats(t: Tableau) -> DecoratedTriangle:

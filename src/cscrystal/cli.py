@@ -128,12 +128,14 @@ def cmd_bzl(args) -> int:
             }
         )
     else:
-        _emit(f"tableau: {t.to_text()}")
-        _emit(f"path: {path_tri.inline(BZL_LAYOUT)}")
-        _emit(f"stats: {stats_tri.inline()}")
-        _emit(f"G = {g}")
-        _emit(f"C = {c_factored_string(stats_tri)}  [{c}]")
-        _emit(f"strict: {'yes' if is_strict(t) else 'no'}")
+        sys.stdout.write(
+            f"tableau: {t.to_text()}\n"
+            f"path: {path_tri.inline(BZL_LAYOUT)}\n"
+            f"stats: {stats_tri.inline()}\n"
+            f"G = {g}\n"
+            f"C = {c_factored_string(stats_tri)}  [{c}]\n"
+            f"strict: {'yes' if is_strict(t) else 'no'}\n"
+        )
     return 0
 
 

@@ -17,30 +17,33 @@ this is the bottom module.
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add, attrgetter
 
 
 class Record:
     """Base of the value classes: fields listed in __slots__, set in __init__.
 
     Instances of one class with equal fields are equal and hash as their
-    field tuple; instances of two classes never are.  The repr names the
-    fields, as in Shape(parts=(2, 1, 0)).  No code assigns a field after
-    __init__.  Plain slots keep the dataclasses module, and with it
-    inspect and ast, out of every process's start-up.
+    field tuple, read by one attrgetter over the class's __slots__;
+    instances of two classes never are.  The repr names the fields, as
+    in Shape(parts=(2, 1, 0)).  No code assigns a field after __init__.
+    Plain slots keep the dataclasses module, and with it inspect and
+    ast, out of every process's start-up.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -224,7 +227,7 @@ def dot_orbit_sign(lam: GLWeight, w: tuple) -> int:
     v qualify; slot k takes the smallest unused position holding its
     coordinate, which builds the lexicographically first of them.
     """
-    shifted = (lam + rho(lam.rank)).coords
+    shifted = tuple(map(add, lam.coords, range(lam.rank, -1, -1)))
     if sorted(shifted) != sorted(w):
         return 0
     positions: dict = {}

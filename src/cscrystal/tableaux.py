@@ -15,6 +15,7 @@ rootsys.Record value classes.
 
 from bisect import bisect_right
 from functools import lru_cache
+from operator import le, lt
 
 from .rootsys import GLWeight, Record
 
@@ -30,7 +31,7 @@ class Tableau(Record):
         """One-line form, rows joined by ' / '; the empty tableau is '∅'."""
         if not self.rows:
             return "∅"
-        return " / ".join(" ".join(str(x) for x in row) for row in self.rows)
+        return " / ".join([" ".join(map(str, row)) for row in self.rows])
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "rows": [list(row) for row in self.rows]}
@@ -57,7 +58,8 @@ def make_tableau(rank: int, rows) -> Tableau:
 
 def _checked_tableau(rank: int, rows: list) -> Tableau:
     """Every check of make_tableau but its per-entry type check; rows
-    is a list of tuples of ints."""
+    is a list of tuples of ints.  Each check is one C-level pass, and
+    the offending entry or column is looked for only once it fails."""
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise ValueError(f"rank {rank!r} is not an integer")
     if rank < 1:
@@ -69,20 +71,19 @@ def _checked_tableau(rank: int, rows: list) -> Tableau:
     rows = tuple(rows)
     if len(rows) > rank + 1:
         raise ValueError(f"too many rows ({len(rows)}) for rank {rank}")
+    top = rank + 1
     for i, row in enumerate(rows, start=1):
-        for x in row:
-            if not 1 <= x <= rank + 1:
-                raise ValueError(f"entry {x} in row {i} outside 1..{rank + 1}")
-        if any(a > b for a, b in zip(row, row[1:])):
+        if min(row) < 1 or max(row) > top:
+            x = next(x for x in row if not 1 <= x <= top)
+            raise ValueError(f"entry {x} in row {i} outside 1..{top}")
+        if not all(map(le, row, row[1:])):
             raise ValueError(f"row {i} is not weakly increasing: {row}")
-    for i in range(len(rows) - 1):
-        if len(rows[i]) < len(rows[i + 1]):
+    for i, (above, row) in enumerate(zip(rows, rows[1:]), start=1):
+        if len(above) < len(row):
             raise ValueError("row lengths must be weakly decreasing")
-        for j in range(len(rows[i + 1])):
-            if rows[i][j] >= rows[i + 1][j]:
-                raise ValueError(
-                    f"column {j + 1} not strictly increasing between rows {i + 1} and {i + 2}"
-                )
+        if not all(map(lt, above, row)):
+            j = next(j for j, (a, b) in enumerate(zip(above, row), start=1) if a >= b)
+            raise ValueError(f"column {j} not strictly increasing between rows {i} and {i + 1}")
     return Tableau(rank, rows)
 
 
@@ -100,7 +101,7 @@ def parse_tableau(rank: int, text: str) -> Tableau:
         if not entries:
             raise ValueError(f"empty row in tableau text {text!r}")
         try:
-            rows.append(tuple([int(x) for x in entries]))
+            rows.append(tuple(map(int, entries)))
         except ValueError:
             raise ValueError(f"non-integer entry in tableau text {text!r}") from None
     return _checked_tableau(rank, rows)
@@ -127,6 +128,12 @@ def _print_rows(rank: int, layout: str) -> tuple:
     raise ValueError(f"unknown layout {layout!r}")
 
 
+@lru_cache(maxsize=32)
+def _cells(rank: int) -> frozenset:
+    """The cells (i, j), 1 <= i <= j <= rank, of a rank-r triangle."""
+    return frozenset((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
+
+
 class DecoratedTriangle(Record):
     """Integers at (i, j), 1 <= i <= j <= rank, with circle and box marks.
 
@@ -141,9 +148,9 @@ class DecoratedTriangle(Record):
     def __init__(self, rank: int, grid: tuple[tuple[int, ...], ...],
                  circled: frozenset = frozenset(), boxed: frozenset = frozenset()):
         self.rank, self.grid, self.circled, self.boxed = rank, grid, circled, boxed
-        if [len(row) for row in self.grid] != list(range(self.rank, 0, -1)):
+        if list(map(len, self.grid)) != list(range(self.rank, 0, -1)):
             raise ValueError(f"a rank-{self.rank} triangle needs rows of {self.rank}..1 entries")
-        if not all(1 <= i <= j <= self.rank for i, j in self.circled | self.boxed):
+        if not (self.circled <= _cells(self.rank) and self.boxed <= _cells(self.rank)):
             raise ValueError("decoration marks outside the triangle")
 
     def entry(self, i: int, j: int) -> int:

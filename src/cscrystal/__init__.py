@@ -40,6 +40,6 @@ from .tableaux import (
     make_tableau,
     parse_tableau,
 )
-from .tpoly import QLaurent, TPoly
+from .tpoly import TPoly
 
 __version__ = "0.1.0"

@@ -35,8 +35,8 @@ pairs from the shape down, and laurent.verify_bn_form checks
 block_agrees, the walk against the statistics, once per pair.  That
 check and the identity's are the whole verdict on the reversed form.
 One memoized product, _c_product, gives both coefficients from the mark
-counts: C in t, and G = q^total C(1/q), the same product rewritten in q
-and shifted by the triangle's entry total.
+counts: C in t, and G = q^total C(1/q), the same TPoly read in q and
+shifted by the triangle's entry total (TPoly.in_q).
 """
 
 from bisect import bisect_right
@@ -50,7 +50,7 @@ from operator import getitem
 from .crystal import e_op, phi  # noqa: F401
 from .rootsys import Shape
 from .tableaux import DecoratedTriangle, Tableau, gt_rows
-from .tpoly import QLaurent, TPoly
+from .tpoly import TPoly
 
 
 def _require_strict(parts: tuple, what: str) -> None:
@@ -284,7 +284,7 @@ def _c_product(box: int, non: int) -> TPoly:
     return TPoly((0,) * box + tuple((-1) ** (box + k) * comb(non, k) for k in range(non + 1)))
 
 
-def g_coefficient(stats: DecoratedTriangle) -> QLaurent:
+def g_coefficient(stats: DecoratedTriangle) -> list:
     """Product over the statistics triangle's marked entries: circled
     gives q^a, boxed gives -q^(a-1), unmarked gives (q-1)q^(a-1), and a
     doubly marked entry kills the product.
@@ -292,12 +292,13 @@ def g_coefficient(stats: DecoratedTriangle) -> QLaurent:
     The product depends only on the marks' counts and the entry total:
     (-1)^box q^(total - box - unmarked) (q-1)^unmarked, which is
     q^total C(1/q) for C = (-t)^box (1-t)^unmarked.  So G is C's
-    memoized product rewritten in q and shifted by the total.
+    memoized product read in q and shifted by the total, as TPoly.in_q's
+    [power, coefficient] pairs; [] when the product dies.
     """
     alive, box, non = _mark_counts(stats)
     if not alive:
-        return QLaurent.zero()
-    return _c_product(box, non).to_qlaurent().shift(stats.total())
+        return []
+    return _c_product(box, non).in_q(stats.total())
 
 
 def c_coefficient(stats: DecoratedTriangle) -> TPoly:

@@ -40,6 +40,7 @@ from .rootsys import (
     rho,
 )
 from .tableaux import BZL_LAYOUT, content, is_strict, parse_tableau
+from .tpoly import q_text
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -50,15 +51,21 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _weight_from_args(args) -> GLWeight:
+    """The weight of --partition or --lambda.  Its first part plus the
+    rank, lambda + rho's first part, must be a valid list length."""
     if args.partition is not None:
-        parts = _parse_ints(args.partition, "--partition")
+        flag = "--partition"
+        parts = _parse_ints(args.partition, flag)
         if len(parts) > args.rank + 1:
             raise ValueError(f"partition has {len(parts)} parts, rank {args.rank} allows {args.rank + 1}")
         parts = parts + (0,) * (args.rank + 1 - len(parts))
-        shape = Shape(parts)  # validates weakly decreasing, nonnegative
-        return shape.to_weight()
-    coeffs = _parse_ints(args.lam, "--lambda")
-    return lambda_from_fundamental(coeffs, args.rank)
+        lam = Shape(parts).to_weight()  # validates weakly decreasing, nonnegative
+    else:
+        flag = "--lambda"
+        lam = lambda_from_fundamental(_parse_ints(args.lam, flag), args.rank)
+    if lam.coords[0] + args.rank > sys.maxsize:
+        raise ValueError(f"{flag} gives a part of {lam.coords[0]}, and part + rank must be at most {sys.maxsize}")
+    return lam
 
 
 def _emit(text: str):
@@ -122,7 +129,7 @@ def cmd_bzl(args) -> int:
                 "tableau": t.to_json_dict(),
                 "path": path_tri.to_json_dict(BZL_LAYOUT),
                 "stats": stats_tri.to_json_dict(),
-                "g": g.to_json(),
+                "g": g,
                 "c_coeffs": list(c.coeffs),
                 "strict": is_strict(t),
             }
@@ -132,7 +139,7 @@ def cmd_bzl(args) -> int:
             f"tableau: {t.to_text()}\n"
             f"path: {path_tri.inline(BZL_LAYOUT)}\n"
             f"stats: {stats_tri.inline()}\n"
-            f"G = {g}\n"
+            f"G = {q_text(g)}\n"
             f"C = {c_factored_string(stats_tri)}  [{c}]\n"
             f"strict: {'yes' if is_strict(t) else 'no'}\n"
         )
@@ -192,9 +199,9 @@ def _oracle_value(lam: GLWeight, w: tuple, at: str, shift: tuple) -> int:
     computed once per table.  At q=inf the weight asked about is
     lam - mu = w - rho, at q=-1 and q=1 it is w itself."""
     if at == "inf":
-        return weight_multiplicity(lam, GLWeight(tuple(map(sub, w, shift))))
+        return weight_multiplicity(lam, tuple(map(sub, w, shift)))
     if at == "-1":
-        return tensor_weight_multiplicity(lam, GLWeight(w))
+        return tensor_weight_multiplicity(lam, w)
     return dot_orbit_sign(lam, w)
 
 
@@ -419,6 +426,9 @@ def main(argv=None) -> int:
         return 141
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
     except RuntimeError as exc:
         sys.stderr.write(f"internal invariant breach: {exc}\n")

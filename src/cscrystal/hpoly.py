@@ -33,6 +33,7 @@ from .bzl import c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal  # noqa: F401
 from .laurent import shifted_sums
 from .rootsys import GLWeight, Record, character, dominant_multiplicities, rho
+from .tpoly import q_text
 
 
 class HTable(Record):
@@ -59,7 +60,7 @@ class HTable(Record):
     def to_latex(self) -> str:
         """Two column-pair tabular, rows split into halves."""
         pairs = [
-            (format_mu(mu, "\\alpha_"), str(poly.to_qlaurent()))
+            (format_mu(mu, "\\alpha_"), q_text(poly.in_q(0)))
             for mu, _, poly in self.rows
         ]
         half = (len(pairs) + 1) // 2
@@ -121,11 +122,11 @@ def h_table(lam: GLWeight) -> HTable:
     return HTable(lam=lam, rows=tuple(rows))
 
 
-def weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Multiplicity of the weight nu in V(lam), the number of B(lam)
-    elements with content nu: the sorted nu looked up in
-    rootsys.dominant_multiplicities; 0 for a nu of another rank."""
-    return dominant_multiplicities(lam).get(tuple(sorted(nu.coords, reverse=True)), 0)
+def weight_multiplicity(lam: GLWeight, nu: tuple) -> int:
+    """Multiplicity of the weight with coordinates nu in V(lam), the
+    number of B(lam) elements with content nu: the sorted nu looked up
+    in rootsys.dominant_multiplicities; 0 for a nu of another rank."""
+    return dominant_multiplicities(lam).get(tuple(sorted(nu, reverse=True)), 0)
 
 
 @lru_cache(maxsize=8)  # built once per lambda; callers only read the dicts
@@ -144,11 +145,11 @@ def _tensor_terms(lam: GLWeight) -> dict:
     return flat
 
 
-def tensor_weight_multiplicity(lam: GLWeight, nu: GLWeight) -> int:
-    """Multiplicity of nu as a weight of V(lam) x V(rho), the number of
-    pairs in B(lam) x B(rho) with content nu; ValueError for a nu of
-    another rank."""
+def tensor_weight_multiplicity(lam: GLWeight, nu: tuple) -> int:
+    """Multiplicity of the weight with coordinates nu in V(lam) x V(rho),
+    the number of pairs in B(lam) x B(rho) with content nu; ValueError
+    for a nu of another rank."""
     counts = _tensor_terms(lam)
-    if len(nu.coords) != lam.rank + 1:
+    if len(nu) != lam.rank + 1:
         raise ValueError("rank mismatch between weights")
-    return counts.get(nu.coords, 0)
+    return counts.get(nu, 0)

@@ -67,16 +67,9 @@ class GLWeight(Record):
         return len(self.coords) - 1
 
     def __add__(self, other: "GLWeight") -> "GLWeight":
-        self._check_rank(other)
-        return GLWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "GLWeight") -> "GLWeight":
-        self._check_rank(other)
-        return GLWeight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def _check_rank(self, other):
         if len(self.coords) != len(other.coords):
             raise ValueError("rank mismatch between weights")
+        return GLWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def is_partition(self) -> bool:
         """True when coordinates are weakly decreasing and nonnegative."""

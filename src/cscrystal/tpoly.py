@@ -1,14 +1,14 @@
-"""Exact univariate polynomials for the two coefficient forms.
+"""Exact univariate polynomials in the deformation variable.
 
-TPoly is a polynomial in the deformation variable t (internally t
-stands for q^{-1}), held as its integer coefficient list.  It has no
-arithmetic: the sums and products the package needs are done on plain
-integer lists and maps (bzl._c_product, bzl._scaled_sum, the laurent
-shift-and-subtract), and a TPoly is built from the result only to be
-compared, evaluated or printed.  QLaurent holds the operator-side
-product G, which lives in q: it is made from a TPoly by to_qlaurent,
-shifted by a power of q, compared, and printed.  Both print through one
-signed-sum writer.  TPoly is a rootsys.Record value class.
+TPoly is a polynomial in t (internally t stands for q^{-1}), held as
+its integer coefficient list.  It has no arithmetic: the sums and
+products the package needs are done on plain integer lists and maps
+(bzl._c_product, bzl._scaled_sum, the laurent shift-and-subtract), and
+a TPoly is built from the result only to be compared, evaluated or
+printed.  It is the package's one polynomial type: the operator-side
+product G = q^total C(1/q) is C read in q, which in_q gives as
+[power, coefficient] pairs and q_text prints through the signed-sum
+writer of TPoly's own str.  TPoly is a rootsys.Record value class.
 """
 
 from .rootsys import Record
@@ -50,9 +50,10 @@ class TPoly(Record):
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def to_qlaurent(self) -> "QLaurent":
-        """Rewrite with t = q^{-1}."""
-        return QLaurent({-k: c for k, c in enumerate(self.coeffs) if c != 0})
+    def in_q(self, shift: int) -> list:
+        """q^shift times the polynomial read with t = q^{-1}, as
+        [power, coefficient] pairs in descending powers, zeros left out."""
+        return [[shift - k, c] for k, c in enumerate(self.coeffs) if c]
 
     def __str__(self):
         """Expanded in t, ascending, e.g. '1-2t+t^2'."""
@@ -78,36 +79,10 @@ def _signed_sum(terms) -> str:
     return "".join(pieces) or "0"
 
 
-class QLaurent:
-    """Sparse Laurent polynomial in q with exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def shift(self, k: int) -> "QLaurent":
-        """Multiply by q^k."""
-        return QLaurent({e + k: c for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, QLaurent):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def to_json(self) -> list:
-        return [[k, c] for k, c in sorted(self.terms.items(), reverse=True)]
-
-    def __str__(self):
-        """Expanded in descending powers of q, e.g. 'q^2-1' or '1-q^{-1}'."""
-        return _signed_sum(
-            ("" if k == 0 else "q" if k == 1 else f"q^{k}" if k > 1 else f"q^{{{k}}}", c)
-            for k, c in sorted(self.terms.items(), reverse=True)
-        )
-
-    def __repr__(self):
-        return f"QLaurent({self.terms!r})"
+def q_text(pairs) -> str:
+    """Descending [power, coefficient] pairs in q (TPoly.in_q) written
+    as one signed sum, e.g. 'q^2-1' or '1-q^{-1}'."""
+    return _signed_sum(
+        ("" if k == 0 else "q" if k == 1 else f"q^{k}" if k > 1 else f"q^{{{k}}}", c)
+        for k, c in pairs
+    )

@@ -141,6 +141,13 @@ def c_product_twin(box, non):
     return TPoly(tuple(out))
 
 
+def minus(a: GLWeight, b: GLWeight) -> GLWeight:
+    """a - b coordinate by coordinate, for two weights of one rank."""
+    if a.rank != b.rank:
+        raise ValueError("rank mismatch between weights")
+    return GLWeight(tuple(x - y for x, y in zip(a.coords, b.coords)))
+
+
 def alpha_to_gl(mu: tuple, rank: int) -> GLWeight:
     """Expand sum(c_i * alpha_i), mu = (c_1, ..., c_r), into GL coordinates."""
     if len(mu) != rank:
@@ -155,7 +162,7 @@ def alpha_to_gl(mu: tuple, rank: int) -> GLWeight:
 def row_weight(lam, mu):
     """The coordinates of lam + rho - mu, as hpoly.h_table keys mu's row."""
     r = lam.rank
-    return (lam + rho(r) - alpha_to_gl(mu, r)).coords
+    return minus(lam + rho(r), alpha_to_gl(mu, r)).coords
 
 
 def gl_to_alpha(v: GLWeight) -> tuple:
@@ -182,7 +189,7 @@ def h_direct(lam, mu):
     nothing and yields the zero polynomial.
     """
     r = lam.rank
-    target = lam + rho(r) - alpha_to_gl(mu, r)
+    target = minus(lam + rho(r), alpha_to_gl(mu, r))
     total = []
     for t in enumerate_crystal(partition_shape(lam + rho(r)), r):
         if content(t) == target:
@@ -220,7 +227,7 @@ def h_tensor(lam):
             w = (GLWeight(w) + content(b)).coords
             sums[w] = list_add(sums.get(w, []), [n * c for c in coeffs])
     top = lam + rho(r)
-    table = {gl_to_alpha(top - GLWeight(w)): TPoly(tuple(c)) for w, c in sums.items()}
+    table = {gl_to_alpha(minus(top, GLWeight(w))): TPoly(tuple(c)) for w, c in sums.items()}
     return {mu: p for mu, p in table.items() if not p.is_zero()}
 
 
@@ -242,7 +249,7 @@ def scan_tensor_weight_multiplicity(lam, nu):
         lam_counts[w] = lam_counts.get(w, 0) + 1
     total = 0
     for t in enumerate_crystal(partition_shape(rho(r)), r):
-        remainder = nu - content(t)
+        remainder = minus(nu, content(t))
         total += lam_counts.get(remainder.coords, 0)
     return total
 
@@ -265,7 +272,7 @@ def permute_weight(perm, v):
 def dot_action(perm, lam):
     """Shifted action w(lam + rho) - rho."""
     r = lam.rank
-    return permute_weight(perm, lam + rho(r)) - rho(r)
+    return minus(permute_weight(perm, lam + rho(r)), rho(r))
 
 
 def scan_dot_orbit_sign(lam, mu):
@@ -275,7 +282,7 @@ def scan_dot_orbit_sign(lam, mu):
     first match wins; intended for small rank only.
     """
     r = lam.rank
-    target = lam - alpha_to_gl(mu, r)
+    target = minus(lam, alpha_to_gl(mu, r))
     for perm in permutations(range(1, r + 2)):
         if dot_action(perm, lam) == target:
             return perm_sign(perm)

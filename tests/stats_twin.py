@@ -9,13 +9,13 @@ DecoratedTriangle.  Tests compare the two entry for entry; the a and b
 statistics alone (twin_stats_a, twin_stats_b) are also the tests' own
 reference for the triangles of worked examples.  The decoration
 product G is kept here too, one factor per entry multiplied out on plain
-{power: coefficient} dicts, as the twin of bzl.g_coefficient, which
-reads it from the mark counts.  So is the strictness scan over every
+{power: coefficient} dicts and returned as descending [power,
+coefficient] pairs, as the twin of bzl.g_coefficient, which reads it
+from the mark counts.  So is the strictness scan over every
 threshold and row pair, whose None is the twin of tableaux.is_strict.
 """
 
 from cscrystal.tableaux import DecoratedTriangle
-from cscrystal.tpoly import QLaurent
 
 
 def cells(rank):
@@ -79,13 +79,14 @@ def twin_counts(rank, rows):
 
 def twin_g_from_triangle(tri):
     """Product over marked entries: circled gives q^a, boxed gives -q^(a-1),
-    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product."""
+    unmarked gives (q-1)q^(a-1), and a doubly marked entry kills the product
+    ([]); nonzero terms as [power, coefficient] pairs, highest power first."""
     result = {0: 1}
     for i, j in cells(tri.rank):
         a = tri.entry(i, j)
         circ, box = (i, j) in tri.circled, (i, j) in tri.boxed
         if circ and box:
-            return QLaurent.zero()
+            return []
         if circ:
             factor = {a: 1}
         elif box:
@@ -97,7 +98,7 @@ def twin_g_from_triangle(tri):
             for k2, c2 in factor.items():
                 product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
         result = product
-    return QLaurent(result)
+    return [[k, c] for k, c in sorted(result.items(), reverse=True) if c]
 
 
 def twin_first_strictness_violation(rank, rows):

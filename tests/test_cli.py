@@ -18,10 +18,11 @@ from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import h_table
 from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import Shape, lambda_from_fundamental
-from cscrystal.tableaux import BZL_LAYOUT, STATS_LAYOUT, content, make_tableau
-from cscrystal.tpoly import TPoly
-from conftest import check_triangle_json
+from cscrystal.tableaux import BZL_LAYOUT, STATS_LAYOUT, DecoratedTriangle, content, make_tableau
+from cscrystal.tpoly import TPoly, q_text
+from conftest import check_triangle_json, shifted_elements
 from frozen import H_TABLE_OMEGA2
+from stats_twin import twin_decoration, twin_g_from_triangle
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,27 @@ def test_bzl_json_roundtrip(capsys):
     assert payload["c_coeffs"] == [0, 0, 1, -1]
 
 
+# lambda = 0, omega_1 and omega_r at ranks 1-3 (omega_1 = omega_r at rank 1)
+G_WEIGHTS = sorted(
+    {(r, c) for r in (1, 2, 3) for c in ((0,) * r, (1,) + (0,) * (r - 1), (0,) * (r - 1) + (1,))}
+)
+
+
+@pytest.mark.parametrize("rank, coeffs", G_WEIGHTS, ids=str)
+def test_bzl_g_on_every_tableau_of_the_shifted_crystal(capsys, rank, coeffs):
+    # G in JSON is the per-entry product of the twin's own triangle, and
+    # the text line prints the same pairs
+    for t in shifted_elements(lambda_from_fundamental(coeffs, rank)):
+        argv = ("bzl", "--rank", str(rank), "--tableau", t.to_text())
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        want = twin_g_from_triangle(DecoratedTriangle(rank, *twin_decoration(rank, t.rows)))
+        assert json.loads(out)["g"] == want, t.rows
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"\nG = {q_text(want)}\n" in out, t.rows
+
+
 def test_bzl_rejects_bad_tableau(capsys):
     # every rejection of parse_tableau, byte for byte: its entries are
     # ints once parsed, so it skips make_tableau's type checks and must
@@ -192,7 +214,25 @@ def test_overflowing_weight_exits_2(capsys, command):
     code, out, err = run_cli(capsys, command, "--rank", "2", "--lambda", "99999999999999999999,0")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: --lambda ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "hpoly", "graph"])
+@pytest.mark.parametrize("flag, value", [("--lambda", "9223372036854775808,0"), ("--partition", "9223372036854775808")])
+def test_part_past_sys_maxsize_names_its_option(capsys, command, flag, value):
+    # 2^63 + rank exceeds sys.maxsize: refused before anything is listed
+    code, out, err = run_cli(capsys, command, "--rank", "2", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} gives a part of 9223372036854775808, and part + rank must be at most {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "hpoly", "graph"])
+def test_weight_too_large_to_list_exits_2(capsys, command):
+    # 2^62 passes the sys.maxsize check, but itertools refuses to list its
+    # rows with a MemoryError before allocating: an input error, not a
+    # failed check (exit 1) or a traceback
+    code, out, err = run_cli(capsys, command, "--rank", "2", "--lambda", "4611686018427387904,0")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_bzl_internal_breach_exit_code(capsys, monkeypatch):

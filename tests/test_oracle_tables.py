@@ -66,14 +66,14 @@ def partition_and_weight(draw):
 @given(partition_and_weight())
 def test_weight_multiplicity_matches_scan(case):
     lam, nu = case
-    assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
+    assert weight_multiplicity(lam, nu.coords) == oracles.scan_weight_multiplicity(lam, nu)
 
 
 @settings(max_examples=150, deadline=None)
 @given(partition_and_weight())
 def test_tensor_weight_multiplicity_matches_scan(case):
     lam, nu = case
-    assert tensor_weight_multiplicity(lam, nu) == (
+    assert tensor_weight_multiplicity(lam, nu.coords) == (
         oracles.scan_tensor_weight_multiplicity(lam, nu)
     )
 
@@ -84,7 +84,7 @@ def shifted_weights(draw):
     that non-dominant weights with repeated coordinates are common."""
     rank = draw(st.integers(1, 4))
     shifted = draw(st.lists(st.integers(-1, 3), min_size=rank + 1, max_size=rank + 1))
-    return GLWeight(tuple(shifted)) - rho(rank)
+    return GLWeight(tuple(x - k for x, k in zip(shifted, range(rank, -1, -1))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +103,7 @@ def test_dot_orbit_sign_matches_scan_on_the_orbit(lam, data):
     r = lam.rank
     perm = tuple(data.draw(st.permutations(range(1, r + 2))))
     try:
-        mu = oracles.gl_to_alpha(lam - oracles.dot_action(perm, lam))
+        mu = oracles.gl_to_alpha(oracles.minus(lam, oracles.dot_action(perm, lam)))
     except ValueError:
         return
     sign = dot_orbit_sign(lam, oracles.row_weight(lam, mu))
@@ -115,7 +115,7 @@ def test_dot_orbit_sign_takes_first_match_on_repeated_coordinates():
     # lambda + rho = (1, 1, 0) and lambda + rho - mu = (1, 0, 1): both
     # (1, 3, 2) (odd) and (3, 1, 2) (even) match; the scan meets the
     # odd one first
-    lam = GLWeight((1, 1, 0)) - rho(2)
+    lam = oracles.minus(GLWeight((1, 1, 0)), rho(2))
     mu = oracles.gl_to_alpha(GLWeight((0, 1, -1)))
     assert dot_orbit_sign(lam, (1, 0, 1)) == -1
     assert oracles.scan_dot_orbit_sign(lam, mu) == -1
@@ -133,10 +133,10 @@ def test_every_table_row_matches_scans(lam):
     r = lam.rank
     for mu, _, _ in h_table(lam).rows:
         drop = oracles.alpha_to_gl(mu, r)
-        nu = lam - drop
-        assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
-        nu = lam + rho(r) - drop
-        assert tensor_weight_multiplicity(lam, nu) == (
+        nu = oracles.minus(lam, drop)
+        assert weight_multiplicity(lam, nu.coords) == oracles.scan_weight_multiplicity(lam, nu)
+        nu = oracles.minus(lam + rho(r), drop)
+        assert tensor_weight_multiplicity(lam, nu.coords) == (
             oracles.scan_tensor_weight_multiplicity(lam, nu)
         )
         assert dot_orbit_sign(lam, nu.coords) == oracles.scan_dot_orbit_sign(lam, mu)
@@ -156,10 +156,10 @@ def test_row_weights_give_the_old_oracle_arguments(lam):
     shift = rho(r).coords
     for mu, w, _ in table.rows:
         drop = oracles.alpha_to_gl(mu, r)
-        assert w == (lam + rho(r) - drop).coords
+        assert w == oracles.minus(lam + rho(r), drop).coords
         old = {
-            "inf": weight_multiplicity(lam, lam - drop),
-            "-1": tensor_weight_multiplicity(lam, lam + rho(r) - drop),
+            "inf": weight_multiplicity(lam, oracles.minus(lam, drop).coords),
+            "-1": tensor_weight_multiplicity(lam, w),
             "1": oracles.scan_dot_orbit_sign(lam, mu),
         }
         assert old.keys() == cli._AT.keys()
@@ -185,11 +185,11 @@ def test_wrong_rank_weight():
     lam = GLWeight((1, 1, 0))
     nu = GLWeight((1, 1, 1, 0))
     with pytest.raises(ValueError):
-        tensor_weight_multiplicity(lam, nu)
+        tensor_weight_multiplicity(lam, nu.coords)
     with pytest.raises(ValueError):
         oracles.scan_tensor_weight_multiplicity(lam, nu)
     # B(lambda) has no element of another rank's content
-    assert weight_multiplicity(lam, nu) == 0
+    assert weight_multiplicity(lam, nu.coords) == 0
     assert oracles.scan_weight_multiplicity(lam, nu) == 0
 
 

@@ -135,7 +135,6 @@ def marked_triangles(draw):
 @given(marked_triangles())
 def test_g_from_counts_matches_entrywise_product(tri):
     assert g_coefficient(tri) == twin_g_from_triangle(tri)
-    assert str(g_coefficient(tri)) == str(twin_g_from_triangle(tri))
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,11 +26,11 @@ from .laurent import (
     verify_identity,
 )
 from .rootsys import (
-    GLWeight,
     Shape,
     dot_orbit_sign,
     lambda_from_fundamental,
     rho,
+    shifted,
 )
 from .tableaux import (
     DecoratedTriangle,

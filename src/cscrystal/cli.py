@@ -32,14 +32,8 @@ from .bzl import (
 from .crystal import enumerate_crystal, f_op
 from .hpoly import format_mu, h_table, tensor_weight_multiplicity, weight_multiplicity
 from .laurent import shifted_sums, verify_bn_form, verify_identity
-from .rootsys import (
-    GLWeight,
-    Shape,
-    dot_orbit_sign,
-    lambda_from_fundamental,
-    rho,
-)
-from .tableaux import BZL_LAYOUT, content, is_strict, parse_tableau
+from .rootsys import Shape, dot_orbit_sign, lambda_from_fundamental, rho, shifted
+from .tableaux import BZL_LAYOUT, STATS_LAYOUT, content, is_strict, parse_tableau
 from .tpoly import q_text
 
 
@@ -50,7 +44,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _weight_from_args(args) -> GLWeight:
+def _weight_from_args(args) -> Shape:
     """The weight of --partition or --lambda.  Its first part plus the
     rank, lambda + rho's first part, must be a valid list length."""
     if args.partition is not None:
@@ -59,12 +53,12 @@ def _weight_from_args(args) -> GLWeight:
         if len(parts) > args.rank + 1:
             raise ValueError(f"partition has {len(parts)} parts, rank {args.rank} allows {args.rank + 1}")
         parts = parts + (0,) * (args.rank + 1 - len(parts))
-        lam = Shape(parts).to_weight()  # validates weakly decreasing, nonnegative
+        lam = Shape(parts)  # validates weakly decreasing, nonnegative
     else:
         flag = "--lambda"
         lam = lambda_from_fundamental(_parse_ints(args.lam, flag), args.rank)
-    if lam.coords[0] + args.rank > sys.maxsize:
-        raise ValueError(f"{flag} gives a part of {lam.coords[0]}, and part + rank must be at most {sys.maxsize}")
+    if lam.parts[0] + args.rank > sys.maxsize:
+        raise ValueError(f"{flag} gives a part of {lam.parts[0]}, and part + rank must be at most {sys.maxsize}")
     return lam
 
 
@@ -83,9 +77,7 @@ def _emit_json(obj):
 def _listed(args) -> tuple:
     """(shape, its listed crystal) of the weight, plus rho with --shifted."""
     lam = _weight_from_args(args)
-    if args.shifted:
-        lam = lam + rho(args.rank)
-    shape = Shape(lam.coords)
+    shape = shifted(lam) if args.shifted else lam
     return shape, enumerate_crystal(shape, args.rank)
 
 
@@ -98,14 +90,14 @@ def cmd_enumerate(args) -> int:
                 "shape": list(shape.parts),
                 "count": len(elements),
                 "tableaux": [
-                    {**t.to_json_dict(), "content": list(content(t).coords)}
+                    {**t.to_json_dict(), "content": list(content(t))}
                     for t in elements
                 ],
             }
         )
     else:
         for t in elements:
-            _emit(f"{t.to_text()}   content={content(t).coords}")
+            _emit(f"{t.to_text()}   content={content(t)}")
         _emit(f"count: {len(elements)}")
     return 0
 
@@ -135,10 +127,11 @@ def cmd_bzl(args) -> int:
             }
         )
     else:
+        path_text, stats_text = stats_tri.inlines(BZL_LAYOUT, STATS_LAYOUT)  # the two are equal
         sys.stdout.write(
             f"tableau: {t.to_text()}\n"
-            f"path: {path_tri.inline(BZL_LAYOUT)}\n"
-            f"stats: {stats_tri.inline()}\n"
+            f"path: {path_text}\n"
+            f"stats: {stats_text}\n"
             f"G = {q_text(g)}\n"
             f"C = {c_factored_string(stats_tri)}  [{c}]\n"
             f"strict: {'yes' if is_strict(t) else 'no'}\n"
@@ -159,7 +152,7 @@ def cmd_verify(args) -> int:
     bn_ok = report.equal and failing is None
     if args.format == "json":
         payload = {
-            "lambda": list(lam.coords),
+            "lambda": list(lam.parts),
             "rank": args.rank,
             "identity_equal": report.equal,
             "lhs_terms": report.lhs_terms,
@@ -175,7 +168,7 @@ def cmd_verify(args) -> int:
             }
         _emit_json(payload)
     else:
-        _emit(f"lambda: {lam.coords}  rank {args.rank}")
+        _emit(f"lambda: {lam.parts}  rank {args.rank}")
         _emit(
             f"identity: {'equal' if report.equal else 'MISMATCH'}"
             f" (lhs {report.lhs_terms} terms, rhs {report.rhs_terms} terms)"
@@ -193,7 +186,7 @@ def cmd_verify(args) -> int:
 _AT = {"inf": (0, "irreducible multiplicity"), "-1": (-1, "tensor multiplicity"), "1": (1, "orbit sign")}
 
 
-def _oracle_value(lam: GLWeight, w: tuple, at: str, shift: tuple) -> int:
+def _oracle_value(lam: Shape, w: tuple, at: str, shift: tuple) -> int:
     """The oracle's value at the point for the row of weight
     w = lam + rho - mu, as h_table keeps it; shift is rho's coordinates,
     computed once per table.  At q=inf the weight asked about is
@@ -212,7 +205,7 @@ def cmd_hpoly(args) -> int:
     checks = []  # (got, want), one pair per row, in row order
     if at is not None:
         t, label = _AT[at]
-        shift = rho(lam.rank).coords
+        shift = rho(lam.rank).parts
         checks = [(poly.eval(t), _oracle_value(lam, w, at, shift)) for _, w, poly in table.rows]
     mismatched = sum(got != want for got, want in checks)
 
@@ -240,7 +233,7 @@ def cmd_hpoly(args) -> int:
         if mismatched:
             sys.stderr.write(f"{mismatched} specialization mismatches\n")
     else:
-        _emit(f"lambda: {lam.coords}  rank {args.rank}  rows: {len(table.rows)}")
+        _emit(f"lambda: {lam.parts}  rank {args.rank}  rows: {len(table.rows)}")
         marks = [
             f"  | at q={at}: {got}  {label} {want}  {'ok' if got == want else 'FAIL'}"
             for got, want in checks

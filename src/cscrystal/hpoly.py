@@ -1,11 +1,12 @@
 """Deformed weight-multiplicity polynomials and their specializations.
 
-For a dominant weight lambda, each weight drop mu (in simple-root
-coordinates) collects the coefficients of the rho-shifted crystal
-elements sitting at weight lambda + rho - mu: the coefficient of
+For a dominant weight lambda, a rootsys.Shape, each weight drop mu (in
+simple-root coordinates) collects the coefficients of the rho-shifted
+crystal elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
-each element from its Gelfand-Tsetlin blocks.  A table is one sorted
+each element from its Gelfand-Tsetlin blocks; lambda + rho is
+rootsys.shifted(lambda), the shape of that crystal.  A table is one sorted
 tuple of rows (mu, w, H), mu a plain tuple and w = lambda + rho - mu as
 those sums key it; cli asks the oracles below about w, less rho at q = inf.
 The same polynomial arises from tensoring the plain lambda-crystal with
@@ -32,7 +33,7 @@ from operator import sub
 from .bzl import c_coefficient  # noqa: F401
 from .crystal import enumerate_crystal  # noqa: F401
 from .laurent import shifted_sums
-from .rootsys import GLWeight, Record, character, dominant_multiplicities, rho
+from .rootsys import Record, Shape, character, dominant_multiplicities, shifted
 from .tpoly import q_text
 
 
@@ -41,7 +42,7 @@ class HTable(Record):
 
     __slots__ = ("lam", "rows")
 
-    def __init__(self, lam: GLWeight, rows: tuple):
+    def __init__(self, lam: Shape, rows: tuple):
         self.lam = lam
         self.rows = rows  # (mu, lam + rho - mu, TPoly) triples, sorted by (degree, mu)
 
@@ -76,7 +77,7 @@ class HTable(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "lambda": list(self.lam.coords),
+            "lambda": list(self.lam.parts),
             "rank": self.lam.rank,
             "rows": [
                 {"mu": list(mu), "coeffs": list(poly.coeffs)}
@@ -99,7 +100,7 @@ def format_mu(mu: tuple, root: str) -> str:
     return "+".join(pieces)
 
 
-def h_table(lam: GLWeight) -> HTable:
+def h_table(lam: Shape) -> HTable:
     """One row per distinct weight of the rho-shifted crystal.
 
     The row of mu is the weight sum of laurent.shifted_sums at weight
@@ -108,13 +109,13 @@ def h_table(lam: GLWeight) -> HTable:
     nonnegative; the rows are sorted once, by (degree, mu), as every
     reader prints them.
     """
-    shifted = (lam + rho(lam.rank)).coords
-    size = sum(shifted)
+    top = shifted(lam).parts
+    size = sum(top)
     rows = []
     for w, poly in shifted_sums(lam).items():
         if sum(w) != size:
             raise ValueError(f"lambda + rho - {w} is not in the root lattice")
-        mu = tuple(accumulate(map(sub, shifted[:-1], w)))
+        mu = tuple(accumulate(map(sub, top[:-1], w)))
         if min(mu) < 0:
             raise ValueError(f"alpha coordinates must be nonnegative integers: {mu}")
         rows.append((mu, w, poly))
@@ -122,7 +123,7 @@ def h_table(lam: GLWeight) -> HTable:
     return HTable(lam=lam, rows=tuple(rows))
 
 
-def weight_multiplicity(lam: GLWeight, nu: tuple) -> int:
+def weight_multiplicity(lam: Shape, nu: tuple) -> int:
     """Multiplicity of the weight with coordinates nu in V(lam), the
     number of B(lam) elements with content nu: the sorted nu looked up
     in rootsys.dominant_multiplicities; 0 for a nu of another rank."""
@@ -130,7 +131,7 @@ def weight_multiplicity(lam: GLWeight, nu: tuple) -> int:
 
 
 @lru_cache(maxsize=8)  # built once per lambda; callers only read the dicts
-def _tensor_terms(lam: GLWeight) -> dict:
+def _tensor_terms(lam: Shape) -> dict:
     """Weight coordinates -> multiplicity in V(lam) x V(rho), from
     s_lam(z) s_rho(z) with s_rho = prod_{i<j} (z_i + z_j): each pair is
     one pass that adds the copies of the map moved by e_i and by e_j."""
@@ -145,7 +146,7 @@ def _tensor_terms(lam: GLWeight) -> dict:
     return flat
 
 
-def tensor_weight_multiplicity(lam: GLWeight, nu: tuple) -> int:
+def tensor_weight_multiplicity(lam: Shape, nu: tuple) -> int:
     """Multiplicity of the weight with coordinates nu in V(lam) x V(rho),
     the number of pairs in B(lam) x B(rho) with content nu; ValueError
     for a nu of another rank."""

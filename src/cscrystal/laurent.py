@@ -7,7 +7,8 @@ multiplicities of V(lambda) from rootsys.character (Freudenthal's
 formula, no crystal listed), times z^rho; each factor (1 - t z_j/z_i)
 then acts by one shift-and-subtract pass (_times_deformed).  The crystal
 side sums C by weight (bzl.weight_sums), each sum spread over its
-t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores).
+t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores),
+listed at rootsys.shifted(lambda); lambda is a rootsys.Shape.
 verify_identity compares the two maps, and looks for the first
 differing exponent only when they differ.  The reversed form is the
 identity relabelled by the bijection e -> reversed(e - rho), so its
@@ -27,7 +28,7 @@ from .bzl import block_agrees, crystal_scores, gt_blocks, weight_sums
 from .bzl import bzl_path, c_coefficient, decorate_via_operators  # noqa: F401
 from .bzl import g_coefficient as g_from_triangle  # noqa: F401
 from .crystal import enumerate_crystal
-from .rootsys import GLWeight, Record, character, partition_shape, rho
+from .rootsys import Record, Shape, character, rho, shifted
 from .tpoly import TPoly
 
 
@@ -81,22 +82,21 @@ def _times_deformed(flat: dict, rank: int) -> dict:
     return flat
 
 
-def cs_lhs(lam: GLWeight) -> LaurentPoly:
+def cs_lhs(lam: Shape) -> LaurentPoly:
     """z^rho * s_lambda(z) * prod(1 - t z_j/z_i); all exponents end up >= 0."""
-    r, shift = lam.rank, rho(lam.rank).coords
+    r, shift = lam.rank, rho(lam.rank).parts
     flat = {tuple(map(add, w, shift)) + (0,): n for w, n in character(lam).items()}
     return LaurentPoly(r, _times_deformed(flat, r))
 
 
-def shifted_sums(lam: GLWeight) -> dict:
+def shifted_sums(lam: Shape) -> dict:
     """weight_sums of one crystal_scores pass over B(lam+rho), listed
     here: the one place the package lists and scores the shifted crystal."""
-    r = lam.rank
-    shape = partition_shape(lam + rho(r))
-    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, r)))
+    shape = shifted(lam)
+    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, lam.rank)))
 
 
-def cs_rhs(lam: GLWeight, sums: dict) -> LaurentPoly:
+def cs_rhs(lam: Shape, sums: dict) -> LaurentPoly:
     """Sum of c_coefficient(b) z^weight(b) over the rho-shifted crystal:
     sums, the weight sums {content: TPoly} of shifted_sums(lam), spread
     over their t-degrees."""
@@ -112,7 +112,7 @@ class IdentityReport(Record):
         self.first_mismatch = first_mismatch  # (exp, lhs coeff, rhs coeff)
 
 
-def verify_identity(lam: GLWeight, sums: dict) -> IdentityReport:
+def verify_identity(lam: Shape, sums: dict) -> IdentityReport:
     """Compare both sides of the deformed character identity exactly,
     the crystal side spread from sums, the weight sums of shifted_sums(lam)."""
     lhs = cs_lhs(lam)
@@ -124,7 +124,7 @@ def verify_identity(lam: GLWeight, sums: dict) -> IdentityReport:
     return IdentityReport(mismatch is None, lhs.num_terms(), rhs.num_terms(), mismatch)
 
 
-def verify_bn_form(lam: GLWeight) -> tuple | None:
+def verify_bn_form(lam: Shape) -> tuple | None:
     """The walk's half of the reversed-coordinate form: (j, lower, upper)
     of the first block of B(lam+rho) in the row pass gt_blocks whose walk
     differs from its statistics block (block_agrees), or None.
@@ -136,5 +136,5 @@ def verify_bn_form(lam: GLWeight) -> tuple | None:
     both sides (s_lambda is symmetric), and that is a bijection; so it
     holds exactly when verify_identity does and this returns None.
     """
-    top = partition_shape(lam + rho(lam.rank)).parts
+    top = shifted(lam).parts
     return next(((len(key[0]),) + key for key in gt_blocks(top) if not block_agrees(*key)), None)

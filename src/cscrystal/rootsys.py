@@ -1,12 +1,14 @@
 """Type-A weight lattice in GL coordinates.
 
-Weights are integer vectors of length r+1 (rank r).  The simple root
-alpha_i is e_i - e_{i+1}, rho is (r, r-1, ..., 1, 0), and the i-th
-fundamental weight is e_1 + ... + e_i; hpoly keeps a drop sum c_i alpha_i
-as the plain tuple (c_1, ..., c_r).  Permutations act by permuting
-coordinates; the dot action shifts by rho on both sides.  The sign of a
-dot orbit is read off by matching coordinates, not by a search over the
-Weyl group.  The weight multiplicities of V(lambda) come from
+Weights are integer vectors of length r+1 (rank r).  A dominant weight
+is a partition, so lambda, rho = (r, r-1, ..., 1, 0) and lambda + rho
+(shifted) are each held as the Shape with those parts; every other
+weight is a plain tuple.  The simple root alpha_i is e_i - e_{i+1}, and
+the i-th fundamental weight is e_1 + ... + e_i; hpoly keeps a drop sum
+c_i alpha_i as the plain tuple (c_1, ..., c_r).  Permutations act by
+permuting coordinates; the dot action shifts by rho on both sides.  The
+sign of a dot orbit is read off by matching coordinates, not by a search
+over the Weyl group.  The weight multiplicities of V(lambda) come from
 Freudenthal's formula on its dominant weights (dominant_multiplicities),
 in integers, and spread over Weyl orbits they give s_lambda term by term
 (character); no crystal is listed for them.
@@ -50,34 +52,9 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class GLWeight(Record):
-    """Weight vector in GL coordinates; rank is len(coords) - 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]):
-        self.coords = coords
-        if len(self.coords) < 2:
-            raise ValueError("a weight needs at least two coordinates (rank >= 1)")
-        if not all(isinstance(c, int) for c in self.coords):
-            raise ValueError("weight coordinates must be integers")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords) - 1
-
-    def __add__(self, other: "GLWeight") -> "GLWeight":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch between weights")
-        return GLWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def is_partition(self) -> bool:
-        """True when coordinates are weakly decreasing and nonnegative."""
-        return all(a >= b for a, b in zip(self.coords, self.coords[1:])) and self.coords[-1] >= 0
-
-
 class Shape(Record):
-    """Row lengths of a Young diagram, always stored with r+1 parts."""
+    """Row lengths of a Young diagram, always stored with r+1 parts: a
+    partition, and so also the dominant weight with these coordinates."""
 
     __slots__ = ("parts",)
 
@@ -108,25 +85,18 @@ class Shape(Record):
             return f"{p} has last part {p[-1]}, and a strict shape needs last part 0"
         return None
 
-    def to_weight(self) -> GLWeight:
-        return GLWeight(self.parts)
+
+def rho(rank: int) -> Shape:
+    """The staircase weight (r, r-1, ..., 1, 0); Shape refuses rank < 1."""
+    return Shape(tuple(range(rank, -1, -1)))
 
 
-def partition_shape(lam: GLWeight) -> Shape:
-    """The Young diagram of a partition weight; ValueError otherwise."""
-    if not lam.is_partition():
-        raise ValueError(f"{lam.coords} is not a partition")
-    return Shape(lam.coords)
+def shifted(lam: Shape) -> Shape:
+    """lam + rho, the shape of the rho-shifted crystal B(lam+rho)."""
+    return Shape(tuple(map(add, lam.parts, range(lam.rank, -1, -1))))
 
 
-def rho(rank: int) -> GLWeight:
-    """The staircase weight (r, r-1, ..., 1, 0)."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    return GLWeight(tuple(range(rank, -1, -1)))
-
-
-def lambda_from_fundamental(coeffs, rank: int) -> GLWeight:
+def lambda_from_fundamental(coeffs, rank: int) -> Shape:
     """Dominant weight sum(coeffs[i] * omega_{i+1}) in GL coordinates.
 
     omega_i has i leading ones, so coordinate j is the sum of the
@@ -138,7 +108,7 @@ def lambda_from_fundamental(coeffs, rank: int) -> GLWeight:
     if any(not isinstance(c, int) or c < 0 for c in coeffs):
         raise ValueError("fundamental coefficients must be nonnegative integers")
     coords = [sum(coeffs[j:]) for j in range(rank)] + [0]
-    return GLWeight(tuple(coords))
+    return Shape(tuple(coords))
 
 
 def _moved(nu: tuple, i: int, j: int, k: int) -> tuple:
@@ -150,7 +120,7 @@ def _moved(nu: tuple, i: int, j: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=8)  # a process asks about few weights; callers only read the dicts
-def dominant_multiplicities(lam: GLWeight) -> dict:
+def dominant_multiplicities(lam: Shape) -> dict:
     """Partition nu -> multiplicity of the weight nu in V(lam), for a
     partition lam, by Freudenthal's formula (Humphreys, Intro. to Lie
     Algebras, §22.3): for the roots e_i - e_j,
@@ -166,7 +136,7 @@ def dominant_multiplicities(lam: GLWeight) -> dict:
     decreasing |nu+rho|^2 finds it done.  A division with a remainder
     raises RuntimeError.
     """
-    top = partition_shape(lam).parts
+    top = lam.parts
     pairs = list(combinations(range(len(top)), 2))
     found, todo = {top}, [top]
     while todo:
@@ -192,7 +162,7 @@ def dominant_multiplicities(lam: GLWeight) -> dict:
     return mult
 
 
-def character(lam: GLWeight) -> dict:
+def character(lam: Shape) -> dict:
     """s_lam(z) term by term: weight coordinates -> multiplicity in
     V(lam), each dominant multiplicity spread over its Weyl orbit."""
     mults = dominant_multiplicities(lam)
@@ -210,7 +180,7 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def dot_orbit_sign(lam: GLWeight, w: tuple) -> int:
+def dot_orbit_sign(lam: Shape, w: tuple) -> int:
     """Sign of the permutation v with v . lam == w - rho, else 0, for the
     coordinates w of lam + rho - mu.
 
@@ -219,11 +189,13 @@ def dot_orbit_sign(lam: GLWeight, w: tuple) -> int:
     are rearrangements of each other.  With repeated coordinates several
     v qualify; slot k takes the smallest unused position holding its
     coordinate, which builds the lexicographically first of them.
+    lam + rho is a plain tuple here, not shifted(lam): most w are no
+    rearrangement, and that answer skips validating a Shape.
     """
-    shifted = tuple(map(add, lam.coords, range(lam.rank, -1, -1)))
-    if sorted(shifted) != sorted(w):
+    top = tuple(map(add, lam.parts, range(lam.rank, -1, -1)))
+    if sorted(top) != sorted(w):
         return 0
     positions: dict = {}
     for p, x in enumerate(w, start=1):
         positions.setdefault(x, []).append(p)
-    return perm_sign(tuple(positions[x].pop(0) for x in shifted))
+    return perm_sign(tuple(positions[x].pop(0) for x in top))

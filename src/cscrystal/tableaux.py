@@ -17,7 +17,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import le, lt
 
-from .rootsys import GLWeight, Record
+from .rootsys import Record
 
 
 class Tableau(Record):
@@ -129,9 +129,19 @@ def _print_rows(rank: int, layout: str) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _cells(rank: int) -> frozenset:
-    """The cells (i, j), 1 <= i <= j <= rank, of a rank-r triangle."""
-    return frozenset((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
+def _cells(rank: int) -> dict:
+    """The cells (i, j), 1 <= i <= j <= rank, of a rank-r triangle, each
+    mapped to its position in the triangle's grid read row by row."""
+    cells = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    return {cell: k for k, cell in enumerate(cells)}
+
+
+@lru_cache(maxsize=32)
+def _inline_template(rank: int, layout: str) -> str:
+    """DecoratedTriangle.inline's text in a layout, each cell a str.format
+    field numbered by its _cells position."""
+    rows = [", ".join([f"{{{_cells(rank)[cell]}}}" for _, cell in row]) for row in _print_rows(rank, layout)]
+    return "(" + "; ".join(rows) + ")"
 
 
 class DecoratedTriangle(Record):
@@ -150,7 +160,8 @@ class DecoratedTriangle(Record):
         self.rank, self.grid, self.circled, self.boxed = rank, grid, circled, boxed
         if list(map(len, self.grid)) != list(range(self.rank, 0, -1)):
             raise ValueError(f"a rank-{self.rank} triangle needs rows of {self.rank}..1 entries")
-        if not (self.circled <= _cells(self.rank) and self.boxed <= _cells(self.rank)):
+        cells = _cells(self.rank).keys()
+        if not (self.circled <= cells and self.boxed <= cells):
             raise ValueError("decoration marks outside the triangle")
 
     def entry(self, i: int, j: int) -> int:
@@ -164,19 +175,17 @@ class DecoratedTriangle(Record):
     def inline(self, layout: str = STATS_LAYOUT) -> str:
         """Rows joined by '; ' in a print layout: '(2, 0◯; 2□)' in STATS,
         '(2; 2□, 0◯)' for the same triangle in BZL."""
-        grid, circled, boxed = self.grid, self.circled, self.boxed
-        rows = []
-        for row in _print_rows(self.rank, layout):
-            texts = []
-            for _, cell in row:
-                text = str(grid[cell[0] - 1][cell[1] - cell[0]])
-                if cell in circled:
-                    text += "◯"
-                if cell in boxed:
-                    text += "□"
-                texts.append(text)
-            rows.append(", ".join(texts))
-        return "(" + "; ".join(rows) + ")"
+        return self.inlines(layout)[0]
+
+    def inlines(self, *layouts: str) -> tuple:
+        """inline in each of the layouts; each cell's text is made once."""
+        texts = [str(a) for row in self.grid for a in row]
+        index = _cells(self.rank)
+        for cell in self.circled:
+            texts[index[cell]] += "◯"
+        for cell in self.boxed:
+            texts[index[cell]] += "□"
+        return tuple([_inline_template(self.rank, layout).format(*texts) for layout in layouts])
 
     def to_json_dict(self, layout: str = STATS_LAYOUT) -> dict:
         return {
@@ -196,13 +205,13 @@ class DecoratedTriangle(Record):
         }
 
 
-def content(t: Tableau) -> GLWeight:
+def content(t: Tableau) -> tuple:
     """Entry-count vector: coordinate k is the number of boxes holding k."""
     counts = [0] * (t.rank + 1)
     for row in t.rows:
         for x in row:
             counts[x - 1] += 1
-    return GLWeight(tuple(counts))
+    return tuple(counts)
 
 
 @lru_cache(maxsize=1)

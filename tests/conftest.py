@@ -1,7 +1,7 @@
 import pytest
 
 from cscrystal.crystal import enumerate_crystal
-from cscrystal.rootsys import Shape, lambda_from_fundamental, rho
+from cscrystal.rootsys import lambda_from_fundamental, shifted
 from cscrystal.tableaux import STATS_LAYOUT
 
 
@@ -18,10 +18,15 @@ def suite_weights():
     return out
 
 
+# (rank, fundamental coefficients) of lambda = 0, omega_1 and omega_r at ranks 1-3
+CORNER_WEIGHTS = sorted(
+    {(r, c) for r in (1, 2, 3) for c in ((0,) * r, (1,) + (0,) * (r - 1), (0,) * (r - 1) + (1,))}
+)
+
+
 def shifted_elements(lam):
     """All tableaux of the rho-shifted crystal of lam."""
-    shifted = lam + rho(lam.rank)
-    return enumerate_crystal(Shape(shifted.coords), lam.rank)
+    return enumerate_crystal(shifted(lam), lam.rank)
 
 
 def check_triangle_json(payload, tri, layout):

@@ -22,10 +22,11 @@ plain integer lists (list_add, list_mul), not by package code.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from operator import add
 
 from cscrystal.bzl import c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
-from cscrystal.rootsys import GLWeight, partition_shape, perm_sign, rho
+from cscrystal.rootsys import perm_sign, rho, shifted
 from cscrystal.tableaux import content, make_tableau
 from cscrystal.tpoly import TPoly
 
@@ -141,14 +142,15 @@ def c_product_twin(box, non):
     return TPoly(tuple(out))
 
 
-def minus(a: GLWeight, b: GLWeight) -> GLWeight:
-    """a - b coordinate by coordinate, for two weights of one rank."""
-    if a.rank != b.rank:
+def minus(a: tuple, b: tuple) -> tuple:
+    """a - b coordinate by coordinate, for the coordinates of two weights
+    of one rank."""
+    if len(a) != len(b):
         raise ValueError("rank mismatch between weights")
-    return GLWeight(tuple(x - y for x, y in zip(a.coords, b.coords)))
+    return tuple(x - y for x, y in zip(a, b))
 
 
-def alpha_to_gl(mu: tuple, rank: int) -> GLWeight:
+def alpha_to_gl(mu: tuple, rank: int) -> tuple:
     """Expand sum(c_i * alpha_i), mu = (c_1, ..., c_r), into GL coordinates."""
     if len(mu) != rank:
         raise ValueError(f"alpha vector has rank {len(mu)}, expected {rank}")
@@ -156,24 +158,28 @@ def alpha_to_gl(mu: tuple, rank: int) -> GLWeight:
     for i, ci in enumerate(mu, start=1):
         coords[i - 1] += ci
         coords[i] -= ci
-    return GLWeight(tuple(coords))
+    return tuple(coords)
+
+
+def plus_rho(v: tuple) -> tuple:
+    """v + rho coordinate by coordinate, for the coordinates v of any weight."""
+    return tuple(map(add, v, rho(len(v) - 1).parts))
 
 
 def row_weight(lam, mu):
     """The coordinates of lam + rho - mu, as hpoly.h_table keys mu's row."""
-    r = lam.rank
-    return minus(lam + rho(r), alpha_to_gl(mu, r)).coords
+    return minus(plus_rho(lam.parts), alpha_to_gl(mu, lam.rank))
 
 
-def gl_to_alpha(v: GLWeight) -> tuple:
+def gl_to_alpha(v: tuple) -> tuple:
     """Inverse of alpha_to_gl; the partial sums recover the c_i.
     hpoly.h_table reads each row's mu off its weight the same way.  A
     negative c_i is not a weight drop: ValueError."""
-    if sum(v.coords) != 0:
-        raise ValueError(f"{v.coords} is not in the root lattice (coordinates sum to {sum(v.coords)})")
+    if sum(v) != 0:
+        raise ValueError(f"{v} is not in the root lattice (coordinates sum to {sum(v)})")
     partial = 0
     cs = []
-    for x in v.coords[:-1]:
+    for x in v[:-1]:
         partial += x
         cs.append(partial)
     if min(cs) < 0:
@@ -188,10 +194,9 @@ def h_direct(lam, mu):
     outside the weight support of the shifted crystal contributes
     nothing and yields the zero polynomial.
     """
-    r = lam.rank
-    target = minus(lam + rho(r), alpha_to_gl(mu, r))
+    target = row_weight(lam, mu)
     total = []
-    for t in enumerate_crystal(partition_shape(lam + rho(r)), r):
+    for t in enumerate_crystal(shifted(lam), lam.rank):
         if content(t) == target:
             total = list_add(total, c_coefficient(decorate_via_stats(t)).coeffs)
     return TPoly(tuple(total))
@@ -201,8 +206,8 @@ def content_histogram(lam):
     """Content coordinates -> number of listed B(lam) elements with that
     content: s_lam(z) term by term."""
     counts: dict = {}
-    for t in enumerate_crystal(partition_shape(lam), lam.rank):
-        w = content(t).coords
+    for t in enumerate_crystal(lam, lam.rank):
+        w = content(t)
         counts[w] = counts.get(w, 0) + 1
     return counts
 
@@ -219,22 +224,22 @@ def h_tensor(lam):
     r = lam.rank
     counts = content_histogram(lam)
     sums: dict = {}
-    for b in enumerate_crystal(partition_shape(rho(r)), r):
+    for b in enumerate_crystal(rho(r), r):
         coeffs = c_coefficient(decorate_via_stats(b)).coeffs
         if not coeffs:
             continue
         for w, n in counts.items():
-            w = (GLWeight(w) + content(b)).coords
+            w = tuple(map(add, w, content(b)))
             sums[w] = list_add(sums.get(w, []), [n * c for c in coeffs])
-    top = lam + rho(r)
-    table = {gl_to_alpha(minus(top, GLWeight(w))): TPoly(tuple(c)) for w, c in sums.items()}
+    top = plus_rho(lam.parts)
+    table = {gl_to_alpha(minus(top, w)): TPoly(tuple(c)) for w, c in sums.items()}
     return {mu: p for mu, p in table.items() if not p.is_zero()}
 
 
 def scan_weight_multiplicity(lam, nu):
     """Number of lambda-crystal elements with entry-count vector nu."""
     count = 0
-    for t in enumerate_crystal(partition_shape(lam), lam.rank):
+    for t in enumerate_crystal(lam, lam.rank):
         if content(t) == nu:
             count += 1
     return count
@@ -244,13 +249,13 @@ def scan_tensor_weight_multiplicity(lam, nu):
     """Multiplicity of nu as a weight of B(lam) x B(rho), by convolution."""
     r = lam.rank
     lam_counts: dict = {}
-    for t in enumerate_crystal(partition_shape(lam), r):
-        w = content(t).coords
+    for t in enumerate_crystal(lam, r):
+        w = content(t)
         lam_counts[w] = lam_counts.get(w, 0) + 1
     total = 0
-    for t in enumerate_crystal(partition_shape(rho(r)), r):
+    for t in enumerate_crystal(rho(r), r):
         remainder = minus(nu, content(t))
-        total += lam_counts.get(remainder.coords, 0)
+        total += lam_counts.get(remainder, 0)
     return total
 
 
@@ -261,18 +266,17 @@ def _check_perm(perm, n):
 
 def permute_weight(perm, v):
     """Coordinate permutation: position w(k) of the result holds v_k."""
-    n = len(v.coords)
+    n = len(v)
     _check_perm(perm, n)
     out = [0] * n
     for k in range(n):
-        out[perm[k] - 1] = v.coords[k]
-    return GLWeight(tuple(out))
+        out[perm[k] - 1] = v[k]
+    return tuple(out)
 
 
 def dot_action(perm, lam):
-    """Shifted action w(lam + rho) - rho."""
-    r = lam.rank
-    return minus(permute_weight(perm, lam + rho(r)), rho(r))
+    """Shifted action w(lam + rho) - rho on the coordinates lam of any weight."""
+    return minus(permute_weight(perm, plus_rho(lam)), rho(len(lam) - 1).parts)
 
 
 def scan_dot_orbit_sign(lam, mu):
@@ -282,8 +286,8 @@ def scan_dot_orbit_sign(lam, mu):
     first match wins; intended for small rank only.
     """
     r = lam.rank
-    target = minus(lam, alpha_to_gl(mu, r))
+    target = minus(lam.parts, alpha_to_gl(mu, r))
     for perm in permutations(range(1, r + 2)):
-        if dot_action(perm, lam) == target:
+        if dot_action(perm, lam.parts) == target:
             return perm_sign(perm)
     return 0

@@ -30,16 +30,14 @@ from cscrystal.crystal import (
 from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.laurent import shifted_sums, verify_identity
 from cscrystal.rootsys import (
-    GLWeight,
     Shape,
     dot_orbit_sign,
     lambda_from_fundamental,
-    rho,
 )
 from cscrystal.tableaux import is_strict, make_tableau
 from frozen import CRYSTAL_SIZES, H_TABLE_OMEGA2, OMEGA2_SIGNS_AT_ONE
 from operator_walk import reading_word, word_epsilon
-from oracles import alpha_to_gl, h_direct, h_tensor, minus
+from oracles import alpha_to_gl, h_direct, h_tensor, minus, plus_rho
 from stats_twin import twin_stats_a
 
 OMEGA2 = lambda_from_fundamental((0, 1), 2)
@@ -103,7 +101,7 @@ def test_03_identity_suite():
         started = time.perf_counter()
         for lam in suite_weights():
             report = verify_identity(lam, shifted_sums(lam))
-            assert report.equal, (lam.coords, report.first_mismatch)
+            assert report.equal, (lam.parts, report.first_mismatch)
             assert report.lhs_terms == report.rhs_terms
         assert time.perf_counter() - started < 60.0
 
@@ -153,10 +151,10 @@ def test_07_specialization_oracles():
             r = lam.rank
             table = h_table(lam)
             for mu, _, poly in table.rows:
-                shifted_target = minus(lam + rho(r), alpha_to_gl(mu, r)).coords
+                shifted_target = minus(plus_rho(lam.parts), alpha_to_gl(mu, r))
                 assert poly.eval(0) == weight_multiplicity(
-                    lam, minus(lam, alpha_to_gl(mu, r)).coords
-                ), (lam.coords, mu)
+                    lam, minus(lam.parts, alpha_to_gl(mu, r))
+                ), (lam.parts, mu)
                 got_tensor = poly.eval(-1)
                 assert got_tensor == tensor_weight_multiplicity(lam, shifted_target)
                 assert poly.eval(1) == dot_orbit_sign(lam, shifted_target)
@@ -185,7 +183,7 @@ def test_08_operator_fixture():
 def test_09_enumeration_matches_brute_force():
     with verdict(9, "crystal sizes equal brute-force filling counts, suite-wide"):
         for lam in suite_weights():
-            parts = (lam + rho(lam.rank)).coords
+            parts = plus_rho(lam.parts)
             got = len(enumerate_crystal(Shape(parts), lam.rank))
             assert got == len(oracles.brute_force_ssyt(parts, lam.rank + 1)), parts
         for parts, size in CRYSTAL_SIZES.items():
@@ -202,6 +200,6 @@ def test_10_out_of_scope_note():
         "the exact identity suite (check 3) is the stand-in"
     )
     with verdict(10, label):
-        lam = GLWeight((0, 0))
+        lam = Shape((0, 0))
         report = verify_identity(lam, shifted_sums(lam))
         assert report.equal

@@ -43,7 +43,7 @@ from cscrystal.bzl import (
     gt_blocks,
 )
 from cscrystal.crystal import enumerate_crystal, surviving_slots
-from cscrystal.rootsys import Shape, lambda_from_fundamental, rho
+from cscrystal.rootsys import Shape, lambda_from_fundamental, shifted
 from operator_walk import operator_walk, word_block_walk
 from test_word_kernel import any_shape_tableaux
 
@@ -102,7 +102,7 @@ def test_blocks_match_whole_walk_at_rank_5(t):
 def row_pass_blocks(lam, elements):
     """gt_blocks under lam+rho, held to the GT row pairs of the listed
     elements of B(lam+rho): each of them once, and nothing else."""
-    blocks = list(gt_blocks((lam + rho(lam.rank)).coords))
+    blocks = list(gt_blocks(shifted(lam).parts))
     assert len(set(blocks)) == len(blocks), lam
     assert set(blocks) == {key for t in elements for key in gt_pairs(t)}, lam
     return blocks
@@ -110,9 +110,8 @@ def row_pass_blocks(lam, elements):
 
 def test_walk_counts_match_operator_marks_on_suite(suite):
     for lam in suite:
-        r = lam.rank
         elements = shifted_elements(lam)
-        got = [s[1:] for s in crystal_scores(Shape((lam + rho(r)).coords), elements)]
+        got = [s[1:] for s in crystal_scores(shifted(lam), elements)]
         assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
         assert all(block_agrees(*key) for key in row_pass_blocks(lam, elements)), lam
 

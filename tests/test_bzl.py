@@ -13,7 +13,7 @@ from cscrystal.bzl import (
     decorate_via_stats,
     g_coefficient,
 )
-from cscrystal.rootsys import Shape, rho
+from cscrystal.rootsys import Shape, shifted
 from cscrystal.tableaux import (
     BZL_LAYOUT,
     STATS_LAYOUT,
@@ -149,9 +149,9 @@ def test_path_total_equals_simple_root_drop():
     for lam in suite_weights():
         if lam.rank > 2:
             continue
-        shifted = lam + rho(lam.rank)
+        top = shifted(lam).parts
         for t in shifted_elements(lam):
-            drop = gl_to_alpha(minus(shifted, content(t)))
+            drop = gl_to_alpha(minus(top, content(t)))
             assert bzl_path(t).total() == sum(drop)
 
 
@@ -176,6 +176,8 @@ def test_stats_route_decorations():
     assert tri.boxed == frozenset({(2, 2)})
     assert tri.circled == frozenset({(1, 2)})
     assert tri.inline() == "(2, 0◯; 2□)"
+    # cli's bzl prints both layouts of this one triangle
+    assert tri.inlines(BZL_LAYOUT, STATS_LAYOUT) == ("(2; 2□, 0◯)", "(2, 0◯; 2□)")
 
 
 def test_layout_conversion_is_inverse():

@@ -20,7 +20,7 @@ from cscrystal.laurent import LaurentPoly
 from cscrystal.rootsys import Shape, lambda_from_fundamental
 from cscrystal.tableaux import BZL_LAYOUT, STATS_LAYOUT, DecoratedTriangle, content, make_tableau
 from cscrystal.tpoly import TPoly, q_text
-from conftest import check_triangle_json, shifted_elements
+from conftest import CORNER_WEIGHTS, check_triangle_json, shifted_elements
 from frozen import H_TABLE_OMEGA2
 from stats_twin import twin_decoration, twin_g_from_triangle
 
@@ -78,7 +78,7 @@ def test_enumerate_json_roundtrip(capsys):
     assert payload["count"] == 8 == len(payload["tableaux"])
     elements = enumerate_crystal(Shape((2, 1, 0)), 2)
     assert payload["tableaux"] == [
-        {**t.to_json_dict(), "content": list(content(t).coords)} for t in elements
+        {**t.to_json_dict(), "content": list(content(t))} for t in elements
     ]
 
 
@@ -152,12 +152,7 @@ def test_bzl_json_roundtrip(capsys):
 
 
 # lambda = 0, omega_1 and omega_r at ranks 1-3 (omega_1 = omega_r at rank 1)
-G_WEIGHTS = sorted(
-    {(r, c) for r in (1, 2, 3) for c in ((0,) * r, (1,) + (0,) * (r - 1), (0,) * (r - 1) + (1,))}
-)
-
-
-@pytest.mark.parametrize("rank, coeffs", G_WEIGHTS, ids=str)
+@pytest.mark.parametrize("rank, coeffs", CORNER_WEIGHTS, ids=str)
 def test_bzl_g_on_every_tableau_of_the_shifted_crystal(capsys, rank, coeffs):
     # G in JSON is the per-entry product of the twin's own triangle, and
     # the text line prints the same pairs
@@ -397,7 +392,7 @@ def test_reversed_form_is_equal_only_with_the_identity(capsys, monkeypatch, suit
     if tamper == "cs_rhs":
         _one_more_rhs_term(monkeypatch)
     for lam in suite:
-        args = ["verify", "--rank", str(lam.rank), "--partition", ",".join(map(str, lam.coords))]
+        args = ["verify", "--rank", str(lam.rank), "--partition", ",".join(map(str, lam.parts))]
         code, out, err = run_cli(capsys, *args)
         verdicts = _verdicts(out)
         want = "equal" if tamper == "none" else "MISMATCH"

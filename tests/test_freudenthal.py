@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cscrystal import cli, rootsys
 from cscrystal.rootsys import (
-    GLWeight,
+    Shape,
     character,
     dominant_multiplicities,
     lambda_from_fundamental,
@@ -35,10 +35,10 @@ EXHAUSTIVE = [
 def _agrees_with_listing(lam):
     got = character(lam)
     assert got == oracles.content_histogram(lam)
-    assert sum(got.values()) == oracles.weyl_dimension(lam.coords)
+    assert sum(got.values()) == oracles.weyl_dimension(lam.parts)
 
 
-@pytest.mark.parametrize("lam", EXHAUSTIVE, ids=lambda lam: str(lam.coords))
+@pytest.mark.parametrize("lam", EXHAUSTIVE, ids=lambda lam: str(lam.parts))
 def test_character_matches_listed_crystal(lam):
     _agrees_with_listing(lam)
 
@@ -67,14 +67,15 @@ def test_character_of_rho_at_rank_5():
 
 def test_dominant_multiplicities_small():
     # the adjoint of GL(3): the zero weight (1, 1, 1) has multiplicity 2
-    assert dominant_multiplicities(GLWeight((2, 1, 0))) == {(2, 1, 0): 1, (1, 1, 1): 2}
-    assert dominant_multiplicities(GLWeight((0, 0))) == {(0, 0): 1}
-    assert dominant_multiplicities(GLWeight((3, 0))) == {(3, 0): 1, (2, 1): 1}
+    assert dominant_multiplicities(Shape((2, 1, 0))) == {(2, 1, 0): 1, (1, 1, 1): 2}
+    assert dominant_multiplicities(Shape((0, 0))) == {(0, 0): 1}
+    assert dominant_multiplicities(Shape((3, 0))) == {(3, 0): 1, (2, 1): 1}
 
 
 def test_dominant_multiplicities_need_a_partition():
-    with pytest.raises(ValueError, match="not a partition"):
-        dominant_multiplicities(GLWeight((0, 1)))
+    # lambda is a Shape, and a non-partition is refused as one
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        dominant_multiplicities(Shape((0, 1)))
 
 
 def test_a_remainder_is_an_internal_breach(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from cscrystal.laurent import (
     verify_bn_form,
     verify_identity,
 )
-from cscrystal.rootsys import GLWeight, lambda_from_fundamental, rho
+from cscrystal.rootsys import Shape, lambda_from_fundamental, shifted
 from cscrystal.tpoly import TPoly
 from frozen import CS_LHS_RHO_RANK2
 
@@ -36,10 +36,10 @@ def test_rank_mismatch_raises():
 
 
 def test_character_small():
-    assert content_histogram(GLWeight((1, 0))) == {(1, 0): 1, (0, 1): 1}
-    e2 = content_histogram(GLWeight((1, 1, 0)))
+    assert content_histogram(Shape((1, 0))) == {(1, 0): 1, (0, 1): 1}
+    e2 = content_histogram(Shape((1, 1, 0)))
     assert e2 == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-    adj = content_histogram(GLWeight((2, 1, 0)))
+    adj = content_histogram(Shape((2, 1, 0)))
     assert len(adj) == 7
     assert adj[(1, 1, 1)] == 2
     assert adj[(2, 1, 0)] == 1
@@ -47,7 +47,7 @@ def test_character_small():
 
 
 def test_character_is_symmetric():
-    adj = content_histogram(GLWeight((2, 1, 0)))
+    adj = content_histogram(Shape((2, 1, 0)))
     swapped = {(e[1], e[0], e[2]): c for e, c in adj.items()}
     assert swapped == adj
 
@@ -83,11 +83,11 @@ def test_positive_root_product_mirrors_deformed():
 
 
 def test_cs_lhs_rank1():
-    assert cs_lhs(GLWeight((0, 0))) == LP(1, {(1, 0): (1,), (0, 1): (0, -1)})
+    assert cs_lhs(Shape((0, 0))) == LP(1, {(1, 0): (1,), (0, 1): (0, -1)})
 
 
 def test_cs_lhs_rank2_frozen():
-    got = cs_lhs(GLWeight((0, 0, 0)))
+    got = cs_lhs(Shape((0, 0, 0)))
     assert got == LP(2, CS_LHS_RHO_RANK2)
 
 
@@ -100,19 +100,18 @@ def test_cs_lhs_exponents_stay_nonnegative():
 
 
 def test_cs_rhs_top_coefficient_is_one():
-    for lam in [GLWeight((0, 0, 0)), GLWeight((1, 1, 0)), GLWeight((2, 0))]:
-        shifted = lam + rho(lam.rank)
-        assert cs_rhs(lam, shifted_sums(lam)).coefficient(shifted.coords) == TPoly((1,))
+    for lam in [Shape((0, 0, 0)), Shape((1, 1, 0)), Shape((2, 0))]:
+        assert cs_rhs(lam, shifted_sums(lam)).coefficient(shifted(lam).parts) == TPoly((1,))
 
 
 def test_cs_rhs_example_coefficient():
     # two tableaux of weight (1,2,2) contribute -t(1-t) and t^2(1-t)
-    lam = GLWeight((1, 1, 0))
+    lam = Shape((1, 1, 0))
     assert cs_rhs(lam, shifted_sums(lam)).coefficient((1, 2, 2)) == TPoly((0, -1, 2, -1))
 
 
 def test_verify_identity_reports():
-    lam = GLWeight((0, 0))
+    lam = Shape((0, 0))
     rep = verify_identity(lam, shifted_sums(lam))
     assert rep.equal and rep.first_mismatch is None
     assert rep.lhs_terms == rep.rhs_terms == 2

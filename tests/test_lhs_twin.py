@@ -66,7 +66,7 @@ def package_terms(lam):
 def package_reversed_terms(lam):
     """The package's product relabelled by e -> reversed(e - rho), the
     bijection the reversed-form check relies on, times z^(0, 1, ..., r)."""
-    shift = rho(lam.rank).coords
+    shift = rho(lam.rank).parts
     out = {}
     for key, c in package_terms(lam).items():
         e = reversed([x - s for x, s in zip(key[:-1], shift)])
@@ -81,14 +81,14 @@ TWIN_WEIGHTS = [
 ] + [lambda_from_fundamental((1, 0, 0, 0), 4)]
 
 
-@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.coords))
+@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.parts))
 def test_lhs_matches_sympy(lam):
-    assert package_terms(lam) == twin_terms(lam.coords)
+    assert package_terms(lam) == twin_terms(lam.parts)
 
 
-@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.coords))
+@pytest.mark.parametrize("lam", TWIN_WEIGHTS, ids=lambda lam: str(lam.parts))
 def test_reversed_product_matches_sympy(lam):
     flat = package_reversed_terms(lam)
-    assert flat == twin_terms(lam.coords, reverse=True)
+    assert flat == twin_terms(lam.parts, reverse=True)
     # the sign rule that lets _times_deformed skip dropping zeros
     assert all((-1) ** key[-1] * c > 0 for key, c in flat.items())

@@ -12,6 +12,8 @@ coordinates of the row give.
 """
 
 from collections import Counter
+from operator import add
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +24,11 @@ from cscrystal import cli, hpoly, laurent
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.hpoly import h_table, tensor_weight_multiplicity, weight_multiplicity
 from cscrystal.rootsys import (
-    GLWeight,
+    Shape,
     dot_orbit_sign,
     lambda_from_fundamental,
-    partition_shape,
     rho,
+    shifted,
 )
 from cscrystal.tableaux import content
 from cscrystal.tpoly import TPoly
@@ -42,7 +44,7 @@ def partitions(draw):
     parts = draw(
         st.lists(st.integers(0, _MAX_PART[rank]), min_size=rank + 1, max_size=rank + 1)
     )
-    return GLWeight(tuple(sorted(parts, reverse=True)))
+    return Shape(tuple(sorted(parts, reverse=True)))
 
 
 @st.composite
@@ -51,14 +53,14 @@ def partition_and_weight(draw):
     pair in B(lambda) x B(rho), or a nearby vector that may hit nothing."""
     lam = draw(partitions())
     r = lam.rank
-    left = draw(st.sampled_from(enumerate_crystal(partition_shape(lam), r)))
+    left = draw(st.sampled_from(enumerate_crystal(lam, r)))
     nu = content(left)
     if draw(st.booleans()):
-        right = draw(st.sampled_from(enumerate_crystal(partition_shape(rho(r)), r)))
-        nu = nu + content(right)
+        right = draw(st.sampled_from(enumerate_crystal(rho(r), r)))
+        nu = tuple(map(add, nu, content(right)))
     if draw(st.booleans()):
         shift = draw(st.lists(st.integers(-1, 1), min_size=r + 1, max_size=r + 1))
-        nu = nu + GLWeight(tuple(shift))
+        nu = tuple(map(add, nu, shift))
     return lam, nu
 
 
@@ -66,16 +68,23 @@ def partition_and_weight(draw):
 @given(partition_and_weight())
 def test_weight_multiplicity_matches_scan(case):
     lam, nu = case
-    assert weight_multiplicity(lam, nu.coords) == oracles.scan_weight_multiplicity(lam, nu)
+    assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
 
 
 @settings(max_examples=150, deadline=None)
 @given(partition_and_weight())
 def test_tensor_weight_multiplicity_matches_scan(case):
     lam, nu = case
-    assert tensor_weight_multiplicity(lam, nu.coords) == (
+    assert tensor_weight_multiplicity(lam, nu) == (
         oracles.scan_tensor_weight_multiplicity(lam, nu)
     )
+
+
+def _weight(coords):
+    """A weight as dot_orbit_sign reads lambda, by its parts and rank.
+    Unlike a Shape it may be non-dominant, and then lambda + rho may
+    repeat a coordinate."""
+    return SimpleNamespace(parts=coords, rank=len(coords) - 1)
 
 
 @st.composite
@@ -84,7 +93,7 @@ def shifted_weights(draw):
     that non-dominant weights with repeated coordinates are common."""
     rank = draw(st.integers(1, 4))
     shifted = draw(st.lists(st.integers(-1, 3), min_size=rank + 1, max_size=rank + 1))
-    return GLWeight(tuple(x - k for x, k in zip(shifted, range(rank, -1, -1))))
+    return _weight(tuple(x - k for x, k in zip(shifted, range(rank, -1, -1))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +112,7 @@ def test_dot_orbit_sign_matches_scan_on_the_orbit(lam, data):
     r = lam.rank
     perm = tuple(data.draw(st.permutations(range(1, r + 2))))
     try:
-        mu = oracles.gl_to_alpha(oracles.minus(lam, oracles.dot_action(perm, lam)))
+        mu = oracles.gl_to_alpha(oracles.minus(lam.parts, oracles.dot_action(perm, lam.parts)))
     except ValueError:
         return
     sign = dot_orbit_sign(lam, oracles.row_weight(lam, mu))
@@ -115,8 +124,8 @@ def test_dot_orbit_sign_takes_first_match_on_repeated_coordinates():
     # lambda + rho = (1, 1, 0) and lambda + rho - mu = (1, 0, 1): both
     # (1, 3, 2) (odd) and (3, 1, 2) (even) match; the scan meets the
     # odd one first
-    lam = oracles.minus(GLWeight((1, 1, 0)), rho(2))
-    mu = oracles.gl_to_alpha(GLWeight((0, 1, -1)))
+    lam = _weight(oracles.minus((1, 1, 0), rho(2).parts))
+    mu = oracles.gl_to_alpha((0, 1, -1))
     assert dot_orbit_sign(lam, (1, 0, 1)) == -1
     assert oracles.scan_dot_orbit_sign(lam, mu) == -1
 
@@ -128,18 +137,18 @@ TABLE_WEIGHTS = [
 ]
 
 
-@pytest.mark.parametrize("lam", TABLE_WEIGHTS, ids=lambda lam: str(lam.coords))
+@pytest.mark.parametrize("lam", TABLE_WEIGHTS, ids=lambda lam: str(lam.parts))
 def test_every_table_row_matches_scans(lam):
     r = lam.rank
     for mu, _, _ in h_table(lam).rows:
         drop = oracles.alpha_to_gl(mu, r)
-        nu = oracles.minus(lam, drop)
-        assert weight_multiplicity(lam, nu.coords) == oracles.scan_weight_multiplicity(lam, nu)
-        nu = oracles.minus(lam + rho(r), drop)
-        assert tensor_weight_multiplicity(lam, nu.coords) == (
+        nu = oracles.minus(lam.parts, drop)
+        assert weight_multiplicity(lam, nu) == oracles.scan_weight_multiplicity(lam, nu)
+        nu = oracles.minus(oracles.plus_rho(lam.parts), drop)
+        assert tensor_weight_multiplicity(lam, nu) == (
             oracles.scan_tensor_weight_multiplicity(lam, nu)
         )
-        assert dot_orbit_sign(lam, nu.coords) == oracles.scan_dot_orbit_sign(lam, mu)
+        assert dot_orbit_sign(lam, nu) == oracles.scan_dot_orbit_sign(lam, mu)
 
 
 ROW_WEIGHTS = suite_weights() + [
@@ -147,18 +156,18 @@ ROW_WEIGHTS = suite_weights() + [
 ]
 
 
-@pytest.mark.parametrize("lam", ROW_WEIGHTS, ids=lambda lam: str(lam.coords))
+@pytest.mark.parametrize("lam", ROW_WEIGHTS, ids=lambda lam: str(lam.parts))
 def test_row_weights_give_the_old_oracle_arguments(lam):
     # cli reads each oracle's argument off the weight h_table keeps per
     # row; it must be what the round trip through alpha_to_gl gave
     r = lam.rank
     table = h_table(lam)
-    shift = rho(r).coords
+    shift = rho(r).parts
     for mu, w, _ in table.rows:
         drop = oracles.alpha_to_gl(mu, r)
-        assert w == oracles.minus(lam + rho(r), drop).coords
+        assert w == oracles.minus(oracles.plus_rho(lam.parts), drop)
         old = {
-            "inf": weight_multiplicity(lam, oracles.minus(lam, drop).coords),
+            "inf": weight_multiplicity(lam, oracles.minus(lam.parts, drop)),
             "-1": tensor_weight_multiplicity(lam, w),
             "1": oracles.scan_dot_orbit_sign(lam, mu),
         }
@@ -182,14 +191,14 @@ def test_h_table_refuses_a_weight_off_the_drops(monkeypatch, w, message):
 
 
 def test_wrong_rank_weight():
-    lam = GLWeight((1, 1, 0))
-    nu = GLWeight((1, 1, 1, 0))
+    lam = Shape((1, 1, 0))
+    nu = (1, 1, 1, 0)
     with pytest.raises(ValueError):
-        tensor_weight_multiplicity(lam, nu.coords)
+        tensor_weight_multiplicity(lam, nu)
     with pytest.raises(ValueError):
         oracles.scan_tensor_weight_multiplicity(lam, nu)
     # B(lambda) has no element of another rank's content
-    assert weight_multiplicity(lam, nu.coords) == 0
+    assert weight_multiplicity(lam, nu) == 0
     assert oracles.scan_weight_multiplicity(lam, nu) == 0
 
 
@@ -215,7 +224,7 @@ def test_hpoly_call_enumerates_each_factor_once(at, capsys, monkeypatch):
     calls = _count_listings(monkeypatch)
     assert cli.main(["hpoly", "--rank", "3", "--lambda", "1,0,1", "--at", at]) == 0
     lam = lambda_from_fundamental((1, 0, 1), 3)
-    assert dict(calls) == {(lam + rho(3)).coords: 1}
+    assert dict(calls) == {shifted(lam).parts: 1}
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -225,5 +234,5 @@ def test_verify_lists_only_b_lambda_plus_rho(capsys, monkeypatch):
     calls = _count_listings(monkeypatch)
     assert cli.main(["verify", "--rank", "3", "--lambda", "1,0,1"]) == 0
     lam = lambda_from_fundamental((1, 0, 1), 3)
-    assert dict(calls) == {(lam + rho(3)).coords: 1}
+    assert dict(calls) == {shifted(lam).parts: 1}
     assert "MISMATCH" not in capsys.readouterr().out

@@ -5,25 +5,25 @@ from hypothesis import given, strategies as st
 
 from oracles import alpha_to_gl, dot_action, gl_to_alpha, permute_weight
 from cscrystal.rootsys import (
-    GLWeight,
     Shape,
     dot_orbit_sign,
     lambda_from_fundamental,
     perm_sign,
     rho,
+    shifted,
 )
 
 
 def test_rho():
-    assert rho(1) == GLWeight((1, 0))
-    assert rho(2) == GLWeight((2, 1, 0))
-    assert rho(4) == GLWeight((4, 3, 2, 1, 0))
+    assert rho(1) == Shape((1, 0))
+    assert rho(2) == Shape((2, 1, 0))
+    assert rho(4) == Shape((4, 3, 2, 1, 0))
 
 
 def test_lambda_from_fundamental():
-    assert lambda_from_fundamental((0, 1), 2) == GLWeight((1, 1, 0))
-    assert lambda_from_fundamental((1, 0, 1), 3) == GLWeight((2, 1, 1, 0))
-    assert lambda_from_fundamental((0, 0), 2) == GLWeight((0, 0, 0))
+    assert lambda_from_fundamental((0, 1), 2) == Shape((1, 1, 0))
+    assert lambda_from_fundamental((1, 0, 1), 3) == Shape((2, 1, 1, 0))
+    assert lambda_from_fundamental((0, 0), 2) == Shape((0, 0, 0))
     with pytest.raises(ValueError):
         lambda_from_fundamental((1,), 2)
     with pytest.raises(ValueError):
@@ -31,10 +31,11 @@ def test_lambda_from_fundamental():
 
 
 def test_weight_arithmetic():
-    lam = GLWeight((1, 1, 0))
-    assert lam + rho(2) == GLWeight((3, 2, 0))
-    assert lam.is_partition()
-    assert not GLWeight((0, 1, 0)).is_partition()
+    lam = Shape((1, 1, 0))
+    assert shifted(lam) == Shape((3, 2, 0))
+    # a dominant weight is a partition: anything else is no Shape
+    with pytest.raises(ValueError):
+        Shape((0, 1, 0))
 
 
 def test_shape_validation():
@@ -51,14 +52,14 @@ def test_shape_validation():
 
 
 def test_alpha_gl_conversion():
-    assert alpha_to_gl((1, 0), 2) == GLWeight((1, -1, 0))
-    assert alpha_to_gl((1, 2), 2) == GLWeight((1, 1, -2))
-    assert gl_to_alpha(GLWeight((1, 1, -2))) == (1, 2)
+    assert alpha_to_gl((1, 0), 2) == (1, -1, 0)
+    assert alpha_to_gl((1, 2), 2) == (1, 1, -2)
+    assert gl_to_alpha((1, 1, -2)) == (1, 2)
     with pytest.raises(ValueError):
-        gl_to_alpha(GLWeight((1, 0, 0)))
+        gl_to_alpha((1, 0, 0))
     # negative alpha-coordinate along the way
     with pytest.raises(ValueError):
-        gl_to_alpha(GLWeight((-1, 0, 1)))
+        gl_to_alpha((-1, 0, 1))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
@@ -77,17 +78,17 @@ def test_perm_sign():
 
 def test_permute_weight_convention():
     # position k is sent to position w(k)
-    v = GLWeight((5, 7, 9))
-    assert permute_weight((2, 3, 1), v) == GLWeight((9, 5, 7))
+    v = (5, 7, 9)
+    assert permute_weight((2, 3, 1), v) == (9, 5, 7)
     assert permute_weight((1, 2, 3), v) == v
 
 
 def test_dot_action_examples():
-    lam = GLWeight((1, 1, 0))
-    assert dot_action((2, 1, 3), lam) == GLWeight((0, 2, 0))
+    lam = (1, 1, 0)
+    assert dot_action((2, 1, 3), lam) == (0, 2, 0)
     assert dot_action((1, 2, 3), lam) == lam
-    zero = GLWeight((0, 0, 0))
-    assert dot_action((3, 2, 1), zero) == GLWeight((-2, 0, 2))
+    zero = (0, 0, 0)
+    assert dot_action((3, 2, 1), zero) == (-2, 0, 2)
 
 
 def _compose(w1, w2):
@@ -96,7 +97,7 @@ def _compose(w1, w2):
 
 def test_dot_action_is_group_action():
     perms = list(itertools.permutations((1, 2, 3)))
-    samples = [GLWeight((1, 1, 0)), GLWeight((3, 2, 0)), GLWeight((2, 0, -1))]
+    samples = [(1, 1, 0), (3, 2, 0), (2, 0, -1)]
     for w1 in perms:
         for w2 in perms:
             for lam in samples:
@@ -114,7 +115,7 @@ def test_perm_sign_multiplicative():
 
 def test_dot_orbit_sign():
     # each w is lam + rho - mu with lam + rho = (3, 2, 0)
-    lam = GLWeight((1, 1, 0))
+    lam = Shape((1, 1, 0))
     assert dot_orbit_sign(lam, (3, 2, 0)) == 1  # mu = 0
     assert dot_orbit_sign(lam, (2, 3, 0)) == -1  # mu = alpha_1
     assert dot_orbit_sign(lam, (2, 2, 1)) == 0  # mu = alpha_1 + alpha_2

@@ -38,7 +38,7 @@ from cscrystal.bzl import (
 )
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
-from cscrystal.rootsys import Shape, lambda_from_fundamental, partition_shape, rho
+from cscrystal.rootsys import Shape, lambda_from_fundamental, shifted
 from cscrystal.tableaux import (
     DecoratedTriangle,
     content,
@@ -188,7 +188,7 @@ def _kernel_crystals():
         for coeffs in [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0)]
     ]
     for lam in weights:
-        shape = partition_shape(lam + rho(lam.rank))
+        shape = shifted(lam)
         yield shape, enumerate_crystal(shape, lam.rank)
 
 
@@ -197,7 +197,7 @@ def test_kernel_counts_match_triangle_on_crystals():
         scored = list(crystal_scores(shape, elements))
         assert len(scored) == len(elements)
         for t, (w, *counts) in zip(elements, scored):
-            assert w == content(t).coords
+            assert w == content(t)
             assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
 
@@ -207,14 +207,14 @@ def test_weight_sums_match_per_element_sums():
             continue
         want = {}
         for t in elements:
-            w = content(t).coords
+            w = content(t)
             want[w] = list_add(want.get(w, []), c_coefficient(decorate_via_stats(t)).coeffs)
         got = weight_sums(crystal_scores(shape, elements))
         assert list(got) == list(want)  # first-seen order
         assert got == {w: TPoly(tuple(c)) for w, c in want.items()}
     # a weight whose elements all die is kept, with sum zero
     t = make_tableau(2, [[1, 1, 2], [2]])
-    assert weight_sums([(content(t).coords, False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}
+    assert weight_sums([(content(t), False, 1, 2)]) == {(2, 2, 0): TPoly.zero()}
 
 
 @st.composite
@@ -232,7 +232,7 @@ def rank5_samples(draw):
 def test_kernel_counts_match_triangle_at_rank_5(sample):
     shape, elements = sample
     for t, (w, *counts) in zip(elements, crystal_scores(shape, elements), strict=True):
-        assert w == content(t).coords
+        assert w == content(t)
         assert tuple(counts) == _mark_counts(decorate_via_stats(t))
 
 
@@ -246,7 +246,7 @@ def test_circled_iff_row_holds_no_successor(suite):
     # a_{i,j} - a_{i-1,j} counts the j+1's in row i, so (i, j) is
     # circled exactly when row i holds no j+1
     for lam in suite:
-        shape = partition_shape(lam + rho(lam.rank))
+        shape = shifted(lam)
         for t in enumerate_crystal(shape, lam.rank):
             _assert_circles_read_row(t)
 
@@ -297,7 +297,7 @@ def _count_kernel_passes(monkeypatch):
 
 
 def _assert_one_kernel_pass(calls, lam):
-    shape = partition_shape(lam + rho(lam.rank))
+    shape = shifted(lam)
     assert calls["listed"] == [(shape, lam.rank)]
     assert calls["scored"] == [list(enumerate_crystal(shape, lam.rank))]
     assert len(calls["summed"]) == 1

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from cscrystal.rootsys import GLWeight
+from conftest import CORNER_WEIGHTS
+from cscrystal.bzl import crystal_scores
+from cscrystal.crystal import enumerate_crystal
+from cscrystal.rootsys import lambda_from_fundamental, shifted
 from cscrystal.tableaux import (
     BZL_LAYOUT,
+    STATS_LAYOUT,
     DecoratedTriangle,
     content,
     is_strict,
@@ -75,10 +79,26 @@ def test_json_roundtrip():
 
 def test_content():
     t = make_tableau(2, [[1, 1, 2], [2, 3]])
-    assert content(t) == GLWeight((2, 2, 1))
+    assert content(t) == (2, 2, 1)
     big = make_tableau(3, [[1, 1, 2, 2, 3], [2, 3, 3], [3, 4]])
-    assert content(big) == GLWeight((2, 3, 4, 1))
-    assert sum(content(big).coords) == sum(map(len, big.rows))
+    assert content(big) == (2, 3, 4, 1)
+    assert sum(content(big)) == sum(map(len, big.rows))
+
+
+@pytest.mark.parametrize("rank, coeffs", CORNER_WEIGHTS, ids=str)
+def test_content_is_the_plain_tuple_crystal_scores_yields(rank, coeffs):
+    # every non-dominant weight is a plain tuple, content(t) too, and it
+    # is the content crystal_scores carries for t; shifted(lam) is lam + rho
+    # coordinate by coordinate
+    lam = lambda_from_fundamental(coeffs, rank)
+    shape = shifted(lam)
+    assert shape.parts == tuple(x + rank - k for k, x in enumerate(lam.parts))
+    elements = enumerate_crystal(shape, rank)
+    scored = list(crystal_scores(shape, elements))
+    assert len(scored) == len(elements) > 0
+    for t, (w, *_) in zip(elements, scored):
+        assert type(content(t)) is tuple
+        assert content(t) == w, t.rows
 
 
 def test_stats_grids():
@@ -108,6 +128,13 @@ def test_triangular_array_shape():
     assert tri.circled == tri.boxed == frozenset()
     assert tri.inline() == "(11, 12, 13; 22, 23; 33)"
     assert tri.inline(BZL_LAYOUT) == "(11; 22, 12; 33, 23, 13)"
+    # each cell's text, marks included, is made once for both layouts
+    marked = DecoratedTriangle(tri.rank, tri.grid, frozenset({(1, 3), (2, 2)}), frozenset({(1, 3), (3, 3)}))
+    assert marked.inlines(BZL_LAYOUT, STATS_LAYOUT) == (
+        "(11; 22◯, 12; 33□, 23, 13◯□)",
+        "(11, 12, 13◯□; 22◯, 23; 33□)",
+    )
+    assert marked.inlines(STATS_LAYOUT) == (marked.inline(),)
     cells = [(i, j) for i in range(1, 4) for j in range(i, 4)]
     assert [tri.entry(*cell) for cell in cells] == [11, 12, 13, 22, 23, 33]
     with pytest.raises(ValueError):

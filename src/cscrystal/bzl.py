@@ -27,23 +27,24 @@ the block's columns fall into at most 2(j+1) runs of equal columns;
 _block_walk raises those runs, and it is the one walk.
 
 One tableau (bzl_path, decorate_via_operators, decorate_via_stats) joins
-its blocks (_join_blocks).  A whole crystal is scored by crystal_scores,
-which applies _stats_block once per distinct pair of GT rows and sums
-the blocks' mark counts and weight coordinates per element; weight_sums
-sums C by weight over those scores.  The row pass gt_blocks yields those
-pairs from the shape down, and laurent.verify_bn_form checks
-block_agrees, the walk against the statistics, once per pair.  That
-check and the identity's are the whole verdict on the reversed form.
+its blocks (_join_blocks).  crystal_sums sums C by weight over a whole
+crystal, reading _stats_block's rule along triangle row i, which depends
+only on tableau rows i and i+1: one packed int per distinct row pair.
+The row pass gt_blocks yields each distinct pair of GT rows from the
+shape down, and laurent.verify_bn_form checks block_agrees, the walk
+against the statistics, once per pair.  That check and the identity's
+are the whole verdict on the reversed form.
 One memoized product, _c_product, gives both coefficients from the mark
 counts: C in t, and G = q^total C(1/q), the same TPoly read in q and
 shifted by the triangle's entry total (TPoly.in_q).
 """
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 from math import comb
-from operator import getitem
+from operator import attrgetter
 
 # The walk no longer calls e_op and phi; they stay importable from this
 # module because perfbench/child.py traces them under these names.
@@ -140,48 +141,83 @@ def _stats_block(lower: tuple, upper: tuple):
     return entries, circled, boxed
 
 
-def crystal_scores(shape: Shape, elements):
-    """Yield (content coordinates, alive, boxed count, unmarked count)
-    for each element, all of the given shape.
+class _PairMemo(dict):
+    """(tableau row, row below) -> its packed score, computed on first read."""
 
-    The whole-crystal twin of content(t) and _mark_counts(decorate_via_stats(t)).
-    Column j of the triangle and content coordinate j+1 depend only on
-    GT rows j and j+1 (_stats_block), so every element is scored as a
-    sum over its blocks.  Strictness is checked once per crystal.  Each
-    distinct (GT row j, GT row j+1) is scored once, memoized here.  GT
-    rows are read from each distinct tableau row's counts of entries
-    <= 1..rank, memoized too and transposed.  A strict shape has exactly
-    rank nonempty rows, and its parts are GT row rank+1.
+    __slots__ = ("score",)
+
+    def __missing__(self, key):
+        value = self[key] = self.score(*key)
+        return value
+
+
+def _field_bits(shape: Shape, count: int) -> tuple[int, int]:
+    """(B, T) for count elements of the shape: the bits of a score field
+    and of a t-coefficient of a sum of C(-t), each with one to spare."""
+    size = shape.rank * (shape.rank + 1) // 2
+    return max(sum(shape.parts), size).bit_length() + 1, (count << size).bit_length() + 1
+
+
+def crystal_sums(shape: Shape, elements) -> dict:
+    """content(t) -> sum of c_coefficient(decorate_via_stats(t)) over the
+    elements t, all of the given strict shape, in first-seen order; a
+    weight whose elements all have C = 0 maps to zero.
+
+    GT row j's i-th part is c_i(j), the number of entries <= j in
+    tableau row i.  So _stats_block's rule for column j, read along
+    triangle row i instead, says: (i, j), for j = i..rank, is circled
+    when c_i(j+1) = c_i(j) and boxed when c_{i+1}(j+1) = c_i(j), and row
+    i adds c_i(k) - c_i(k-1) to content coordinate k.  Triangle row i
+    depends only on tableau row i, the row of its length, and the row
+    below (empty below the last).  Each distinct pair is scored once
+    per call, as one int of B-bit fields (_field_bits): content
+    1..rank+1, then the boxed, marked (circled or boxed) and doubly
+    marked counts.  An element's score is the sum of its pairs', and a
+    Counter counts equal scores.  C(-t) = t^box (1+t)^unmarked has no
+    negative coefficient, so a weight's sum of n C(-t) is packed, T bits
+    per t-degree, as a sum of n (1 + 2^T)^unmarked << T box, and
+    unpacked once, with sign (-1)^k at t^k.
     """
     _require_strict(shape.parts, "crystal shape")
-    rank = shape.rank
+    rank, rows_of = shape.rank, {p: i for i, p in enumerate(shape.parts, 1)}
     size = rank * (rank + 1) // 2
-    caps = range(1, rank + 1)
-    cuts = [slice(j) for j in caps]  # GT row j keeps tableau rows 1..j
-    counts, blocks = {}, {}
-    for t in elements:
-        vectors = []
-        for row in t.rows:
-            v = counts.get(row)
-            if v is None:
-                v = counts[row] = tuple(bisect_right(row, k) for k in caps)
-            vectors.append(v)
-        gt = list(map(getitem, zip(*vectors), cuts))
-        gt.append(shape.parts)
-        weight = [gt[0][0]]
-        circled = boxed = both = 0
-        for key in zip(gt, gt[1:]):
-            marks = blocks.get(key)
-            if marks is None:
-                _, circ, box = _stats_block(*key)
-                marks = blocks[key] = (
-                    len(circ), len(box), len(circ & box), sum(key[1]) - sum(key[0])
-                )
-            circled += marks[0]
-            boxed += marks[1]
-            both += marks[2]
-            weight.append(marks[3])
-        yield tuple(weight), not both, boxed, size - circled - boxed + both
+    b, t = _field_bits(shape, len(elements))
+    box_at, field = b * (rank + 1), (1 << b) - 1  # content fields end at box_at
+    box, marked, both = 1 << box_at, 1 << box_at + b, 1 << box_at + 2 * b
+    unit = [0] + [1 << k for k in range(0, box_at, b)]  # unit[k]: 1 at content k
+
+    def score(row, below):
+        i = rows_of[len(row)]
+        s, x = sum(map(unit.__getitem__, row)), bisect_right(row, i)
+        for k in range(i + 1, rank + 2):  # cell (i, k-1), x = c_i(k-1)
+            y = bisect_right(row, k)
+            if bisect_right(below, k) == x:
+                s += box + marked + (both if y == x else 0)
+            elif y == x:
+                s += marked
+            x = y
+        return s
+
+    memo = _PairMemo()
+    memo.score, pairs = score, memo.__getitem__
+    tally = Counter(
+        [sum(map(pairs, pairwise(rows + ((),)))) for rows in map(attrgetter("rows"), elements)]
+    )
+    packed, powers = {}, [(1 + (1 << t)) ** k for k in range(size + 1)]
+    for s, n in tally.items():
+        w, marks = s & box - 1, s >> box_at
+        if marks >> 2 * b:  # a doubly marked cell: C = 0, and the weight stays
+            n = 0
+        packed[w] = packed.get(w, 0) + (n * powers[size - (marks >> b & field)] << t * (marks & field))
+    out, digit = {}, (1 << t) - 1
+    for w, c in packed.items():
+        coeffs = []
+        while c:
+            coeffs.append(c & digit)
+            c >>= t
+        coeffs[1::2] = [-c for c in coeffs[1::2]]
+        out[tuple([w >> k & field for k in range(0, box_at, b)])] = TPoly(coeffs)
+    return out
 
 
 def gt_blocks(top: tuple):
@@ -313,35 +349,6 @@ def c_coefficient(stats: DecoratedTriangle) -> TPoly:
     if not alive:
         return TPoly.zero()
     return _c_product(box, non)
-
-
-def _scaled_sum(pairs) -> TPoly:
-    """Sum of n * p over (TPoly p, int n) pairs, added into one integer list."""
-    acc: list = []
-    for p, n in pairs:
-        acc.extend([0] * (len(p.coeffs) - len(acc)))
-        for k, c in enumerate(p.coeffs):
-            acc[k] += n * c
-    return TPoly(tuple(acc))
-
-
-def weight_sums(scores) -> dict:
-    """Content coordinates -> sum of C over the crystal_scores scores.
-
-    Grouped by (content, box, unmarked), so each weight's sum adds n
-    times C's coefficients into one integer list per group of size n,
-    and becomes one TPoly.  Weights keep first-seen order; one whose
-    elements all have C = 0 maps to zero.
-    """
-    groups: dict = {}  # content coords -> {(box, unmarked): n}
-    for w, alive, box, non in scores:
-        counts = groups.setdefault(w, {})
-        if alive:
-            counts[box, non] = counts.get((box, non), 0) + 1
-    return {
-        w: _scaled_sum((_c_product(box, non), n) for (box, non), n in counts.items())
-        for w, counts in groups.items()
-    }
 
 
 def c_factored_string(stats: DecoratedTriangle) -> str:

@@ -233,13 +233,14 @@ def cmd_hpoly(args) -> int:
         if mismatched:
             sys.stderr.write(f"{mismatched} specialization mismatches\n")
     else:
-        _emit(f"lambda: {lam.parts}  rank {args.rank}  rows: {len(table.rows)}")
         marks = [
             f"  | at q={at}: {got}  {label} {want}  {'ok' if got == want else 'FAIL'}"
             for got, want in checks
         ]
+        lines = [f"lambda: {lam.parts}  rank {args.rank}  rows: {len(table.rows)}"]
         for (mu, _, poly), mark in zip(table.rows, marks or [""] * len(table.rows)):
-            _emit(f"mu={format_mu(mu, 'a')}: {poly}{mark}")
+            lines.append(f"mu={format_mu(mu, 'a')}: {poly}{mark}")
+        _emit("\n".join(lines))
     return 1 if mismatched else 0
 
 

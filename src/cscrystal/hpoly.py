@@ -5,7 +5,7 @@ simple-root coordinates) collects the coefficients of the rho-shifted
 crystal elements sitting at weight lambda + rho - mu: the coefficient of
 z^(lambda+rho-mu) in the crystal sum laurent.cs_rhs, read from the same
 weight sums, laurent.shifted_sums, which lists B(lambda+rho) and scores
-each element from its Gelfand-Tsetlin blocks; lambda + rho is
+each element from its pairs of adjacent rows; lambda + rho is
 rootsys.shifted(lambda), the shape of that crystal.  A table is one sorted
 tuple of rows (mu, w, H), mu a plain tuple and w = lambda + rho - mu as
 those sums key it; cli asks the oracles below about w, less rho at q = inf.

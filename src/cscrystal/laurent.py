@@ -6,9 +6,9 @@ product side starts from s_lambda(z) term by term, the weight
 multiplicities of V(lambda) from rootsys.character (Freudenthal's
 formula, no crystal listed), times z^rho; each factor (1 - t z_j/z_i)
 then acts by one shift-and-subtract pass (_times_deformed).  The crystal
-side sums C by weight (bzl.weight_sums), each sum spread over its
-t-degrees, from one scoring pass of B(lambda+rho) (bzl.crystal_scores),
-listed at rootsys.shifted(lambda); lambda is a rootsys.Shape.
+side is C summed by weight over B(lambda+rho), listed at
+rootsys.shifted(lambda), in one pass of bzl.crystal_sums, each sum
+spread over its t-degrees; lambda is a rootsys.Shape.
 verify_identity compares the two maps, and looks for the first
 differing exponent only when they differ.  The reversed form is the
 identity relabelled by the bijection e -> reversed(e - rho), so its
@@ -21,7 +21,7 @@ Freudenthal's, is exact and checked in rootsys.
 
 from operator import add
 
-from .bzl import block_agrees, crystal_scores, gt_blocks, weight_sums
+from .bzl import block_agrees, crystal_sums, gt_blocks
 
 # Re-exports that perfbench/child.py traces at this module, g_coefficient
 # under its former name; no function here calls them.
@@ -90,10 +90,10 @@ def cs_lhs(lam: Shape) -> LaurentPoly:
 
 
 def shifted_sums(lam: Shape) -> dict:
-    """weight_sums of one crystal_scores pass over B(lam+rho), listed
-    here: the one place the package lists and scores the shifted crystal."""
+    """crystal_sums of B(lam+rho), listed here: the one place the
+    package lists and scores the shifted crystal."""
     shape = shifted(lam)
-    return weight_sums(crystal_scores(shape, enumerate_crystal(shape, lam.rank)))
+    return crystal_sums(shape, enumerate_crystal(shape, lam.rank))
 
 
 def cs_rhs(lam: Shape, sums: dict) -> LaurentPoly:

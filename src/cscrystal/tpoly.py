@@ -2,8 +2,8 @@
 
 TPoly is a polynomial in t (internally t stands for q^{-1}), held as
 its integer coefficient list.  It has no arithmetic: the sums and
-products the package needs are done on plain integer lists and maps
-(bzl._c_product, bzl._scaled_sum, the laurent shift-and-subtract), and
+products the package needs are done on plain integers, lists and maps
+(bzl._c_product, bzl.crystal_sums, the laurent shift-and-subtract), and
 a TPoly is built from the result only to be compared, evaluated or
 printed.  It is the package's one polynomial type: the operator-side
 product G = q^total C(1/q) is C read in q, which in_q gives as

@@ -18,13 +18,17 @@ each acting by the dot action w(lambda + rho) - rho (dot_action).
 They use the package's crystals, weight arithmetic and coefficients,
 but none of its tables.  Coefficients are added and multiplied here as
 plain integer lists (list_add, list_mul), not by package code.
+crystal_scores and weight_sums keep the former route of the crystal
+sum, by GT rows and one integer list per weight (scaled_sum), as the
+twin of bzl.crystal_sums, which reads pairs of tableau rows and packs.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from operator import add
+from operator import add, getitem
 
-from cscrystal.bzl import c_coefficient, decorate_via_stats
+from cscrystal.bzl import _c_product, _require_strict, _stats_block, c_coefficient, decorate_via_stats
 from cscrystal.crystal import enumerate_crystal, f_op
 from cscrystal.rootsys import perm_sign, rho, shifted
 from cscrystal.tableaux import content, make_tableau
@@ -140,6 +144,79 @@ def c_product_twin(box, non):
     for _ in range(non):
         out = list_mul(out, [1, -1])
     return TPoly(tuple(out))
+
+
+def crystal_scores(shape, elements):
+    """Yield (content coordinates, alive, boxed count, unmarked count)
+    for each element, all of the given shape: the route bzl.crystal_sums
+    replaced, read by GT rows.
+
+    Column j of the triangle and content coordinate j+1 depend only on
+    GT rows j and j+1 (_stats_block), so every element is scored as a
+    sum over its blocks.  Strictness is checked once per crystal.  Each
+    distinct (GT row j, GT row j+1) is scored once, memoized here.  GT
+    rows are read from each distinct tableau row's counts of entries
+    <= 1..rank, memoized too and transposed.  A strict shape has exactly
+    rank nonempty rows, and its parts are GT row rank+1.
+    """
+    _require_strict(shape.parts, "crystal shape")
+    rank = shape.rank
+    size = rank * (rank + 1) // 2
+    caps = range(1, rank + 1)
+    cuts = [slice(j) for j in caps]  # GT row j keeps tableau rows 1..j
+    counts, blocks = {}, {}
+    for t in elements:
+        vectors = []
+        for row in t.rows:
+            v = counts.get(row)
+            if v is None:
+                v = counts[row] = tuple(bisect_right(row, k) for k in caps)
+            vectors.append(v)
+        gt = list(map(getitem, zip(*vectors), cuts))
+        gt.append(shape.parts)
+        weight = [gt[0][0]]
+        circled = boxed = both = 0
+        for key in zip(gt, gt[1:]):
+            marks = blocks.get(key)
+            if marks is None:
+                _, circ, box = _stats_block(*key)
+                marks = blocks[key] = (
+                    len(circ), len(box), len(circ & box), sum(key[1]) - sum(key[0])
+                )
+            circled += marks[0]
+            boxed += marks[1]
+            both += marks[2]
+            weight.append(marks[3])
+        yield tuple(weight), not both, boxed, size - circled - boxed + both
+
+
+def scaled_sum(pairs) -> TPoly:
+    """Sum of n * p over (TPoly p, int n) pairs, added into one integer list."""
+    acc: list = []
+    for p, n in pairs:
+        acc.extend([0] * (len(p.coeffs) - len(acc)))
+        for k, c in enumerate(p.coeffs):
+            acc[k] += n * c
+    return TPoly(tuple(acc))
+
+
+def weight_sums(scores) -> dict:
+    """Content coordinates -> sum of C over the crystal_scores scores.
+
+    Grouped by (content, box, unmarked), so each weight's sum adds n
+    times C's coefficients into one integer list per group of size n,
+    and becomes one TPoly.  Weights keep first-seen order; one whose
+    elements all have C = 0 maps to zero.
+    """
+    groups: dict = {}  # content coords -> {(box, unmarked): n}
+    for w, alive, box, non in scores:
+        counts = groups.setdefault(w, {})
+        if alive:
+            counts[box, non] = counts.get((box, non), 0) + 1
+    return {
+        w: scaled_sum((_c_product(box, non), n) for (box, non), n in counts.items())
+        for w, counts in groups.items()
+    }
 
 
 def minus(a: tuple, b: tuple) -> tuple:

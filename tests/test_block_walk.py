@@ -8,12 +8,14 @@ with the public e_op and phi, in step counts and boxed letters, on
 tableaux of any shape: exhaustively at ranks 1-4 for rows up to a fixed
 length, and on random tableaux at rank 5.  The twin's last element must
 be the highest-weight tableau, and every block walk checks that it ends
-at its own top.  They also hold the per-element sums of the whole-crystal
-scorer's blocks equal to the marks of decorate_via_operators on every
-crystal of the verification suite.  The row pass bzl.gt_blocks must
-yield, once each, exactly the blocks of the listed crystal's elements,
-on the suite and at ranks 4 and 5, and every block it yields must equal
-the statistics block (bzl.block_agrees), cell by cell.
+at its own top.  They also hold the per-element mark counts of the
+former whole-crystal route (tests/oracles.py) equal to the marks of
+decorate_via_operators, and bzl.crystal_sums equal to the walk's C
+summed by weight, on every crystal of the verification suite.  The row
+pass bzl.gt_blocks must yield, once each, exactly the blocks of the
+listed crystal's elements, on the suite and at ranks 4 and 5, and every
+block it yields must equal the statistics block (bzl.block_agrees),
+cell by cell.
 
 bzl._block_walk raises runs of equal columns, so its cost does not
 grow with row length; its twin word_block_walk raises the block's whole
@@ -38,13 +40,17 @@ from cscrystal.bzl import (
     _mark_counts,
     _raise_runs,
     block_agrees,
-    crystal_scores,
+    c_coefficient,
+    crystal_sums,
     decorate_via_operators,
     gt_blocks,
 )
 from cscrystal.crystal import enumerate_crystal, surviving_slots
 from cscrystal.rootsys import Shape, lambda_from_fundamental, shifted
+from cscrystal.tableaux import content
+from cscrystal.tpoly import TPoly
 from operator_walk import operator_walk, word_block_walk
+from oracles import crystal_scores, list_add
 from test_word_kernel import any_shape_tableaux
 
 
@@ -111,8 +117,13 @@ def row_pass_blocks(lam, elements):
 def test_walk_counts_match_operator_marks_on_suite(suite):
     for lam in suite:
         elements = shifted_elements(lam)
+        walks = [decorate_via_operators(t) for t in elements]
         got = [s[1:] for s in crystal_scores(shifted(lam), elements)]
-        assert got == [_mark_counts(decorate_via_operators(t)) for t in elements], lam
+        assert got == [_mark_counts(tri) for tri in walks], lam
+        want = {}
+        for t, tri in zip(elements, walks):
+            want[content(t)] = list_add(want.get(content(t), []), c_coefficient(tri).coeffs)
+        assert crystal_sums(shifted(lam), elements) == {w: TPoly(tuple(c)) for w, c in want.items()}
         assert all(block_agrees(*key) for key in row_pass_blocks(lam, elements)), lam
 
 

@@ -831,6 +831,8 @@ def test_closed_stdout_pipe_exits_141(command):
         (["enumerate", "--rank", "1", "--lambda", "1"], 141),
         # a usage error writes only to stderr, so the gone reader is not seen
         (["verify", "--rank", "2", "--lambda", "1,1", "--bogus"], 2),
+        # hpoly's text rows go out in one write
+        (["hpoly", "--rank", "2", "--lambda", "1,0"], 141),
     ],
 )
 def test_reader_gone_before_the_first_write(argv, code):

@@ -8,18 +8,23 @@ statistics where the kernel reads an equality of Gelfand-Tsetlin rows.
 On tableaux of any shape, the twin's a and b statistics are held
 against their reading from GT rows: a from _stats_block, and
 b_{i,j} = l_i - (GT row j)_i, from which the box rule is derived.
-The whole-crystal block kernel, bzl.crystal_scores, is held against
-the contents and mark counts of decorate_via_stats on whole crystals
-and on rank-5 samples, and its sums by weight, bzl.weight_sums, against
-per-element sums.  G, read
-from the mark counts, is held against the entry-by-entry product on
-arbitrarily marked triangles and on operator-route triangles.  The
-one-pass strictness scan is held against the scan over every threshold
-and row pair.  Coefficients are checked against plain integer-list
-sums and products (tests/oracles.py), not the package's own.
+The former whole-crystal route, crystal_scores and weight_sums of
+tests/oracles.py, is held against the contents and mark counts of
+decorate_via_stats on whole crystals and on rank-5 samples, and against
+per-element sums.  bzl.crystal_sums, which scores pairs of adjacent
+tableau rows as packed integers, is held equal to that route, key set
+and order included, on whole crystals up to rank 5 and on the rank-5
+samples; its packed fields and coefficients must keep their spare bit.
+G, read from the mark counts, is held against the entry-by-entry
+product on arbitrarily marked triangles and on operator-route
+triangles.  The one-pass strictness scan is held against the scan over
+every threshold and row pair.  Coefficients are checked against plain
+integer-list sums and products (tests/oracles.py), not the package's
+own.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -30,11 +35,10 @@ from cscrystal.bzl import (
     _mark_counts,
     _stats_block,
     c_coefficient,
-    crystal_scores,
+    crystal_sums,
     decorate_via_operators,
     decorate_via_stats,
     g_coefficient,
-    weight_sums,
 )
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
@@ -47,7 +51,7 @@ from cscrystal.tableaux import (
     make_tableau,
 )
 from cscrystal.tpoly import TPoly
-from oracles import c_product_twin, list_add
+from oracles import c_product_twin, crystal_scores, list_add, weight_sums
 from stats_twin import (
     cells,
     twin_counts,
@@ -192,6 +196,68 @@ def _kernel_crystals():
         yield shape, enumerate_crystal(shape, lam.rank)
 
 
+def _sums_crystals():
+    """B(lam+rho) at ranks 1..3 for fundamental coefficient sums <= 3,
+    every rank-4 lam with coefficient sum <= 1 and (1,1,0,0), and rank 5
+    at lam = 0 and omega_1."""
+    weights = [
+        (coeffs, rank)
+        for rank in (1, 2, 3, 4)
+        for coeffs in product(range(4), repeat=rank)
+        if sum(coeffs) <= (3 if rank < 4 else 1)
+    ]
+    weights += [((1, 1, 0, 0), 4), ((0,) * 5, 5), ((1, 0, 0, 0, 0), 5)]
+    for coeffs, rank in weights:
+        shape = shifted(lambda_from_fundamental(coeffs, rank))
+        yield shape, enumerate_crystal(shape, rank)
+
+
+def _assert_sums_match_twin(shape, elements):
+    got, want = crystal_sums(shape, elements), weight_sums(crystal_scores(shape, elements))
+    assert list(got) == list(want), shape  # the key set, in first-seen order
+    assert got == want, shape
+    assert all(type(w) is tuple for w in got)
+
+
+def test_crystal_sums_match_twin_on_crystals():
+    for shape, elements in _sums_crystals():
+        _assert_sums_match_twin(shape, elements)
+
+
+def test_packed_fields_and_coefficients_keep_a_spare_bit(suite, monkeypatch):
+    # every element's packed score, decoded with B bits a field, holds
+    # its content and its boxed, marked and doubly marked counts, each
+    # below 2^(B-1); every coefficient of a weight sum is below 2^(T-1)
+    # in magnitude, the t-digit of the packed sum of C(-t)
+    scored = []
+    monkeypatch.setattr(bzl, "Counter", lambda scores: scored.append(scores) or Counter(scores))
+    for lam in suite + [lambda_from_fundamental(c, 4) for c in [(1, 0, 0, 0), (0, 0, 0, 1)]]:
+        shape = shifted(lam)
+        elements = enumerate_crystal(shape, lam.rank)
+        b, t = bzl._field_bits(shape, len(elements))
+        sums = crystal_sums(shape, elements)
+        for s, el in zip(scored.pop(), elements, strict=True):
+            fields = [s >> b * k & (1 << b) - 1 for k in range(lam.rank + 4)]
+            assert s >> b * (lam.rank + 4) == 0 and max(fields) < 1 << b - 1, (lam, el)
+            tri = decorate_via_stats(el)
+            marks = [len(tri.boxed), len(tri.circled | tri.boxed), len(tri.circled & tri.boxed)]
+            assert fields == list(content(el)) + marks, (lam, el)
+        assert max(abs(c) for p in sums.values() for c in p.coeffs) < 1 << t - 1, lam
+
+
+def test_doubly_marked_pair_gives_zero_and_keeps_its_weight():
+    # in B(rho) at rank 2, rows (1, 3) over (2,) circle and box (1, 1):
+    # c_1(2) = c_1(1) = 1 = c_2(2)
+    shape = Shape((2, 1, 0))
+    dead, alive = make_tableau(2, [[1, 3], [2]]), make_tableau(2, [[1, 2], [3]])
+    tri = decorate_via_stats(dead)
+    assert tri.circled & tri.boxed == {(1, 1)}
+    assert content(dead) == content(alive) == (1, 1, 1)
+    assert crystal_sums(shape, [dead]) == {(1, 1, 1): TPoly.zero()}
+    assert crystal_sums(shape, [dead, alive]) == crystal_sums(shape, [alive])
+    assert crystal_sums(shape, [alive]) == {(1, 1, 1): c_coefficient(decorate_via_stats(alive))}
+
+
 def test_kernel_counts_match_triangle_on_crystals():
     for shape, elements in _kernel_crystals():
         scored = list(crystal_scores(shape, elements))
@@ -234,6 +300,8 @@ def test_kernel_counts_match_triangle_at_rank_5(sample):
     for t, (w, *counts) in zip(elements, crystal_scores(shape, elements), strict=True):
         assert w == content(t)
         assert tuple(counts) == _mark_counts(decorate_via_stats(t))
+    # a few elements of one shape share the pair memo, not a whole crystal
+    _assert_sums_match_twin(shape, elements)
 
 
 def _assert_circles_read_row(t):
@@ -259,18 +327,18 @@ def test_circled_iff_row_holds_no_successor_at_ranks_4_and_5(t):
 
 def test_kernel_rejects_shape_with_nonzero_last_part():
     with pytest.raises(ValueError, match=r"\(4, 2, 1\) has last part 1"):
-        list(crystal_scores(Shape((4, 2, 1)), []))
+        crystal_sums(Shape((4, 2, 1)), [])
     with pytest.raises(ValueError, match="not strictly decreasing"):
-        list(crystal_scores(Shape((3, 3, 0)), []))
+        crystal_sums(Shape((3, 3, 0)), [])
 
 
 def _count_kernel_passes(monkeypatch):
-    """Record the calls that list, score and sum B(lam+rho) at the names
+    """Record the calls that list and score B(lam+rho) at the names
     laurent reads, the statistics triangles built, and any call of the
     listing name hpoly re-exports, which must see none."""
-    calls = {"listed": [], "scored": [], "summed": [], "stats": [], "hpoly listed": []}
-    real_list, real_kernel = laurent.enumerate_crystal, laurent.crystal_scores
-    real_sums, real_stats = laurent.weight_sums, bzl.decorate_via_stats
+    calls = {"listed": [], "scored": [], "stats": [], "hpoly listed": []}
+    real_list, real_kernel = laurent.enumerate_crystal, laurent.crystal_sums
+    real_stats = bzl.decorate_via_stats
 
     def listed(shape, rank):
         calls["listed"].append((shape, rank))
@@ -280,17 +348,12 @@ def _count_kernel_passes(monkeypatch):
         calls["scored"].append(list(elements))
         return real_kernel(shape, calls["scored"][-1])
 
-    def summed(scores):
-        calls["summed"].append(scores)
-        return real_sums(scores)
-
     def stats(t):
         calls["stats"].append(t)
         return real_stats(t)
 
     monkeypatch.setattr(laurent, "enumerate_crystal", listed)
-    monkeypatch.setattr(laurent, "crystal_scores", scored)
-    monkeypatch.setattr(laurent, "weight_sums", summed)
+    monkeypatch.setattr(laurent, "crystal_sums", scored)
     monkeypatch.setattr(bzl, "decorate_via_stats", stats)
     monkeypatch.setattr(hpoly, "enumerate_crystal", lambda *args: calls["hpoly listed"].append(args))
     return calls
@@ -300,7 +363,6 @@ def _assert_one_kernel_pass(calls, lam):
     shape = shifted(lam)
     assert calls["listed"] == [(shape, lam.rank)]
     assert calls["scored"] == [list(enumerate_crystal(shape, lam.rank))]
-    assert len(calls["summed"]) == 1
     assert calls["stats"] == calls["hpoly listed"] == []
 
 

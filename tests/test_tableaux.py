@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import CORNER_WEIGHTS
-from cscrystal.bzl import crystal_scores
+from cscrystal.bzl import crystal_sums
 from cscrystal.crystal import enumerate_crystal
 from cscrystal.rootsys import lambda_from_fundamental, shifted
 from cscrystal.tableaux import (
@@ -15,6 +15,7 @@ from cscrystal.tableaux import (
     make_tableau,
     parse_tableau,
 )
+from oracles import crystal_scores
 from stats_twin import twin_stats_a, twin_stats_b
 
 
@@ -88,8 +89,9 @@ def test_content():
 @pytest.mark.parametrize("rank, coeffs", CORNER_WEIGHTS, ids=str)
 def test_content_is_the_plain_tuple_crystal_scores_yields(rank, coeffs):
     # every non-dominant weight is a plain tuple, content(t) too, and it
-    # is the content crystal_scores carries for t; shifted(lam) is lam + rho
-    # coordinate by coordinate
+    # is the content the former route (tests/oracles.py) carries for t;
+    # crystal_sums keys each content it meets, in first-seen order, as a
+    # plain tuple; shifted(lam) is lam + rho coordinate by coordinate
     lam = lambda_from_fundamental(coeffs, rank)
     shape = shifted(lam)
     assert shape.parts == tuple(x + rank - k for k, x in enumerate(lam.parts))
@@ -99,6 +101,9 @@ def test_content_is_the_plain_tuple_crystal_scores_yields(rank, coeffs):
     for t, (w, *_) in zip(elements, scored):
         assert type(content(t)) is tuple
         assert content(t) == w, t.rows
+    keys = list(crystal_sums(shape, elements))
+    assert keys == list(dict.fromkeys(map(content, elements)))
+    assert all(type(w) is tuple for w in keys)
 
 
 def test_stats_grids():

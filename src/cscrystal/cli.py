@@ -11,7 +11,9 @@ One table, _COMMANDS, declares each subcommand's options.  main reads a
 plainly written argv with _fast_args; only what that declines (--help,
 usage errors, ...) imports argparse and goes to the parser build_parser
 makes from the same table, so help, messages and exit codes stay its.
-Another table, _AT, declares hpoly's --at points once.
+Another table, _AT, declares hpoly's --at points once.  --format json
+output comes from _json, which writes the bytes of json.dumps(obj,
+indent=2, ensure_ascii=False) without importing json.
 """
 
 import gc
@@ -68,10 +70,45 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
-def _emit_json(obj):
-    import json  # here, not at the top: a text-format run never loads it
+# What json.dumps(ensure_ascii=False) escapes in a string: '"', '\\' and
+# the control characters, \b \f \n \r \t in short form, the rest as \u00XX
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
 
-    _emit(json.dumps(obj, indent=2, ensure_ascii=False))
+
+def _json(obj, indent: str = "") -> str:
+    """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, for
+    what the payloads hold: dicts with str keys, lists, str, int and
+    bool.  That call runs the pure-Python encoder, as every call with an
+    indent does, and needs `import json`; this writer needs neither, and
+    joins a list of plain ints in one pass."""
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        if {*map(type, obj)} == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        sep = ",\n" + inner
+        body = sep.join([f'"{k.translate(_ESCAPES)}": {_json(v, inner)}' for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, str):
+        return f'"{obj.translate(_ESCAPES)}"'
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(obj):
+    _emit(_json(obj))
 
 
 def _listed(args) -> tuple:

@@ -13,15 +13,16 @@ columns strictly increasing, so the images are built without
 re-validation.  surviving_slots does the cancellation; bzl's block
 walk applies the same rule to runs of equal columns instead.
 
-The enumeration needs no operator: it fills the rows of the shape
-directly, memoizing per call the rows that fit under each (row index,
-row above), so every tableau of one listing shares the tuple of each
-distinct row.
+The enumeration needs no operator: it lists the rows of the shape
+directly, memoizing per call the suffixes of rows that fit under each
+(row index, the part of the row above it reads), so every tableau of
+one listing is its top row plus a shared suffix and shares the tuple
+of each distinct row.
 """
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from operator import gt
 
 from .rootsys import Shape
@@ -106,16 +107,17 @@ def _check_letter(rank, i):
 def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
     """Every semistandard tableau of the shape, sorted by row tuples.
 
-    Rows are filled top down, one recursion level per row: row k
-    (1-indexed) takes weakly increasing entries from k..rank+1 and fits
-    under the row above when each entry exceeds the one above it.  Which
-    rows fit depends on nothing else, so within one call each (k, row
-    above) filters row k's candidates once and later visits reuse the
-    list; each distinct row is then one tuple, shared by every tableau
-    that holds it.  Candidates come in lexicographic order, so the
-    listing comes out sorted.  B(shape) is connected, so this is also
-    the closure of the highest-weight element under the lowering
-    operators.
+    Row k (1-indexed) takes weakly increasing entries from k..rank+1 and
+    fits under the row above when each entry exceeds the one above it.
+    tails(k, above) lists every (row k, ..., last row) that fits under
+    above, each as one tuple, and is computed once per call for each
+    (k, above[:parts[k]]): row k reads no more of the row above, so
+    rows above that agree there share one list.  A tableau is its top
+    row plus one such suffix, and each distinct row is one tuple,
+    shared by every tableau that holds it.  Candidates come in
+    lexicographic order, so the listing comes out sorted.  B(shape) is
+    connected, so this is also the closure of the highest-weight element
+    under the lowering operators.
     """
     if shape.rank != rank:
         raise ValueError(f"shape has rank {shape.rank}, expected {rank}")
@@ -126,22 +128,26 @@ def enumerate_crystal(shape: Shape, rank: int) -> tuple[Tableau, ...]:
         list(combinations_with_replacement(range(k + 1, rank + 2), p))
         for k, p in enumerate(parts)
     ]
-    fits = {}  # (k, row above) -> the rows of row k that fit under it
+    memo = {}  # (k, the part of the row above that row k reads) -> tails
     last = len(parts) - 1
-    out = []
 
-    def fill(k, prefix, above):
-        rows = fits.get((k, above))
-        if rows is None:
-            rows = fits[k, above] = [row for row in candidates[k] if all(map(gt, row, above))]
-        if k == last:
-            out.extend([Tableau(rank, prefix + (row,)) for row in rows])
-        else:
-            for row in rows:
-                fill(k + 1, prefix + (row,), row)
+    def tails(k, above):
+        head = above[: parts[k]]
+        got = memo.get((k, head))
+        if got is None:
+            rows = [row for row in candidates[k] if all(map(gt, row, head))]
+            if k == last:
+                got = [(row,) for row in rows]
+            else:
+                got = []
+                for row in rows:
+                    got += map((row,).__add__, tails(k + 1, row))
+            memo[k, head] = got
+        return got
 
-    fill(0, (), ())
-    # fill reaches itself through its closure cell; cutting that cycle
-    # frees fits and out by reference counts, not at some later collection
-    del fill
-    return tuple(out)
+    listing = tails(0, ())
+    # tails reaches itself through its closure cell; cutting that cycle
+    # and dropping memo frees the suffixes by reference counts, before
+    # the tableaux are built and not at some later collection
+    del tails, memo
+    return tuple(map(Tableau, repeat(rank, len(listing)), listing))

@@ -53,9 +53,10 @@ class HTable(Record):
             f"t{k}" for k in range(width)
         ]
         lines = [",".join(header)]
-        for mu, _, poly in self.rows:
-            coeffs = [poly.coefficient(k) for k in range(width)]
-            lines.append(",".join(str(x) for x in list(mu) + coeffs))
+        lines += [
+            ",".join(map(str, (*mu, *poly.coeffs))) + ",0" * (width - len(poly.coeffs))
+            for mu, _, poly in self.rows
+        ]
         return "\n".join(lines) + "\n"
 
     def to_latex(self) -> str:

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cscrystal
-from cscrystal import bzl, laurent
+from cscrystal import bzl, cli, laurent
 from cscrystal.bzl import decorate_via_stats
 from cscrystal.cli import main
 from cscrystal.crystal import enumerate_crystal
@@ -381,6 +382,77 @@ def test_verify_json_reports_the_first_mismatch(capsys, monkeypatch):
     assert payload["reversed_form_equal"] is False
 
 
+def _emitted_payloads(monkeypatch):
+    """The objects cli._emit_json is given, in call order."""
+    payloads, real = [], cli._emit_json
+
+    def recording(obj):
+        payloads.append(obj)
+        real(obj)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    return payloads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--rank", "2", "--lambda", "1,1", "--shifted"),
+        ("enumerate", "--rank", "1", "--partition", "0"),
+        ("bzl", "--rank", "2", "--tableau", "1 2 2 / 3 3"),
+        ("bzl", "--rank", "3", "--tableau", "1 1 2 4 / 2 3 4 / 4"),
+        ("verify", "--rank", "2", "--lambda", "1,0"),
+        ("hpoly", "--rank", "3", "--lambda", "1,0,1"),
+        ("hpoly", "--rank", "3", "--lambda", "1,1,1", "--at", "-1"),
+        ("hpoly", "--rank", "2", "--lambda", "0,1", "--at", "inf"),
+        ("hpoly", "--rank", "2", "--lambda", "2,0", "--at", "1"),
+    ],
+)
+def test_json_writer_matches_json_dumps_on_every_payload(capsys, monkeypatch, argv):
+    payloads = _emitted_payloads(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    [payload] = payloads
+    assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_a_mismatch(capsys, monkeypatch):
+    _one_more_rhs_term(monkeypatch)
+    payloads = _emitted_payloads(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--rank", "2", "--lambda", "1,0", "--format", "json")
+    assert code == 1
+    [payload] = payloads
+    assert payload["first_mismatch"]["lhs"] == []  # an empty list, written "[]"
+    assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+_json_texts = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "a", " ", "∅", "◯", "\u2028"])
+    | st.characters(),
+    max_size=8,
+)
+_json_nests = st.recursive(
+    st.booleans() | st.integers() | _json_texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_nests)
+def test_json_writer_matches_json_dumps_on_drawn_nests(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+def test_json_writer_on_int_lists_and_refusals():
+    # bools in a list of ints are not ints to the one-pass join
+    for obj in ([1, True, 0], [[0, 1], [2, -3]], {"g": [[3, -1], [2, 1]]}, [10**30, -1], [[], {}]):
+        assert cli._json(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+    for unwritten in (1.5, None, (1, 2)):
+        with pytest.raises(TypeError):
+            cli._json({"x": unwritten})
+
+
 def _verdicts(out):
     """The identity and reversed-form lines of a text verify."""
     lines = out.splitlines()
@@ -461,16 +533,16 @@ def _loaded_modules(code="pass"):
 
 def test_text_run_loads_no_dataclasses_inspect_or_json():
     # against what a bare interpreter loads in the same environment, a
-    # text-format run adds none of these start-up costs; json is loaded
-    # only when JSON is written, and argparse (with gettext) only for an
-    # argv the fast reader leaves to it, such as --help
+    # text-format run adds none of these start-up costs; no run loads
+    # json, which cli._json writes without, and argparse (with gettext)
+    # loads only for an argv the fast reader leaves to it, such as --help
     baseline = _loaded_modules()
     verify = "from cscrystal.cli import main\nassert main(['verify', '--rank', '2', '--lambda', '1,0'{}]) == 0"
     added = _loaded_modules(verify.format("")) - baseline
     assert "cscrystal.cli" in added
     assert not added & {"dataclasses", "inspect", "json", "argparse", "gettext"}
     as_json = _loaded_modules(verify.format(", '--format', 'json'")) - baseline
-    assert "json" in as_json
+    assert "json" not in as_json
     assert not as_json & {"argparse", "gettext"}
     assert not (_loaded_modules("import cscrystal.cli") - baseline) & {"argparse", "gettext"}
     assert "argparse" in _loaded_modules("from cscrystal.cli import main\nassert main(['--help']) == 0")
